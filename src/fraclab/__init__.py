@@ -7,12 +7,11 @@ recovery of the potential with a self-calibrating stability certificate.
 
 __version__ = "0.1.0"
 
-from .errors import (AllExcludedError, BesselRangeError, ConfigError,
-                     DegenerateError, DiscrepancyError, DomainError,
-                     EigenvalueError, EmptyRegionError, FraclabError,
-                     GeometryError, OverlapError, ResolutionError,
-                     SingularSolveError, SupportError, ZeroDataError,
-                     ZeroMassError)
+from .errors import (AllExcludedError, ConfigError, DegenerateError,
+                     DiscrepancyError, DomainError, EigenvalueError,
+                     EmptyRegionError, FraclabError, GeometryError,
+                     OverlapError, ResolutionError, SingularSolveError,
+                     SupportError, ZeroDataError, ZeroMassError)
 from .geometry import (Geometry, GridFunction, GridSpec, Potential,
                        build_geometry, bump_profile, interval_mask,
                        make_grid_function, sample_profile, support_mask)

@@ -46,15 +46,6 @@ class SingularSolveError(FraclabError):
     """Dense factorization failed."""
 
 
-class BesselRangeError(FraclabError):
-    """Bessel-K argument out of the supported range.
-
-    The extension multiplier clamps to zero for arguments beyond the
-    underflow threshold instead of raising; this class exists for callers
-    that want to opt into strict behaviour.
-    """
-
-
 class EmptyRegionError(FraclabError):
     """No quadrature node falls inside the requested region."""
 

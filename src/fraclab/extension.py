@@ -13,11 +13,11 @@ Laplacian:
     lim_{y->0} y^(1-2s) d_y v = -d_s (-Lap)^s u,
     d_s = 2^(1-2s) Gamma(1-s) / Gamma(s).
 
-K_s is evaluated self-containedly: an ascending power series for t <= 2
-and an exponentially convergent trapezoid discretization of the integral
-representation K_s(t) = int_0^inf exp(-t cosh u) cosh(s u) du for t > 2,
-each accurate to better than 1e-12 relative.  Arguments beyond t = 700
-underflow (e^-700 ~ 1e-304) and the multiplier is clamped to zero there.
+K_s comes from scipy's exponentially scaled kve(s, t) = e^t K_s(t), and
+theta_s(0) = 1 is set exactly.  Arguments beyond t = 700 underflow
+(e^-700 ~ 1e-304) and the multiplier is clamped to zero there.
+scipy.special is imported on the first call, so importing fraclab does
+not pay for it.
 
 Region quadrature: the y axis carries exact integrals of the weight
 y^(1-2s) against the piecewise-linear hat functions of the graded grid,
@@ -33,16 +33,11 @@ from math import gamma
 
 import numpy as np
 
-from .errors import (DomainError, EmptyRegionError, GeometryError,
-                     ResolutionError)
+from .errors import EmptyRegionError, GeometryError, ResolutionError
 from .geometry import Geometry, GridFunction, GridSpec, frequencies
 
 #: multiplier argument beyond which K_s underflows; columns clamp to zero
 BESSEL_CLAMP = 700.0
-
-_SERIES_SPLIT = 2.0
-_SERIES_TERMS = 30
-_INTEGRAL_NODES = 400
 
 
 def trace_constant(s: float) -> float:
@@ -50,57 +45,20 @@ def trace_constant(s: float) -> float:
     return 2.0 ** (1 - 2 * s) * gamma(1 - s) / gamma(s)
 
 
-def _theta_series(t: np.ndarray, s: float) -> np.ndarray:
-    """Ascending series, accurate for t <= 2.
-
-    theta(t) = Gamma(1-s) sum_m q^m / (m! Gamma(m+1-s))
-             - Gamma(1-s) 2^(-2s) t^(2s) sum_m q^m / (m! Gamma(m+1+s)),
-    with q = t^2/4; the m = 0 term of the first sum gives theta(0) = 1.
-    """
-    q = t * t / 4.0
-    sm = np.zeros_like(t)
-    sp = np.zeros_like(t)
-    term = np.ones_like(t)
-    for m in range(_SERIES_TERMS):
-        sm += term / gamma(m + 1 - s)
-        sp += term / gamma(m + 1 + s)
-        term = term * q / (m + 1)
-    g1ms = gamma(1 - s)
-    out = g1ms * sm
-    # t^(2s) of the second branch: safe for t = 0
-    nz = t > 0
-    out[nz] -= g1ms * 2.0 ** (-2 * s) * t[nz] ** (2 * s) * sp[nz]
-    return out
-
-
-def _theta_integral(t: np.ndarray, s: float) -> np.ndarray:
-    """Scaled cosh-integral route, accurate for t >= 2.
-
-    e^t K_s(t) = int_0^inf exp(-t (cosh u - 1)) cosh(s u) du, discretized
-    by the trapezoid rule; the integrand is analytic and even, so the
-    error decays exponentially in the node count.
-    """
-    tmin = float(np.min(t))
-    U = float(np.arccosh(1.0 + 45.0 / tmin))
-    u = np.linspace(0.0, U, _INTEGRAL_NODES)
-    wts = np.full(_INTEGRAL_NODES, u[1] - u[0])
-    wts[0] = wts[-1] = wts[0] / 2.0
-    with np.errstate(under="ignore"):
-        E = np.exp(-np.outer(t, np.cosh(u) - 1.0))
-        k_scaled = E @ (wts * np.cosh(s * u))
-        return (2.0 ** (1 - s) / gamma(s)) * t ** s * np.exp(-t) * k_scaled
-
-
 def extension_multiplier(t, s: float) -> np.ndarray:
-    """theta_s(t) for t >= 0, clamped to zero beyond BESSEL_CLAMP."""
+    """theta_s(t) for t >= 0, clamped to zero beyond BESSEL_CLAMP.
+
+    theta_s(t) = 2^(1-s)/Gamma(s) t^s kve(s, t) e^(-t), with kve(s, t) =
+    e^t K_s(t); theta_s(0) = 1 exactly.
+    """
+    from scipy.special import kve
+
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros_like(t)
-    low = t <= _SERIES_SPLIT
-    if np.any(low):
-        out[low] = _theta_series(t[low], s)
-    mid = (t > _SERIES_SPLIT) & (t <= BESSEL_CLAMP)
-    if np.any(mid):
-        out[mid] = _theta_integral(t[mid], s)
+    out[t == 0] = 1.0
+    live = (t > 0) & (t <= BESSEL_CLAMP)
+    tl = t[live]
+    out[live] = (2.0 ** (1 - s) / gamma(s)) * tl ** s * kve(s, tl) * np.exp(-tl)
     return out
 
 
@@ -128,18 +86,20 @@ class ExtensionField:
 
 
 def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> ExtensionField:
-    """Evaluate the extension column by column via the exact multiplier."""
+    """Evaluate the extension at every height via the exact multiplier.
+
+    The multiplier table over (|xi| of the real half spectrum, y) is built
+    at once and one inverse real FFT along x gives every height level.
+    """
     if y_grid is None:
         y_grid = default_y_grid(s)
     y = np.asarray(y_grid, dtype=float)
     if y.ndim != 1 or len(y) < 2 or np.any(np.diff(y) <= 0) or y[0] < 0:
         raise GeometryError("y grid must be strictly increasing and nonnegative")
-    xi = np.abs(frequencies(u.spec))
-    uhat = np.fft.fft(u.values)
-    cols = np.empty((u.spec.n_super, len(y)))
-    for j, yj in enumerate(y):
-        mult = extension_multiplier(xi * yj, s)
-        cols[:, j] = np.real(np.fft.ifft(mult * uhat))
+    n = u.spec.n_super
+    xi = np.abs(frequencies(u.spec)[: n // 2 + 1])
+    mult = extension_multiplier(np.outer(xi, y), s)
+    cols = np.fft.irfft(np.fft.rfft(u.values)[:, None] * mult, n=n, axis=0)
     return ExtensionField(spec=u.spec, y_grid=y, values=cols, s=s,
                           d_s=trace_constant(s), boundary=u.values.copy())
 
@@ -281,14 +241,16 @@ def _region_mass_sq(field_values: np.ndarray, spec: GridSpec, y: np.ndarray,
     if region.kind in ("half_ball", "annulus"):
         yw = y_quadrature_weights(y, s)
         x0, y0 = region.center
-        rr = (x[:, None] - x0) ** 2 + (y[None, :] - y0) ** 2
+        # only rows with |x - x0| < r can hold nodes of the ball
+        rows = np.abs(x - x0) < region.radius
+        rr = (x[rows, None] - x0) ** 2 + (y[None, :] - y0) ** 2
         if region.kind == "half_ball":
             mask = rr < region.radius ** 2
         else:
             mask = (rr < region.radius ** 2) & (rr >= (region.radius / 2) ** 2)
         if not np.any(mask):
             raise EmptyRegionError(f"no tensor nodes in {region}")
-        w2 = field_values ** 2
+        w2 = field_values[rows, :] ** 2
         return float(spec.h * np.sum((w2 * yw[None, :])[mask]))
     raise ValueError(f"unknown region kind {region.kind!r}")
 
@@ -328,9 +290,12 @@ def gradient_components(field: ExtensionField) -> tuple[np.ndarray, np.ndarray]:
     The y derivative uses non-uniform centered differences at interior
     heights and one-sided stencils at the first and last height.
     """
-    xi = frequencies(field.spec)
-    vhat = np.fft.fft(field.values, axis=0)
-    dx = np.real(np.fft.ifft(1j * xi[:, None] * vhat, axis=0))
+    n = field.spec.n_super
+    xi = frequencies(field.spec)[: n // 2 + 1]
+    # irfft drops the imaginary Nyquist term, as the real part of ifft does;
+    # one expression, so the spectrum is freed before dy is allocated
+    dx = np.fft.irfft(1j * xi[:, None] * np.fft.rfft(field.values, axis=0),
+                      n=n, axis=0)
     y = field.y_grid
     v = field.values
     dy = np.empty_like(v)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from math import gamma
@@ -5,7 +10,9 @@ from scipy import special
 
 import fraclab as fl
 from fraclab.errors import EmptyRegionError, GeometryError, ResolutionError
-from fraclab.extension import extension_multiplier, y_quadrature_weights
+from fraclab.extension import (extension_multiplier, gradient_components,
+                               y_quadrature_weights)
+from fraclab.geometry import frequencies
 
 
 def test_multiplier_against_library_bessel():
@@ -16,6 +23,20 @@ def test_multiplier_against_library_bessel():
         ref = (2 ** (1 - s) / gamma(s)) * t ** s * special.kv(s, t)
         mine = extension_multiplier(t, s)
         assert np.max(np.abs(mine - ref) / ref) < 1e-12
+
+
+def test_multiplier_against_mpmath_besselk():
+    # oracle outside scipy: theta_s(t) at 30 digits from mpmath.besselk
+    mpmath = pytest.importorskip("mpmath")
+    t = np.geomspace(1e-8, 700.0, 120)
+    with mpmath.workdps(30):
+        for s in (0.1, 0.25, 0.5, 0.75, 0.9):
+            ms = mpmath.mpf(s)
+            c = 2 ** (1 - ms) / mpmath.gamma(ms)
+            ref = np.array([float(c * mpmath.mpf(x) ** ms
+                                  * mpmath.besselk(ms, x)) for x in t])
+            mine = extension_multiplier(t, s)
+            assert np.max(np.abs(mine - ref) / ref) < 1e-12, s
 
 
 def test_multiplier_half_closed_form():
@@ -57,6 +78,42 @@ def test_extend_poisson_half(s1):
     for j, yj in enumerate(y):
         ref = np.real(np.fft.ifft(np.exp(-xi * yj) * uhat))
         assert np.max(np.abs(field.values[:, j] - ref)) < 1e-10
+
+
+def test_extend_matches_per_column_complex_fft(s1, s1_solution):
+    # the batched real-FFT path against one complex FFT per height level
+    geom, spec = s1
+    u = s1_solution.u
+    xi = np.abs(frequencies(spec))
+    uhat = np.fft.fft(u.values)
+    for s in (0.25, 0.75):
+        y = fl.default_y_grid(s)
+        field = fl.extend(u, s, y)
+        ref = np.column_stack([
+            np.real(np.fft.ifft(extension_multiplier(xi * yj, s) * uhat))
+            for yj in y])
+        dev = np.max(np.abs(field.values - ref))
+        assert dev <= 1e-12 * np.max(np.abs(ref)), (s, dev)
+
+
+def test_gradient_dx_matches_complex_fft(s1_field):
+    xi = frequencies(s1_field.spec)
+    ref = np.real(np.fft.ifft(1j * xi[:, None]
+                              * np.fft.fft(s1_field.values, axis=0), axis=0))
+    dx, _ = gradient_components(s1_field)
+    assert np.max(np.abs(dx - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is imported on the first multiplier call, never by
+    # `import fraclab`, so subcommands that never extend do not pay for it
+    src = Path(fl.__file__).resolve().parents[1]
+    code = ("import sys, fraclab; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "False"
 
 
 def test_trace_recovery(s1):
