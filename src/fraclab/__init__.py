@@ -15,8 +15,8 @@ from .errors import (AllExcludedError, ConfigError, DegenerateError,
 from .geometry import (Geometry, GridFunction, GridSpec, Potential,
                        build_geometry, bump_profile, interval_mask,
                        make_grid_function, sample_profile, support_mask)
-from .spaces import (dual_norm_on_window, holder_norm, holder_seminorm,
-                     make_potential, oscillation_ratio, sobolev_norm)
+from .spaces import (dual_norm_on_window, holder_norm, make_potential,
+                     oscillation_ratio, sobolev_norm)
 from .fracop import (FracLapDense, apply_dense, apply_spectral,
                      assemble_dense, cross_validate, symbol_constant)
 from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,

@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import Scenario, build_scenario, load_config
+from .config import Scenario, ScenarioConfig, build_scenario, load_config
 from .errors import ConfigError, FraclabError
-from .experiments import end_to_end, run_forward, run_ucp_scan, scan_radii
+from .experiments import end_to_end, run_forward, run_ucp_scan
 from .forward import export_measurement_csv
 from .geometry import interval_mask
-from .reconstruction import certify_bound, potential_sweep
+from .reconstruction import (StabilityCertificate, certify_bound,
+                             potential_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,6 +40,15 @@ def _header(sc_or_cfg) -> str:
 
 def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _certificate_lines(c: StabilityCertificate) -> list:
+    """key=value lines of a certificate's constants and its bound."""
+    return [f"E={_fmt(c.holder_bound)}", f"alpha={_fmt(c.alpha)}",
+            f"beta={_fmt(c.beta)}", f"c_low={_fmt(c.c_low)}",
+            f"c_stab={_fmt(c.c_stab)}", f"mu={_fmt(c.mu)}",
+            f"e_tilde={_fmt(c.e_tilde)}", f"epsilon={_fmt(c.epsilon)}",
+            f"r_opt={_fmt(c.r_opt)}", f"bound={_fmt(c.bound)}"]
 
 
 def cmd_forward(sc: Scenario, out: Path) -> None:
@@ -123,13 +133,7 @@ def cmd_stability(sc: Scenario, out: Path) -> None:
     elif report.certificate is None:
         cert_lines.append(f"note={report.note}")
     else:
-        c = report.certificate
-        cert_lines += [
-            f"E={_fmt(c.holder_bound)}", f"alpha={_fmt(c.alpha)}",
-            f"beta={_fmt(c.beta)}", f"c_low={_fmt(c.c_low)}",
-            f"c_stab={_fmt(c.c_stab)}", f"mu={_fmt(c.mu)}",
-            f"e_tilde={_fmt(c.e_tilde)}", f"epsilon={_fmt(c.epsilon)}",
-            f"r_opt={_fmt(c.r_opt)}", f"bound={_fmt(c.bound)}",
+        cert_lines += _certificate_lines(report.certificate) + [
             f"actual_sup_gap={_fmt(report.actual_sup_gap)}",
             f"certified_dominates={report.certified_dominates}",
             f"fudge={_fmt(report.fudge)}",
@@ -137,8 +141,7 @@ def cmd_stability(sc: Scenario, out: Path) -> None:
     _write_lines(out / "certificate.txt", cert_lines)
 
 
-def cmd_certify(sc_cfg, out: Path) -> None:
-    cfg = sc_cfg
+def cmd_certify(cfg: ScenarioConfig, out: Path) -> None:
     needed = ["cert.E", "cert.alpha", "cert.beta", "cert.c_low",
               "cert.c_stab", "cert.mu", "cert.e_tilde", "cert.epsilon",
               "cert.r0"]
@@ -151,14 +154,8 @@ def cmd_certify(sc_cfg, out: Path) -> None:
         c_stab=cfg["cert.c_stab"], mu=cfg["cert.mu"],
         e_tilde=cfg["cert.e_tilde"], epsilon=cfg["cert.epsilon"],
         r0=cfg["cert.r0"])
-    _write_lines(out / "certificate.txt", [
-        f"# {_header(cfg)}",
-        f"E={_fmt(cert.holder_bound)}", f"alpha={_fmt(cert.alpha)}",
-        f"beta={_fmt(cert.beta)}", f"c_low={_fmt(cert.c_low)}",
-        f"c_stab={_fmt(cert.c_stab)}", f"mu={_fmt(cert.mu)}",
-        f"e_tilde={_fmt(cert.e_tilde)}", f"epsilon={_fmt(cert.epsilon)}",
-        f"r_opt={_fmt(cert.r_opt)}", f"bound={_fmt(cert.bound)}",
-    ])
+    _write_lines(out / "certificate.txt",
+                 [f"# {_header(cfg)}"] + _certificate_lines(cert))
 
 
 def main(argv=None) -> int:
@@ -199,7 +196,6 @@ def main(argv=None) -> int:
         if args.command == "forward":
             cmd_forward(sc, out)
         elif args.command == "ucp-scan":
-            _ = scan_radii(sc)   # surface missing scan keys as config errors
             cmd_ucp_scan(sc, out)
         elif args.command == "stability":
             cmd_stability(sc, out)

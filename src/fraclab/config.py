@@ -18,14 +18,15 @@ scan, sweep and certificate parameters.  Unknown keys are rejected.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .fracop import assemble_dense
-from .geometry import (Geometry, GridSpec, build_geometry, bump_profile,
-                       make_grid_function, sample_profile)
+from .fracop import FracLapDense, assemble_dense
+from .geometry import (Geometry, GridFunction, GridSpec, Potential,
+                       build_geometry, bump_profile, make_grid_function,
+                       sample_profile)
 from .spaces import make_potential
 
 _FLOAT_KEYS = {
@@ -136,13 +137,10 @@ class Scenario:
     config: ScenarioConfig
     geom: Geometry
     spec: GridSpec
-    op: object                  # FracLapDense
-    f: object                   # GridFunction on w
-    q1: object                  # Potential
-    q2: object                  # Potential
-
-
-_SUPPORT_INTERVAL = {"w": "w", "omega_prime": "omega_prime"}
+    op: FracLapDense
+    f: GridFunction             # exterior data on w
+    q1: Potential
+    q2: Potential
 
 
 def _bump_from_block(cfg: ScenarioConfig, block: str, geom, spec, support):
@@ -154,7 +152,7 @@ def _bump_from_block(cfg: ScenarioConfig, block: str, geom, spec, support):
     width = cfg.get(f"{block}.width")
     if center is None or width is None:
         raise ConfigError(f"block {block!r} needs center and width")
-    lo, hi = getattr(geom, _SUPPORT_INTERVAL[support])
+    lo, hi = getattr(geom, support)
     if center - width < lo or center + width > hi:
         raise ConfigError(
             f"{block} bump support [{center - width}, {center + width}] "

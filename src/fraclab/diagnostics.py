@@ -178,15 +178,16 @@ def three_balls_exponent(field: ExtensionField, center: tuple[float, float],
                               "masses": (n_half, n_mid, n_two)})
 
 
-def _fit_power_law(radii: np.ndarray, masses: np.ndarray):
-    """Least squares log N = beta log r + log C; sup-norm residual."""
-    lr = np.log(radii)
-    lm = np.log(masses)
-    A = np.vstack([lr, np.ones_like(lr)]).T
-    coef, *_ = np.linalg.lstsq(A, lm, rcond=None)
-    beta, logc = float(coef[0]), float(coef[1])
-    resid = float(np.max(np.abs(lm - (beta * lr + logc))))
-    return beta, float(np.exp(logc)), resid
+def fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least squares log y = slope log x + intercept, for positive x and y.
+
+    Returns (slope, intercept, sup |log y - fit|).
+    """
+    lx, ly = np.log(x), np.log(y)
+    A = np.vstack([lx, np.ones_like(lx)]).T
+    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
+    resid = float(np.max(np.abs(ly - A @ coef)))
+    return float(coef[0]), float(coef[1]), resid
 
 
 def doubling_scan_bulk(geom: Geometry, field: ExtensionField, x0: float,
@@ -213,7 +214,8 @@ def doubling_scan_bulk(geom: Geometry, field: ExtensionField, x0: float,
     if zero_mass:
         beta = c = resid = None
     else:
-        beta, c, resid = _fit_power_law(radii, masses)
+        beta, log_c, resid = fit_loglog(radii, masses)
+        c = float(np.exp(log_c))
     return DoublingReport(center=x0, radii=radii, masses=masses, ratios=ratios,
                           beta_hat=beta, c_hat=c, fit_residual=resid,
                           r0=r0, mode="bulk", zero_mass=zero_mass)
@@ -245,10 +247,11 @@ def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,
         raise ZeroMassError("smallest-radius trace mass is numerically zero")
     doubled = np.array([mass(2 * r) for r in radii])
     ratios = doubled / masses
-    beta, c, resid = _fit_power_law(radii, masses)
+    beta, log_c, resid = fit_loglog(radii, masses)
     return DoublingReport(center=x0, radii=radii, masses=masses, ratios=ratios,
-                          beta_hat=beta, c_hat=c, fit_residual=resid,
-                          r0=r0, mode="boundary", zero_mass=False)
+                          beta_hat=beta, c_hat=float(np.exp(log_c)),
+                          fit_residual=resid, r0=r0, mode="boundary",
+                          zero_mass=False)
 
 
 def boundary_bulk_check(geom: Geometry, field: ExtensionField,

@@ -10,23 +10,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import (DoublingReport, LemmaCheck, annulus_ratio,
-                          caccioppoli_check, carleman_gap_check,
-                          carleman_weight, doubling_scan_boundary,
-                          doubling_scan_bulk, persistence_check)
+from .diagnostics import (DoublingReport, annulus_ratio, caccioppoli_check,
+                          carleman_gap_check, carleman_weight,
+                          doubling_scan_boundary, doubling_scan_bulk,
+                          fit_loglog, persistence_check)
 from .errors import ConfigError
-from .extension import ExtensionField, default_y_grid, extend
-from .forward import Measurement, add_noise, dtn_map, solve_forward
-from .geometry import interval_mask, make_grid_function
+from .extension import default_y_grid, extend
+from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
+                      solve_forward)
+from .geometry import make_grid_function
 from .reconstruction import (StabilityCertificate, StabilityCurve,
-                             certify_bound, noise_sweep, potential_sweep)
+                             certify_bound, noise_sweep)
 from .spaces import dual_norm_on_window, sobolev_norm
 from .config import Scenario
 
 
 @dataclass(frozen=True, eq=False)
 class ForwardArtifacts:
-    solution: object
+    solution: ForwardSolution
     measurement: Measurement
     report_lines: list
 
@@ -124,13 +125,9 @@ def _fit_smallness(epsilons, u_errors_abs, e_tilde):
     ok = (eps > 0) & (err > 0) & (eps < e_tilde)
     if np.count_nonzero(ok) < 2:
         return None, None
-    x = np.log(np.abs(np.log(eps[ok] / e_tilde)))
-    y = np.log(err[ok])
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    mu = -float(coef[0])
-    c_stab = float(np.exp(coef[1]) / e_tilde)
-    return c_stab, mu
+    slope, intercept, _ = fit_loglog(np.abs(np.log(eps[ok] / e_tilde)),
+                                     err[ok])
+    return float(np.exp(intercept) / e_tilde), -slope
 
 
 def end_to_end(sc: Scenario, epsilons=None, seed: int | None = None,

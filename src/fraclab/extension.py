@@ -34,7 +34,7 @@ from math import gamma
 import numpy as np
 
 from .errors import EmptyRegionError, GeometryError, ResolutionError
-from .geometry import Geometry, GridFunction, GridSpec, frequencies
+from .geometry import GridFunction, GridSpec, frequencies
 
 #: multiplier argument beyond which K_s underflows; columns clamp to zero
 BESSEL_CLAMP = 700.0

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import EigenvalueError, SingularSolveError, SupportError
 from .fracop import FracLapDense
 from .geometry import (Geometry, GridFunction, GridSpec, Potential,
-                       interval_mask, make_grid_function, support_mask)
+                       make_grid_function, support_mask)
 from .spaces import dual_norm_on_window, sobolev_norm
 
 #: relative spectral gap below which the restricted operator is rejected
@@ -52,16 +52,6 @@ class Measurement:
     seed: int | None
 
 
-def _partition(geom: Geometry, spec: GridSpec, op: FracLapDense):
-    """Positions of the omega and w nodes inside the active set."""
-    omega_idx = np.nonzero(interval_mask(spec, geom.omega))[0]
-    w_idx = np.nonzero(interval_mask(spec, geom.w))[0]
-    pos = {g: i for i, g in enumerate(op.active)}
-    io = np.array([pos[g] for g in omega_idx])
-    iw = np.array([pos[g] for g in w_idx])
-    return omega_idx, w_idx, io, iw
-
-
 def _q_values(q) -> np.ndarray:
     """Nodal values of a potential given as Potential or GridFunction."""
     return q.values.values if isinstance(q, Potential) else q.values
@@ -70,20 +60,20 @@ def _q_values(q) -> np.ndarray:
 def system_matrix(geom: Geometry, spec: GridSpec, op: FracLapDense,
                   q) -> np.ndarray:
     """A_OO + h diag(q) over the omega nodes."""
-    omega_idx, _, io, _ = _partition(geom, spec, op)
-    A = op.matrix[np.ix_(io, io)]
-    return A + spec.h * np.diag(_q_values(q)[omega_idx])
+    A = op.matrix[np.ix_(op.omega_pos, op.omega_pos)]
+    return A + spec.h * np.diag(_q_values(q)[op.omega_idx])
 
 
 def eigen_gap(geom: Geometry, spec: GridSpec, op: FracLapDense, q) -> float:
     """Smallest singular value of the restricted system over its largest.
 
-    Accepts a Potential or any GridFunction of nodal values (the latter
-    allows probing resonant shifts that are not admissible potentials).
+    The system is symmetric, so its singular values are the moduli of its
+    eigenvalues.  Accepts a Potential or any GridFunction of nodal values
+    (the latter allows probing resonant shifts that are not admissible
+    potentials).
     """
-    M = system_matrix(geom, spec, op, q)
-    sv = np.linalg.svd(M, compute_uv=False)
-    return float(sv[-1] / sv[0])
+    ev = np.abs(np.linalg.eigvalsh(system_matrix(geom, spec, op, q)))
+    return float(ev.min() / ev.max())
 
 
 def solve_forward(geom: Geometry, spec: GridSpec, op: FracLapDense,
@@ -101,9 +91,9 @@ def solve_forward(geom: Geometry, spec: GridSpec, op: FracLapDense,
     if gap < gap_tol:
         raise EigenvalueError(
             f"relative spectral gap {gap:.3e} below tolerance {gap_tol:.0e}")
-    omega_idx, w_idx, io, iw = _partition(geom, spec, op)
+    omega_idx, w_idx = op.omega_idx, op.w_idx
     M = system_matrix(geom, spec, op, q)
-    rhs = -op.matrix[np.ix_(io, iw)] @ f.values[w_idx]
+    rhs = -op.matrix[np.ix_(op.omega_pos, op.w_pos)] @ f.values[w_idx]
     try:
         u_omega = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
@@ -124,11 +114,11 @@ def solve_forward(geom: Geometry, spec: GridSpec, op: FracLapDense,
 def dtn_map(geom: Geometry, spec: GridSpec, op: FracLapDense,
             sol: ForwardSolution) -> Measurement:
     """Measurement on the window: nodal fractional Laplacian of u."""
-    omega_idx, w_idx, io, iw = _partition(geom, spec, op)
-    lam_w = (op.matrix[np.ix_(iw, io)] @ sol.u.values[omega_idx]
-             + op.matrix[np.ix_(iw, iw)] @ sol.f.values[w_idx]) / spec.h
+    io, iw = op.omega_pos, op.w_pos
+    lam_w = (op.matrix[np.ix_(iw, io)] @ sol.u.values[op.omega_idx]
+             + op.matrix[np.ix_(iw, iw)] @ sol.f.values[op.w_idx]) / spec.h
     vals = np.zeros(spec.n_super)
-    vals[w_idx] = lam_w
+    vals[op.w_idx] = lam_w
     lam = make_grid_function(geom, spec, vals, "w")
     return Measurement(lambda_f=lam, noise_level=0.0, seed=None)
 

@@ -13,10 +13,10 @@ hat elements for the bilinear form
 
 with c_s = 2^(2s) s Gamma((1+2s)/2) / (sqrt(pi) Gamma(1-s)), the unique
 constant matching the symbol |xi|^(2s).  On a uniform grid the entries are
-Toeplitz and reduce to one-dimensional integrals of the hat-correlation
-function rho against |z|^(-1-2s): the cell touching the singularity is
-integrated analytically (the integrand is a cubic with a double zero), the
-remaining cells by 8-point Gauss-Legendre, and the constant tail exactly.
+Toeplitz: the entry at lag m is the singular integral of the hat
+autocorrelation rho against |z|^(-1-2s), evaluated at m h.  Because rho is
+a scaled cubic B-spline, that integral is in closed form a fourth
+difference of |k|^(3-2s) (see stiffness_lags).
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from math import gamma, sqrt, pi
 import numpy as np
 
 from .errors import SupportError
-from .geometry import Geometry, GridFunction, GridSpec, frequencies
+from .geometry import (Geometry, GridFunction, GridSpec, frequencies,
+                       interval_mask)
 
 #: nodes within this count of the box edge must be empty (periodization guard)
 EDGE_GUARD_NODES = 8
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def symbol_constant(s: float) -> float:
@@ -55,66 +54,52 @@ def apply_spectral(u: GridFunction, s: float) -> GridFunction:
     return GridFunction(spec=u.spec, values=out, support="box")
 
 
-def _hat_correlation(t, h):
-    """rho(t) = integral of hat(x) hat(x+t) dx for unit hats of halfwidth h."""
-    tau = np.abs(np.asarray(t, dtype=float)) / h
-    out = np.zeros_like(tau)
-    inner = tau <= 1.0
-    out[inner] = h * (2.0 / 3.0 - tau[inner] ** 2 + tau[inner] ** 3 / 2.0)
-    outer = (tau > 1.0) & (tau < 2.0)
-    out[outer] = h * (2.0 - tau[outer]) ** 3 / 6.0
-    return out
+#: terms of the far-field series; successive terms shrink by about
+#: (2/m)^2 <= 1/4, so 40 terms are exact to rounding from m = 4 on
+_SERIES_TERMS = 40
 
 
-def _bracket(z, d, h):
-    """2 rho(d) - rho(d+z) - rho(d-z); O(z^2) at 0 since rho is C^2."""
-    return (2.0 * _hat_correlation(d, h)
-            - _hat_correlation(d + z, h)
-            - _hat_correlation(d - z, h))
+def _far_series_coefficients(p: float) -> np.ndarray:
+    """a_j = [p(p-1)(p-3)...(p-j+1)/j!] 2(2^j - 4) for j = 4, 6, 8, ...
+
+    These are the binomial coefficients of delta^4 m^p / (p - 2), with the
+    factor p - 2 left out of the product.
+    """
+    j = np.arange(4, 2 * _SERIES_TERMS + 4, 2, dtype=float)
+    ratio = (p - j + 2) * (p - j + 1) / ((j - 1) * j)
+    ratio[0] = p * (p - 1) * (p - 3) / 24.0
+    return np.cumprod(ratio) * 2.0 * (2.0 ** j - 4.0)
 
 
 def stiffness_lags(s: float, h: float, max_lag: int) -> np.ndarray:
     """Toeplitz entries g[m] = A_{i,i+m} of the Galerkin stiffness matrix.
 
-    g[m] = c_s * integral_0^inf z^(-1-2s) bracket(z; m h) dz, evaluated
-    exactly on the first cell (single cubic with double zero at z = 0),
-    by Gauss-Legendre on interior cells, and in closed form on the
-    constant tail.
+    g[m] = c_s h^(1-2s) delta^4 F(m) / (2s (2-2s) (3-2s)), where delta^4
+    is the five-point fourth difference
+    F(m-2) - 4 F(m-1) + 6 F(m) - 4 F(m+1) + F(m+2) and
+    F(k) = k^2 expm1((1-2s) ln|k|) / (1-2s), with F(k) = k^2 ln|k| at
+    s = 1/2 and F(0) = 0.  Since delta^4 annihilates k^2, delta^4 F equals
+    delta^4 |k|^p / (p - 2) with p = 3 - 2s, free of the 0/0 at s = 1/2.
+
+    Lags m <= 3 take the difference directly.  From m = 4 on it is summed
+    as the binomial series m^p sum_{j even >= 4} a_j m^-j (see
+    _far_series_coefficients), since the direct difference would cancel
+    away about m^4 eps of relative accuracy.
     """
-    c = symbol_constant(s)
-    g = np.zeros(max_lag + 1)
-    for m in range(max_lag + 1):
-        d = m * h
-        acc = 0.0
-        # cell [0, h]: bracket is a cubic c2 z^2 + c3 z^3 (value and slope
-        # vanish at 0); solve for c2, c3 from two exact samples
-        if m <= 2:
-            z1, z2 = h / 2.0, h
-            b1 = float(_bracket(np.array([z1]), d, h)[0])
-            b2 = float(_bracket(np.array([z2]), d, h)[0])
-            det = z1 ** 2 * z2 ** 3 - z2 ** 2 * z1 ** 3
-            c2 = (b1 * z2 ** 3 - b2 * z1 ** 3) / det
-            c3 = (b2 * z1 ** 2 - b1 * z2 ** 2) / det
-            acc += (c2 * h ** (2 - 2 * s) / (2 - 2 * s)
-                    + c3 * h ** (3 - 2 * s) / (3 - 2 * s))
-        # interior cells where the bracket can be nonzero: |d - z| < 2h or
-        # |d + z| < 2h, i.e. k in [m-3, m+2); below that the bracket is
-        # identically 2 rho(d), handled by the tail
-        k_lo = max(1, m - 3)
-        k_hi = m + 2
-        for k in range(k_lo, k_hi):
-            a, b = k * h, (k + 1) * h
-            zz = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
-            ww = 0.5 * (b - a) * _GL_WEIGHTS
-            acc += float(np.sum(ww * _bracket(zz, d, h) * zz ** (-1 - 2 * s)))
-        # constant tail z >= (m+2) h where bracket = 2 rho(d); cells skipped
-        # below k_lo also carry bracket = 2 rho(d), which vanishes for m >= 2
-        rho_d = float(_hat_correlation(np.array([d]), h)[0])
-        if rho_d != 0.0:
-            Z = (m + 2) * h
-            acc += 2.0 * rho_d * Z ** (-2 * s) / (2 * s)
-        g[m] = c * acc
-    return g
+    p = 3.0 - 2.0 * s
+    scale = symbol_constant(s) * h ** (1 - 2 * s) / (2 * s * (2 - 2 * s) * p)
+    g = np.empty(max_lag + 1)
+    near = np.arange(min(max_lag, 3) + 1)
+    k = np.abs(near[:, None] + np.arange(-2, 3)).astype(float)
+    log_k = np.log(np.where(k > 0, k, 1.0))
+    e = 1.0 - 2.0 * s
+    F = k * k * (log_k if e == 0.0 else np.expm1(e * log_k) / e)
+    g[near] = F @ np.array([1.0, -4.0, 6.0, -4.0, 1.0])
+    if max_lag >= 4:
+        m = np.arange(4, max_lag + 1, dtype=float)
+        g[4:] = m ** (p - 4) * np.polynomial.polynomial.polyval(
+            1.0 / (m * m), _far_series_coefficients(p))
+    return scale * g
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,14 +109,19 @@ class FracLapDense:
     ``matrix`` holds the raw stiffness (dual/Galerkin scaling); nodal
     application converts dual values to point values through the
     consistent P1 mass matrix, which cancels the lumped-mass mid-band
-    attenuation to fourth order in the frequency.
+    attenuation to fourth order in the frequency.  The omega and w nodes
+    are kept both as supergrid indices and as positions in ``active``,
+    so ``matrix[np.ix_(w_pos, omega_pos)]`` is the A_WO block.
     """
 
     s: float
     spec: GridSpec
     active: np.ndarray          # supergrid indices of active nodes
     matrix: np.ndarray          # symmetric stiffness, Galerkin scaling
-    quadrature: str
+    omega_idx: np.ndarray       # supergrid indices of the omega nodes
+    w_idx: np.ndarray           # supergrid indices of the w nodes
+    omega_pos: np.ndarray       # positions of omega_idx in active
+    w_pos: np.ndarray           # positions of w_idx in active
 
     @property
     def n_active(self) -> int:
@@ -154,8 +144,12 @@ def assemble_dense(geom: Geometry, spec: GridSpec) -> FracLapDense:
     idx = active_node_indices(geom, spec)
     lags = stiffness_lags(geom.s, spec.h, int(idx[-1] - idx[0]))
     A = lags[np.abs(idx[:, None] - idx[None, :])]
+    omega_idx = np.nonzero(interval_mask(spec, geom.omega))[0]
+    w_idx = np.nonzero(interval_mask(spec, geom.w))[0]
     return FracLapDense(s=geom.s, spec=spec, active=idx, matrix=A,
-                        quadrature="near-cell analytic cubic + GL8 + exact tail")
+                        omega_idx=omega_idx, w_idx=w_idx,
+                        omega_pos=np.searchsorted(idx, omega_idx),
+                        w_pos=np.searchsorted(idx, w_idx))
 
 
 #: linear-extrapolation pad, nodes, for the mass solve; the tridiagonal

@@ -30,11 +30,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .diagnostics import fit_loglog
 from .errors import (AllExcludedError, DiscrepancyError, DomainError)
 from .forward import Measurement, add_noise, dtn_map, solve_forward
 from .fracop import FracLapDense, apply_dense
 from .geometry import (Geometry, GridFunction, GridSpec, Potential,
-                       frequencies, interval_mask, make_grid_function,
+                       frequencies, make_grid_function,
                        support_mask)
 from .spaces import dual_norm_on_window, make_potential
 
@@ -104,17 +105,6 @@ def hs_gram_row(spec: GridSpec, s: float) -> np.ndarray:
     return spec.h * np.real(np.fft.ifft(sym))
 
 
-def _continuation_blocks(geom: Geometry, spec: GridSpec, op: FracLapDense):
-    omega_idx = np.nonzero(interval_mask(spec, geom.omega))[0]
-    w_idx = np.nonzero(interval_mask(spec, geom.w))[0]
-    pos = {g: i for i, g in enumerate(op.active)}
-    io = np.array([pos[g] for g in omega_idx])
-    iw = np.array([pos[g] for g in w_idx])
-    M = op.matrix[np.ix_(iw, io)] / spec.h      # nodal continuation operator
-    A_ww = op.matrix[np.ix_(iw, iw)] / spec.h
-    return omega_idx, w_idx, M, A_ww
-
-
 def recover_u(geom: Geometry, spec: GridSpec, op: FracLapDense,
               f: GridFunction, m: Measurement,
               strategy: tuple[str, float] = ("fixed", 1e-14),
@@ -126,9 +116,11 @@ def recover_u(geom: Geometry, spec: GridSpec, op: FracLapDense,
     residual lands in [delta, 2 delta], and DiscrepancyError signals an
     unreachable bracket.
     """
-    omega_idx, w_idx, M, A_ww = _continuation_blocks(geom, spec, op)
-    b = m.lambda_f.values[w_idx] - A_ww @ f.values[w_idx]
+    omega_idx, w_idx = op.omega_idx, op.w_idx
     h = spec.h
+    M = op.matrix[np.ix_(op.w_pos, op.omega_pos)] / h   # nodal continuation
+    A_ww = op.matrix[np.ix_(op.w_pos, op.w_pos)] / h
+    b = m.lambda_f.values[w_idx] - A_ww @ f.values[w_idx]
 
     # H^s penalty Gram on the omega nodes
     row = hs_gram_row(spec, geom.s)
@@ -212,12 +204,9 @@ def recover_q(geom: Geometry, spec: GridSpec, op: FracLapDense,
     ten times the a priori Hoelder bound and zeroed outside the potential
     support.
     """
-    omega_idx = np.nonzero(interval_mask(spec, geom.omega))[0]
-    u_vals = result.u_rec.values
-    w_all = apply_dense(op, result.u_rec)
-    pos = {g: i for i, g in enumerate(op.active)}
-    w_omega = w_all[[pos[g] for g in omega_idx]]
-    u_omega = u_vals[omega_idx]
+    omega_idx = op.omega_idx
+    w_omega = apply_dense(op, result.u_rec)[op.omega_pos]
+    u_omega = result.u_rec.values[omega_idx]
 
     umax = float(np.max(np.abs(u_omega)))
     if umax == 0.0:
@@ -260,21 +249,13 @@ def fit_log_modulus(t: np.ndarray, err: np.ndarray):
     Returns (gamma_hat, c_hat, sup residual); callers must pass positive
     t below 1 and positive errors.
     """
-    x = np.log(np.abs(np.log(t)))
-    y = np.log(err)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    gamma = -float(coef[0])
-    c = float(np.exp(coef[1]))
-    resid = float(np.max(np.abs(y - A @ coef)))
-    return gamma, c, resid
+    slope, intercept, resid = fit_loglog(np.abs(np.log(t)), err)
+    return -slope, float(np.exp(intercept)), resid
 
 
 def fit_power_law_exponent(t: np.ndarray, err: np.ndarray) -> float:
     """Slope of log err against log t (Hoelder-type alternative fit)."""
-    A = np.vstack([np.log(t), np.ones_like(t)]).T
-    coef, *_ = np.linalg.lstsq(A, np.log(err), rcond=None)
-    return float(coef[0])
+    return fit_loglog(t, err)[0]
 
 
 def certify_bound(holder_bound: float, alpha: float, beta: float,
@@ -343,14 +324,13 @@ def noise_sweep(geom: Geometry, spec: GridSpec, op: FracLapDense,
     """
     sol2 = solve_forward(geom, spec, op, q2, f)
     lam2 = dtn_map(geom, spec, op, sol2)
-    w_idx = np.nonzero(interval_mask(spec, geom.w))[0]
-    omega_idx = np.nonzero(interval_mask(spec, geom.omega))[0]
-    u_ref = float(np.sqrt(spec.h) * np.linalg.norm(sol2.u.values[omega_idx]))
+    u_ref = float(np.sqrt(spec.h)
+                  * np.linalg.norm(sol2.u.values[op.omega_idx]))
     ts, errs, u_abs = [], [], []
     for eps in epsilons:
         noisy = add_noise(geom, lam2, eps, seed)
         delta = float(np.sqrt(spec.h) * np.linalg.norm(
-            (noisy.lambda_f.values - lam2.lambda_f.values)[w_idx]))
+            (noisy.lambda_f.values - lam2.lambda_f.values)[op.w_idx]))
         try:
             rec = recover_u(geom, spec, op, f, noisy,
                             strategy=("discrepancy", delta), u_true=sol2.u)

@@ -83,11 +83,6 @@ def holder_norm(geom: Geometry, spec: GridSpec, values: np.ndarray,
     return semi + supq
 
 
-def holder_seminorm(geom: Geometry, q: Potential, s: float) -> float:
-    """C^{0,s} norm of a potential (seminorm + sup, omega pairs)."""
-    return holder_norm(geom, q.values.spec, q.values.values, s)
-
-
 def make_potential(geom: Geometry, values: GridFunction,
                    holder_bound: float | None = None,
                    sup_bound: float | None = None) -> Potential:

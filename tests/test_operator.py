@@ -184,6 +184,37 @@ def test_dense_entry_against_2d_quadrature_oracle(s1):
     assert lag == pytest.approx(oracle, rel=1e-4)
 
 
+def test_stiffness_lags_against_mpmath():
+    # reference: the closed form at 40 digits with the fourth difference
+    # taken directly, which at m = 1535 cancels about 13 of the 40 digits;
+    # m runs up to n_active - 1 at --resolution 4
+    mpmath = pytest.importorskip("mpmath")
+    h, max_lag = 64.0 / 16384, 1535
+    with mpmath.workdps(40):
+        for s in (0.1, 0.25, 0.5, 0.75, 0.9):
+            ms = mpmath.mpf(s)
+            e = 1 - 2 * ms
+            c = (2 ** (2 * ms) * ms * mpmath.gamma((1 + 2 * ms) / 2)
+                 / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 - ms)))
+            F = [mpmath.mpf(0)] + [
+                k * k * (mpmath.log(k) if e == 0 else (k ** e - 1) / e)
+                for k in (mpmath.mpf(j) for j in range(1, max_lag + 3))]
+            scale = c * mpmath.mpf(h) ** e / (2 * ms * (2 - 2 * ms) * (3 - 2 * ms))
+            ref = np.array([float(scale * (F[abs(m - 2)] - 4 * F[abs(m - 1)]
+                                           + 6 * F[m] - 4 * F[m + 1] + F[m + 2]))
+                            for m in range(max_lag + 1)])
+            mine = stiffness_lags(s, h, max_lag)
+            assert np.max(np.abs(mine - ref) / np.abs(ref)) < 1e-12, s
+
+
+def test_stiffness_lags_short_requests():
+    # fewer lags than the near range still come out as a prefix
+    full = stiffness_lags(0.3, 0.01, 8)
+    for max_lag in range(6):
+        assert np.array_equal(stiffness_lags(0.3, 0.01, max_lag),
+                              full[:max_lag + 1])
+
+
 def test_constant_indicator_interior_action(s1, s1_op):
     # the operator of a wide indicator is near zero deep inside it
     geom, spec = s1
