@@ -161,9 +161,8 @@ def end_to_end(sc: Scenario, epsilons=None, seed: int | None = None,
     data_gap = dual_norm_on_window(sc.geom, gap_gf, s)
     actual = float(np.max(np.abs(sc.q1.values.values - sc.q2.values.values)))
 
-    curve = noise_sweep(sc.geom, sc.spec, sc.op, sc.q1, sc.q2, sc.f,
-                        epsilons, threshold=cfg.get("recon.theta", 1e-3),
-                        seed=seed)
+    curve = noise_sweep(sc.geom, sc.spec, sc.op, sol2, epsilons,
+                        threshold=cfg.get("recon.theta", 1e-3), seed=seed)
 
     dist = min(scan_center - sc.geom.omega[0],
                sc.geom.omega[1] - scan_center)

@@ -162,20 +162,18 @@ def _nodal_from_dual(dual: np.ndarray, h: float) -> np.ndarray:
 
     The dual vector is padded by linear extrapolation so the Dirichlet
     truncation of the tridiagonal solve happens far from the reported
-    nodes.
+    nodes.  The DST-I, done as the DFT of the odd extension, diagonalizes
+    the padded mass matrix tridiag(h/6, 2h/3, h/6) of order n, with
+    eigenvalues 2h/3 + (h/3) cos(pi k / (n+1)).
     """
-    from scipy.linalg import solve_banded
-
     p = MASS_PAD
     left = dual[0] + (dual[0] - dual[1]) * np.arange(p, 0, -1)
     right = dual[-1] + (dual[-1] - dual[-2]) * np.arange(1, p + 1)
     ext = np.concatenate([left, dual, right])
-    n = len(ext)
-    banded = np.zeros((3, n))
-    banded[0, 1:] = h / 6.0
-    banded[1, :] = 2.0 * h / 3.0
-    banded[2, :-1] = h / 6.0
-    return solve_banded((1, 1), banded, ext)[p:-p]
+    n1 = len(ext) + 1
+    odd = np.concatenate([[0.0], ext, [0.0], -ext[::-1]])
+    eig = h * (2.0 + np.cos(np.pi * np.arange(n1 + 1) / n1)) / 3.0
+    return np.fft.irfft(np.fft.rfft(odd) / eig, 2 * n1)[p + 1:n1 - p]
 
 
 def apply_dense(op: FracLapDense, u: GridFunction) -> np.ndarray:

@@ -3,10 +3,10 @@ certificate arithmetic that turns measured constants into a sup-norm bound.
 
 Step one recovers the interior solution from window data by Tikhonov
 least squares: the continuation operator v -> (A_WO v)/h is independent
-of the potential, the penalty is the discrete H^s norm of the zero
-extension, and the regularization parameter comes either from a fixed
-value or from the discrepancy principle (residual driven into [delta,
-2 delta] by bisection in log lambda).
+of the potential and is factored once per operator, the penalty is the
+discrete H^s norm of the zero extension, and the regularization
+parameter is fixed or set by the discrepancy principle (bisection in log
+lambda on the closed-form residual until it lies in [delta, 2 delta]).
 
 Step two divides: q = -(-Lap)^s u / u on nodes where |u| clears a
 relative threshold, with nearest-neighbour fill on the excluded set, a
@@ -27,12 +27,14 @@ which dominates the closed-form product bound it is usually quoted as.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .diagnostics import fit_loglog
 from .errors import (AllExcludedError, DiscrepancyError, DomainError)
-from .forward import Measurement, add_noise, dtn_map, solve_forward
+from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
+                      solve_forward)
 from .fracop import FracLapDense, apply_dense
 from .geometry import (Geometry, GridFunction, GridSpec, Potential,
                        frequencies, make_grid_function,
@@ -50,7 +52,6 @@ class ReconstructionResult:
     discrepancy: float
     excluded: np.ndarray | None      # supergrid indices below the guard
     u_error_l2: float | None         # vs ground truth when available
-    u_error_sup: float | None
     q_error_sup: float | None
 
 
@@ -105,6 +106,26 @@ def hs_gram_row(spec: GridSpec, s: float) -> np.ndarray:
     return spec.h * np.real(np.fft.ifft(sym))
 
 
+@lru_cache(maxsize=1)
+def _continuation(op: FracLapDense):
+    """U, sv and C = L^-T V, with U diag(sv) V^T = sqrt(h) M L^-T, L L^T = G.
+
+    M = A_WO / h is the nodal continuation and G the H^s Gram matrix on
+    the omega nodes.  The cache is keyed by op's identity; the shared
+    arrays are read-only.
+    """
+    row = hs_gram_row(op.spec, op.s)
+    G = row[np.abs(op.omega_idx[:, None] - op.omega_idx[None, :])]
+    L = np.linalg.cholesky(G)
+    A_ow = op.matrix[np.ix_(op.omega_pos, op.w_pos)]
+    B = np.linalg.solve(L, A_ow).T / np.sqrt(op.spec.h)   # sqrt(h) M L^-T
+    U, sv, Vt = np.linalg.svd(B, full_matrices=False)
+    C = np.linalg.solve(L.T, Vt.T)
+    for a in (U, sv, C):
+        a.setflags(write=False)
+    return U, sv, C
+
+
 def recover_u(geom: Geometry, spec: GridSpec, op: FracLapDense,
               f: GridFunction, m: Measurement,
               strategy: tuple[str, float] = ("fixed", 1e-14),
@@ -114,83 +135,66 @@ def recover_u(geom: Geometry, spec: GridSpec, op: FracLapDense,
     strategy is ("fixed", lambda) or ("discrepancy", delta); with the
     discrepancy principle the parameter is bisected until the L2(w)
     residual lands in [delta, 2 delta], and DiscrepancyError signals an
-    unreachable bracket.
+    unreachable bracket.  The SVD is computed once per operator, and the
+    bisection evaluates only the residual.
     """
     omega_idx, w_idx = op.omega_idx, op.w_idx
-    h = spec.h
-    M = op.matrix[np.ix_(op.w_pos, op.omega_pos)] / h   # nodal continuation
-    A_ww = op.matrix[np.ix_(op.w_pos, op.w_pos)] / h
+    U, sv, C = _continuation(op)
+    A_ww = op.matrix[np.ix_(op.w_pos, op.w_pos)] / spec.h
     b = m.lambda_f.values[w_idx] - A_ww @ f.values[w_idx]
-
-    # H^s penalty Gram on the omega nodes
-    row = hs_gram_row(spec, geom.s)
-    G = row[np.abs(omega_idx[:, None] - omega_idx[None, :])]
-    L = np.linalg.cholesky(G)
-    # standard form: J = h |B w - b|^2 + lam |w|^2 with w = L^T v
-    B = np.linalg.solve(L, (np.sqrt(h) * M).T).T
-    U, sv, Vt = np.linalg.svd(B, full_matrices=False)
-    bb = np.sqrt(h) * b
+    bb = np.sqrt(spec.h) * b
     Utb = U.T @ bb
     ortho_sq = float(bb @ bb - Utb @ Utb)   # residual outside the range
 
-    def solve_for(lam: float):
-        w = Vt.T @ (sv * Utb / (sv * sv + lam))
-        v = np.linalg.solve(L.T, w)
-        res = float(np.sqrt(max(
+    def residual(lam: float) -> float:
+        return float(np.sqrt(max(
             ortho_sq + np.sum((lam / (sv * sv + lam) * Utb) ** 2), 0.0)))
-        return v, res
 
     mode, value = strategy
     if mode == "fixed":
         lam = float(value)
-        v, res = solve_for(lam)
     elif mode == "discrepancy":
         # residual is continuous and nondecreasing in lambda; bisect on the
-        # log scale until it lands in [delta, 2 delta]
+        # log scale, from log lambda = -16, until it lands in [delta, 2 delta]
         delta = float(value)
         lo, hi = -16.0, 0.0
-        v_lo, res_lo = solve_for(10.0 ** lo)
+        res_lo = residual(10.0 ** lo)
         if res_lo > 2 * delta:
             raise DiscrepancyError(
                 f"residual {res_lo:.3e} above 2*delta at lambda = 1e-16")
-        if delta <= res_lo:
-            lam, v, res = 10.0 ** lo, v_lo, res_lo
+        if res_lo < delta and (res_hi := residual(10.0 ** hi)) < delta:
+            raise DiscrepancyError(
+                f"residual {res_hi:.3e} below delta at lambda = 1")
+        mid = lo
+        for _ in range(201):
+            res_mid = residual(10.0 ** mid)
+            if delta <= res_mid <= 2 * delta:
+                break
+            if res_mid < delta:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
         else:
-            _, res_hi = solve_for(10.0 ** hi)
-            if res_hi < delta:
-                raise DiscrepancyError(
-                    f"residual {res_hi:.3e} below delta at lambda = 1")
-            lam = v = res = None
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                v_mid, res_mid = solve_for(10.0 ** mid)
-                if delta <= res_mid <= 2 * delta:
-                    lam, v, res = 10.0 ** mid, v_mid, res_mid
-                    break
-                if res_mid < delta:
-                    lo = mid
-                else:
-                    hi = mid
-            if lam is None:
-                raise DiscrepancyError("discrepancy bracket not attained")
+            raise DiscrepancyError("discrepancy bracket not attained")
+        lam = 10.0 ** mid
     else:
         raise ValueError(f"unknown strategy {mode!r}")
+    res = residual(lam)
+    v = C @ (sv * Utb / (sv * sv + lam))
 
     vals = np.zeros(spec.n_super)
     vals[omega_idx] = v
     vals[w_idx] = f.values[w_idx]
     u_rec = make_grid_function(geom, spec, vals, "omega_w")
-    err_l2 = err_sup = None
+    err_l2 = None
     if u_true is not None:
         diff = (u_rec.values - u_true.values)[omega_idx]
         ref = np.linalg.norm(u_true.values[omega_idx])
         err_l2 = float(np.linalg.norm(diff) / ref) if ref > 0 else None
-        refs = np.max(np.abs(u_true.values[omega_idx]))
-        err_sup = float(np.max(np.abs(diff)) / refs) if refs > 0 else None
     return ReconstructionResult(u_rec=u_rec, q_rec=None, reg_param=lam,
                                 discrepancy=res, excluded=None,
-                                u_error_l2=err_l2, u_error_sup=err_sup,
-                                q_error_sup=None)
+                                u_error_l2=err_l2, q_error_sup=None)
 
 
 def recover_q(geom: Geometry, spec: GridSpec, op: FracLapDense,
@@ -312,33 +316,31 @@ def potential_sweep(geom: Geometry, spec: GridSpec, op: FracLapDense,
 
 
 def noise_sweep(geom: Geometry, spec: GridSpec, op: FracLapDense,
-                q1: Potential, q2: Potential, f: GridFunction,
-                epsilons, threshold: float = 1e-3,
+                sol: ForwardSolution, epsilons, threshold: float = 1e-3,
                 seed: int = 1234) -> StabilityCurve:
-    """Mode (b): reconstruct q2 from noisy data over a noise ladder.
+    """Mode (b): recover sol.q from noisy data of sol over a noise ladder.
 
     The same seed is used at every level, so the sweep moves along one
     fixed noise direction with only the amplitude varying; the
     discrepancy principle receives the actual L2(w) size of the injected
     perturbation.
     """
-    sol2 = solve_forward(geom, spec, op, q2, f)
-    lam2 = dtn_map(geom, spec, op, sol2)
+    meas = dtn_map(geom, spec, op, sol)
     u_ref = float(np.sqrt(spec.h)
-                  * np.linalg.norm(sol2.u.values[op.omega_idx]))
+                  * np.linalg.norm(sol.u.values[op.omega_idx]))
     ts, errs, u_abs = [], [], []
     for eps in epsilons:
-        noisy = add_noise(geom, lam2, eps, seed)
+        noisy = add_noise(geom, meas, eps, seed)
         delta = float(np.sqrt(spec.h) * np.linalg.norm(
-            (noisy.lambda_f.values - lam2.lambda_f.values)[op.w_idx]))
+            (noisy.lambda_f.values - meas.lambda_f.values)[op.w_idx]))
         try:
-            rec = recover_u(geom, spec, op, f, noisy,
-                            strategy=("discrepancy", delta), u_true=sol2.u)
+            rec = recover_u(geom, spec, op, sol.f, noisy,
+                            strategy=("discrepancy", delta), u_true=sol.u)
         except DiscrepancyError:
-            rec = recover_u(geom, spec, op, f, noisy,
-                            strategy=("fixed", 1e-14), u_true=sol2.u)
-        rec = recover_q(geom, spec, op, rec, threshold, q2.holder_bound,
-                        q_true=q2)
+            rec = recover_u(geom, spec, op, sol.f, noisy,
+                            strategy=("fixed", 1e-14), u_true=sol.u)
+        rec = recover_q(geom, spec, op, rec, threshold, sol.q.holder_bound,
+                        q_true=sol.q)
         ts.append(float(eps))
         errs.append(rec.q_error_sup if rec.q_error_sup is not None else 0.0)
         u_abs.append(rec.u_error_l2 * u_ref if rec.u_error_l2 is not None else 0.0)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from math import gamma, sqrt, pi
@@ -5,7 +10,7 @@ from scipy import integrate
 
 import fraclab as fl
 from fraclab.errors import SupportError
-from fraclab.fracop import stiffness_lags
+from fraclab.fracop import MASS_PAD, _nodal_from_dual, stiffness_lags
 
 
 def getoor_constant(s):
@@ -213,6 +218,42 @@ def test_stiffness_lags_short_requests():
     for max_lag in range(6):
         assert np.array_equal(stiffness_lags(0.3, 0.01, max_lag),
                               full[:max_lag + 1])
+
+
+@pytest.mark.parametrize("n", [2, 7, 129, 1152])
+@pytest.mark.parametrize("h", [64.0 / 16384, 0.3])
+def test_mass_solve_against_dense(n, h):
+    # reference: the padded tridiagonal mass system solved densely
+    rng = np.random.default_rng(n)
+    dual = rng.standard_normal(n)
+    p = MASS_PAD
+    ext = np.concatenate([dual[0] + (dual[0] - dual[1]) * np.arange(p, 0, -1),
+                          dual,
+                          dual[-1] + (dual[-1] - dual[-2]) * np.arange(1, p + 1)])
+    m = len(ext)
+    mass = (np.diag(np.full(m, 2.0 * h / 3.0))
+            + np.diag(np.full(m - 1, h / 6.0), 1)
+            + np.diag(np.full(m - 1, h / 6.0), -1))
+    ref = np.linalg.solve(mass, ext)[p:-p]
+    mine = _nodal_from_dual(dual, h)
+    assert np.max(np.abs(mine - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_apply_dense_leaves_scipy_linalg_unloaded():
+    # the mass solve is numpy only, so neither `import fraclab` nor the
+    # dense backend pays for importing scipy.linalg
+    src = Path(fl.__file__).resolve().parents[1]
+    code = ("import sys, fraclab as fl; "
+            "g, sp = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), "
+            "s=0.5, box_halfwidth=32.0, n_super=1024); "
+            "u = fl.sample_profile(g, sp, fl.bump_profile(0.0, 0.5), "
+            "'omega'); "
+            "fl.apply_dense(fl.assemble_dense(g, sp), u); "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "False"
 
 
 def test_constant_indicator_interior_action(s1, s1_op):

@@ -3,7 +3,7 @@ import pytest
 
 import fraclab as fl
 from fraclab.errors import (AllExcludedError, DiscrepancyError, DomainError)
-from fraclab.reconstruction import hs_gram_row
+from fraclab.reconstruction import _continuation, hs_gram_row
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +77,58 @@ def test_recover_u_discrepancy_unreachable(s1, s1_op, s1_f, s1_bump_problem):
 
 def test_recover_u_error_monotone_in_noise(s1, s1_op, s1_f, s1_qbump, s1_q0):
     geom, spec = s1
-    curve = fl.noise_sweep(geom, spec, s1_op, s1_q0, s1_qbump, s1_f,
-                           (1e-2, 1e-4, 1e-8), threshold=1e-3, seed=1234)
+    sol = fl.solve_forward(geom, spec, s1_op, s1_qbump, s1_f)
+    curve = fl.noise_sweep(geom, spec, s1_op, sol, (1e-2, 1e-4, 1e-8),
+                           threshold=1e-3, seed=1234)
     # errors listed by increasing noise; must not decrease (10% slack)
     e = curve.errors
     assert e[1] >= e[0] * 0.9 and e[2] >= e[1] * 0.9
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-10])
+def test_recover_u_normal_equations(s1, s1_op, s1_f, s1_bump_problem, lam):
+    # reference: (h M^T M + lam G) v = h M^T b solved directly
+    geom, spec = s1
+    _, meas = s1_bump_problem
+    op, h = s1_op, spec.h
+    M = op.matrix[np.ix_(op.w_pos, op.omega_pos)] / h
+    A_ww = op.matrix[np.ix_(op.w_pos, op.w_pos)] / h
+    b = meas.lambda_f.values[op.w_idx] - A_ww @ s1_f.values[op.w_idx]
+    G = hs_gram_row(spec, geom.s)[
+        np.abs(op.omega_idx[:, None] - op.omega_idx[None, :])]
+    # the system has condition ~2.5e7 at lam = 1e-10: one refinement step
+    # with the residual in extended precision restores the digits a plain
+    # float64 solve loses (5e-10 before, 6e-13 after)
+    Ml, bl = M.astype(np.longdouble), b.astype(np.longdouble)
+    K, rhs = h * Ml.T @ Ml + lam * G, h * Ml.T @ bl
+    ref = np.linalg.solve(K.astype(float), rhs.astype(float))
+    ref += np.linalg.solve(K.astype(float), (rhs - K @ ref).astype(float))
+    rec = fl.recover_u(geom, spec, op, s1_f, meas, strategy=("fixed", lam))
+    v = rec.u_rec.values[op.omega_idx]
+    assert np.linalg.norm(v - ref) < 1e-9 * np.linalg.norm(ref)
+
+
+def test_recover_u_cache_keyed_by_operator(s1, s1_op, s1_f, s1_bump_problem):
+    # alternating operators never reuse the other's factorization
+    geom, spec = s1
+    _, meas = s1_bump_problem
+    geom2, spec2 = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
+                                     box_halfwidth=32.0, n_super=8192,
+                                     omega_prime=(-0.75, 0.75))
+    op2 = fl.assemble_dense(geom2, spec2)
+    f2 = fl.sample_profile(geom2, spec2, fl.bump_profile(2.5, 0.4), "w",
+                           mode="average")
+    q2 = fl.make_potential(geom2, fl.sample_profile(
+        geom2, spec2, fl.bump_profile(0.0, 0.5, 0.5), "omega_prime",
+        mode="average"))
+    meas2 = fl.dtn_map(geom2, spec2, op2,
+                       fl.solve_forward(geom2, spec2, op2, q2, f2))
+    cases = [(geom, spec, s1_op, s1_f, meas), (geom2, spec2, op2, f2, meas2)]
+    for args in cases + cases:
+        u = fl.recover_u(*args, strategy=("fixed", 1e-10)).u_rec.values
+        _continuation.cache_clear()
+        fresh = fl.recover_u(*args, strategy=("fixed", 1e-10)).u_rec.values
+        assert np.array_equal(u, fresh)
 
 
 def test_recover_q_round_trip(s1, s1_op, s1_qbump, s1_bump_problem):
@@ -89,8 +136,7 @@ def test_recover_q_round_trip(s1, s1_op, s1_qbump, s1_bump_problem):
     sol, _ = s1_bump_problem
     base = fl.ReconstructionResult(u_rec=sol.u, q_rec=None, reg_param=0.0,
                                    discrepancy=0.0, excluded=None,
-                                   u_error_l2=None, u_error_sup=None,
-                                   q_error_sup=None)
+                                   u_error_l2=None, q_error_sup=None)
     rec = fl.recover_q(geom, spec, s1_op, base, 1e-6,
                        s1_qbump.holder_bound, q_true=s1_qbump)
     assert rec.q_error_sup < 0.05
@@ -103,8 +149,7 @@ def test_recover_q_guard_on_sign_change(s1, s1_op, s1_qbump):
     u = fl.make_grid_function(geom, spec, vals, "omega_w")
     base = fl.ReconstructionResult(u_rec=u, q_rec=None, reg_param=0.0,
                                    discrepancy=0.0, excluded=None,
-                                   u_error_l2=None, u_error_sup=None,
-                                   q_error_sup=None)
+                                   u_error_l2=None, q_error_sup=None)
     rec = fl.recover_q(geom, spec, s1_op, base, 0.05, s1_qbump.holder_bound)
     cap = 10.0 * s1_qbump.holder_bound
     assert np.all(np.abs(rec.q_rec.values) <= cap)
@@ -120,8 +165,7 @@ def test_recover_q_all_excluded(s1, s1_op, s1_qbump):
     u = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "omega_w")
     base = fl.ReconstructionResult(u_rec=u, q_rec=None, reg_param=0.0,
                                    discrepancy=0.0, excluded=None,
-                                   u_error_l2=None, u_error_sup=None,
-                                   q_error_sup=None)
+                                   u_error_l2=None, q_error_sup=None)
     with pytest.raises(AllExcludedError):
         fl.recover_q(geom, spec, s1_op, base, 1e-3, 1.0)
 
@@ -131,8 +175,7 @@ def test_recover_q_zero_outside_support(s1, s1_op, s1_qbump, s1_bump_problem):
     sol, _ = s1_bump_problem
     base = fl.ReconstructionResult(u_rec=sol.u, q_rec=None, reg_param=0.0,
                                    discrepancy=0.0, excluded=None,
-                                   u_error_l2=None, u_error_sup=None,
-                                   q_error_sup=None)
+                                   u_error_l2=None, q_error_sup=None)
     rec = fl.recover_q(geom, spec, s1_op, base, 1e-6, s1_qbump.holder_bound)
     outside = ~fl.support_mask(geom, spec, "omega_prime")
     assert np.all(rec.q_rec.values[outside] == 0.0)
@@ -241,8 +284,9 @@ q2.amplitude = 0.5
 """)
     sc = fl.build_scenario(cfg)
     eps = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-    curve = fl.noise_sweep(sc.geom, sc.spec, sc.op, sc.q1, sc.q2, sc.f,
-                           eps, threshold=1e-3, seed=1234)
+    sol = fl.solve_forward(sc.geom, sc.spec, sc.op, sc.q2, sc.f)
+    curve = fl.noise_sweep(sc.geom, sc.spec, sc.op, sol, eps, threshold=1e-3,
+                           seed=1234)
     assert np.allclose(curve.errors, golden["sweep_errors"], rtol=1e-8)
     assert curve.gamma_hat > 0
     assert curve.fit_residual < 0.2

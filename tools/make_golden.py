@@ -106,8 +106,9 @@ def main():
     # noise-sweep benchmark scenario (gentler window, s = 1/4)
     cfg = fl.parse_config_text(SWEEP_CONFIG)
     sc = fl.build_scenario(cfg)
-    curve = fl.noise_sweep(sc.geom, sc.spec, sc.op, sc.q1, sc.q2, sc.f,
-                           EPSILONS, threshold=1e-3, seed=1234)
+    sol = fl.solve_forward(sc.geom, sc.spec, sc.op, sc.q2, sc.f)
+    curve = fl.noise_sweep(sc.geom, sc.spec, sc.op, sol, EPSILONS,
+                           threshold=1e-3, seed=1234)
     golden["sweep_errors"] = [float(v) for v in curve.errors]
     golden["sweep_gamma_hat"] = curve.gamma_hat
     golden["sweep_fit_residual"] = curve.fit_residual
