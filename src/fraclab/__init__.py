@@ -18,18 +18,18 @@ from .geometry import (Geometry, GridFunction, GridSpec, Potential,
 from .spaces import (dual_norm_on_window, holder_norm, make_potential,
                      oscillation_ratio, sobolev_norm)
 from .fracop import (FracLapDense, apply_dense, apply_spectral,
-                     assemble_dense, cross_validate, symbol_constant)
+                     assemble_dense, symbol_constant)
 from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
                       eigen_gap, export_measurement_csv, solve_forward)
 from .extension import (ExtensionField, Region, default_y_grid, extend,
-                        extension_multiplier, export_field_csv,
-                        neumann_trace, neumann_trace_fd, trace_constant,
-                        trace_mass_sq, weighted_gradient_norm, weighted_norm)
+                        extension_multiplier, neumann_trace, neumann_trace_fd,
+                        trace_constant, trace_mass_sq, weighted_gradient_norm,
+                        weighted_norm)
 from .diagnostics import (DoublingReport, LemmaCheck, annulus_ratio,
                           boundary_bulk_check, caccioppoli_check,
-                          carleman_gap_check, carleman_weight,
-                          doubling_scan_boundary, doubling_scan_bulk,
-                          persistence_check, three_balls_exponent)
+                          carleman_weight, doubling_scan_boundary,
+                          doubling_scan_bulk, persistence_check,
+                          three_balls_exponent)
 from .reconstruction import (ReconstructionResult, StabilityCertificate,
                              StabilityCurve, certify_bound,
                              fit_log_modulus, fit_power_law_exponent,

@@ -96,7 +96,7 @@ def cmd_ucp_scan(sc: Scenario, out: Path) -> None:
 
 def cmd_stability(sc: Scenario, out: Path) -> None:
     cfg = sc.config
-    mode = cfg.get("sweep.mode", "noise")
+    mode = cfg["sweep.mode"]
     if mode == "potential":
         ts = cfg.get("sweep.t_values")
         if not ts:

@@ -34,18 +34,16 @@ _FLOAT_KEYS = {
     "f.center", "f.width", "f.amplitude", "f.smoothness",
     "q1.center", "q1.width", "q1.amplitude", "q1.smoothness",
     "q2.center", "q2.width", "q2.amplitude", "q2.smoothness",
-    "noise.epsilon",
-    "recon.theta", "recon.lambda",
+    "noise.epsilon", "recon.theta",
     "scan.x0", "scan.r_min", "scan.r_max",
     "cert.E", "cert.alpha", "cert.beta", "cert.c_low", "cert.c_stab",
     "cert.mu", "cert.e_tilde", "cert.epsilon", "cert.r0",
-    "sweep.t_min", "sweep.t_max",
 }
 _INT_KEYS = {"grid.n_super", "seed", "noise.seed", "scan.n_radii",
-             "sweep.n_points", "extension.n_levels"}
+             "extension.n_levels"}
 _PAIR_KEYS = {"geometry.omega", "geometry.w", "geometry.omega_prime"}
 _LIST_KEYS = {"sweep.epsilons", "sweep.t_values"}
-_STR_KEYS = {"recon.strategy", "sweep.mode", "output.dir"}
+_STR_KEYS = {"sweep.mode"}
 
 _KNOWN = _FLOAT_KEYS | _INT_KEYS | _PAIR_KEYS | _LIST_KEYS | _STR_KEYS
 
@@ -62,10 +60,10 @@ _DEFAULTS = {
     "noise.epsilon": 0.0,
     "noise.seed": 0,
     "recon.theta": 1e-6,
-    "recon.strategy": "discrepancy",
-    "recon.lambda": 1e-14,
+    "scan.x0": 0.0,
     "scan.n_radii": 8,
     "extension.n_levels": 64,
+    "sweep.mode": "noise",
     "seed": 0,
 }
 
@@ -144,7 +142,7 @@ class Scenario:
 
 
 def _bump_from_block(cfg: ScenarioConfig, block: str, geom, spec, support):
-    amp = cfg.get(f"{block}.amplitude", 0.0)
+    amp = cfg[f"{block}.amplitude"]
     if amp == 0.0:
         zeros = np.zeros(spec.n_super)
         return make_grid_function(geom, spec, zeros, support)
@@ -157,7 +155,7 @@ def _bump_from_block(cfg: ScenarioConfig, block: str, geom, spec, support):
         raise ConfigError(
             f"{block} bump support [{center - width}, {center + width}] "
             f"leaves its interval [{lo}, {hi}]")
-    prof = bump_profile(center, width, amp, cfg.get(f"{block}.smoothness", 1.0))
+    prof = bump_profile(center, width, amp, cfg[f"{block}.smoothness"])
     return sample_profile(geom, spec, prof, support, mode="average")
 
 
@@ -172,7 +170,7 @@ def build_scenario(cfg: ScenarioConfig, resolution_multiplier: int = 1) -> Scena
         geom, spec = build_geometry(
             omega=cfg["geometry.omega"], w=cfg["geometry.w"],
             s=cfg["geometry.s"], box_halfwidth=cfg["grid.L"],
-            n_super=n_super, omega_prime=cfg.get("geometry.omega_prime"))
+            n_super=n_super, omega_prime=cfg["geometry.omega_prime"])
     except KeyError as exc:
         raise ConfigError(f"missing required key {exc}") from exc
     if cfg.get("f.center") is None:

@@ -64,20 +64,6 @@ def carleman_weight(r: float) -> float:
     return float(-lr + 0.1 * (lr * np.arctan(lr) - 0.5 * np.log1p(lr * lr)))
 
 
-def carleman_gap_check(r_min: float, r_max: float,
-                       n_points: int = 256) -> tuple[float, float]:
-    """(min, max) of |psi(r) - psi(4r)| over a logarithmic scan."""
-    if not 0 < r_min <= r_max:
-        raise DomainError("need 0 < r_min <= r_max")
-    if r_min == r_max:
-        g = abs(carleman_weight(r_min) - carleman_weight(4 * r_min))
-        return g, g
-    rs = np.geomspace(r_min, r_max, max(n_points, 200))
-    gaps = np.array([abs(carleman_weight(r) - carleman_weight(4 * r))
-                     for r in rs])
-    return float(np.min(gaps)), float(np.max(gaps))
-
-
 def caccioppoli_check(geom: Geometry, field: ExtensionField, q_sup: float,
                       x0: float, r: float) -> LemmaCheck:
     """Weighted gradient over B_r^+ against weighted mass over B_2r^+.
@@ -88,7 +74,7 @@ def caccioppoli_check(geom: Geometry, field: ExtensionField, q_sup: float,
     dist = min(x0 - geom.omega[0], geom.omega[1] - x0)
     if 4 * r > dist:
         raise GeometryError(
-            f"GeometryError: 4r = {4*r} exceeds dist(x0, boundary) = {dist}")
+            f"4r = {4*r} exceeds dist(x0, boundary) = {dist}")
     s = field.s
     lhs = weighted_gradient_norm(field, Region("half_ball", (x0, 0.0), r))
     n2r = weighted_norm(field, Region("half_ball", (x0, 0.0), 2 * r))
@@ -103,14 +89,15 @@ PERSISTENCE_CALIBRATION = 1.0
 
 
 def persistence_check(geom: Geometry, field: ExtensionField, f: GridFunction,
-                      h: float, calibration: float = PERSISTENCE_CALIBRATION
-                      ) -> LemmaCheck:
+                      h: float) -> LemmaCheck:
     """Mass of the extension on the slab w x [h, 1] against the data norms.
 
-    rhs = (F^(-1/s)/C - h) |f|_{H^s} - h^(1-s)/sqrt(2s) |f|_{L2} with the
-    calibration C recorded in the params; the crossover h0 is the largest
-    slab height keeping the mass above half of F^(-1/s)/(2C) |f|_{H^s}.
+    rhs = (F^(-1/s)/C - h) |f|_{H^s} - h^(1-s)/sqrt(2s) |f|_{L2} with
+    C = PERSISTENCE_CALIBRATION recorded in the params; the crossover h0 is
+    the largest slab height keeping the mass above half of
+    F^(-1/s)/(2C) |f|_{H^s}.
     """
+    calibration = PERSISTENCE_CALIBRATION
     if not 0 < h < 1:
         raise DomainError(f"slab height must lie in (0,1), got {h}")
     if not np.any(f.values):
@@ -138,20 +125,20 @@ def persistence_check(geom: Geometry, field: ExtensionField, f: GridFunction,
 
 
 def annulus_ratio(geom: Geometry, field: ExtensionField, f: GridFunction,
-                  R: float, center: float = 0.0) -> LemmaCheck:
-    """Mass of B_2R^+ over the annulus B_R^+ minus B_{R/2}^+.
+                  R: float) -> LemmaCheck:
+    """Mass of B_2R^+ over the annulus B_R^+ minus B_{R/2}^+, both at x = 0.
 
     The implied exponent log(ratio)/log(F) is descriptive only.
     """
-    ball = weighted_norm(field, Region("half_ball", (center, 0.0), 2 * R))
-    ann = weighted_norm(field, Region("annulus", (center, 0.0), R))
+    ball = weighted_norm(field, Region("half_ball", (0.0, 0.0), 2 * R))
+    ann = weighted_norm(field, Region("annulus", (0.0, 0.0), R))
     if ball == 0.0 or ann < 1e-14 * ball:
         raise ZeroMassError("annulus mass is numerically zero")
     lhs = ball / ann
     F = oscillation_ratio(geom, f, field.s)
     gamma_hat = float(np.log(lhs) / np.log(F)) if F > 1 else float("nan")
     return LemmaCheck("annulus", lhs, F, gamma_hat,
-                      {"R": R, "center": center, "gamma_hat": gamma_hat})
+                      {"R": R, "center": 0.0, "gamma_hat": gamma_hat})
 
 
 def three_balls_exponent(field: ExtensionField, center: tuple[float, float],
@@ -164,7 +151,7 @@ def three_balls_exponent(field: ExtensionField, center: tuple[float, float],
     x0, y0 = center
     if y0 - 2 * r <= 0:
         raise GeometryError(
-            f"GeometryError: B_2r at height {y0} touches the trace line")
+            f"B_2r at height {y0} touches the trace line")
     n_half = weighted_norm(field, Region("half_ball", center, r / 2))
     n_mid = weighted_norm(field, Region("half_ball", center, r))
     n_two = weighted_norm(field, Region("half_ball", center, 2 * r))
@@ -197,13 +184,13 @@ def doubling_scan_bulk(geom: Geometry, field: ExtensionField, x0: float,
     All radii must stay below r0 = dist(x0, boundary)/10.
     """
     if not (geom.omega[0] < x0 < geom.omega[1]):
-        raise GeometryError(f"GeometryError: center {x0} outside omega")
+        raise GeometryError(f"center {x0} outside omega")
     dist = min(x0 - geom.omega[0], geom.omega[1] - x0)
     r0 = dist / 10.0
     radii = np.asarray(sorted(radii), dtype=float)
     if np.any(radii > r0 * (1 + 1e-12)):
         raise GeometryError(
-            f"GeometryError: radius {radii.max()} exceeds r0 = {r0}")
+            f"radius {radii.max()} exceeds r0 = {r0}")
     masses = np.array([weighted_norm(field, Region("half_ball", (x0, 0.0), r))
                        for r in radii])
     doubled = np.array([weighted_norm(field, Region("half_ball", (x0, 0.0), 2 * r))
@@ -229,13 +216,13 @@ def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,
     gives the empirical vanishing order of u at x0.
     """
     if not (geom.omega[0] < x0 < geom.omega[1]):
-        raise GeometryError(f"GeometryError: center {x0} outside omega")
+        raise GeometryError(f"center {x0} outside omega")
     dist = min(x0 - geom.omega[0], geom.omega[1] - x0)
     r0 = dist / 4.0
     radii = np.asarray(sorted(radii), dtype=float)
     if np.any(radii > r0 * (1 + 1e-12)):
         raise GeometryError(
-            f"GeometryError: radius {radii.max()} exceeds r0 = {r0}")
+            f"radius {radii.max()} exceeds r0 = {r0}")
 
     def mass(r):
         return float(np.sqrt(trace_mass_sq(u.spec, u.values, x0, r)))
@@ -255,18 +242,16 @@ def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,
 
 
 def boundary_bulk_check(geom: Geometry, field: ExtensionField,
-                        u: GridFunction, x0: float, r: float,
-                        c0: float = 0.25) -> LemmaCheck:
+                        u: GridFunction, x0: float, r: float) -> LemmaCheck:
     """Interpolation of a small half-ball mass by bulk and trace masses.
 
-    lhs = N(c0 r); rhs core = (N(2r) + b)^alpha b^(1-alpha) with b the
-    trace mass on B'_{3r/2} and alpha from the three-ball exponent at the
-    matching center (x0, r) with radius r/5.
+    lhs = N(c0 r) with c0 = 1/4; rhs core = (N(2r) + b)^alpha b^(1-alpha)
+    with b the trace mass on B'_{3r/2} and alpha from the three-ball
+    exponent at the matching center (x0, r) with radius r/5.
     """
-    if not 0 < c0 < 0.5:
-        raise DomainError(f"c0 must lie in (0, 1/2), got {c0}")
+    c0 = 0.25
     if not (geom.omega[0] < x0 - 2 * r and x0 + 2 * r < geom.omega[1]):
-        raise GeometryError("GeometryError: B_2r' leaves omega")
+        raise GeometryError("B_2r' leaves omega")
     tb = three_balls_exponent(field, (x0, r), r / 5.0)
     alpha = tb.implied_constant
     lhs = weighted_norm(field, Region("half_ball", (x0, 0.0), c0 * r))

@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import (DoublingReport, annulus_ratio, caccioppoli_check,
-                          carleman_gap_check, carleman_weight,
-                          doubling_scan_boundary, doubling_scan_bulk,
-                          fit_loglog, persistence_check)
+                          carleman_weight, doubling_scan_boundary,
+                          doubling_scan_bulk, fit_loglog, persistence_check)
 from .errors import ConfigError
 from .extension import default_y_grid, extend
 from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
@@ -36,9 +35,9 @@ def run_forward(sc: Scenario) -> ForwardArtifacts:
     """Forward solve for q1 with optional measurement noise."""
     sol = solve_forward(sc.geom, sc.spec, sc.op, sc.q1, sc.f)
     meas = dtn_map(sc.geom, sc.spec, sc.op, sol)
-    eps = sc.config.get("noise.epsilon", 0.0)
+    eps = sc.config["noise.epsilon"]
     if eps > 0:
-        meas = add_noise(sc.geom, meas, eps, sc.config.get("noise.seed", 0))
+        meas = add_noise(sc.geom, meas, eps, sc.config["noise.seed"])
     s = sc.geom.s
     lines = [
         f"residual={sol.residual:.17g}",
@@ -67,7 +66,7 @@ def scan_radii(sc: Scenario) -> np.ndarray:
     r_max = cfg.get("scan.r_max")
     if r_min is None or r_max is None:
         raise ConfigError("scan block needs scan.r_min and scan.r_max")
-    n = int(cfg.get("scan.n_radii", 8))
+    n = int(cfg["scan.n_radii"])
     if not (0 < r_min <= r_max) or n < 2:
         raise ConfigError("scan radii must satisfy 0 < r_min <= r_max, n >= 2")
     return np.geomspace(r_min, r_max, n)
@@ -76,12 +75,12 @@ def scan_radii(sc: Scenario) -> np.ndarray:
 def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
     """Doubling scans, lemma checks and the radial-weight scan for q1."""
     cfg = sc.config
-    x0 = cfg.get("scan.x0", 0.0)
+    x0 = cfg["scan.x0"]
     radii = scan_radii(sc)
     sol = solve_forward(sc.geom, sc.spec, sc.op, sc.q1, sc.f)
     # tall extension so the annulus check at R = 4 stays inside the box
     y_grid = default_y_grid(sc.geom.s, height=8.5,
-                            n_levels=int(cfg.get("extension.n_levels", 64)))
+                            n_levels=int(cfg["extension.n_levels"]))
     field = extend(sol.u, sc.geom.s, y_grid)
 
     bulk = doubling_scan_bulk(sc.geom, field, x0, radii)
@@ -96,7 +95,7 @@ def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
     rows = np.array([[r, carleman_weight(r),
                       abs(carleman_weight(r) - carleman_weight(4 * r))]
                      for r in rs])
-    extrema = carleman_gap_check(1e-8, 1.0, 240)
+    extrema = (float(np.min(rows[:, 2])), float(np.max(rows[:, 2])))
     return UcpScanArtifacts(bulk=bulk, boundary=boundary, checks=checks,
                             carleman_rows=rows, carleman_extrema=extrema)
 
@@ -130,8 +129,8 @@ def _fit_smallness(epsilons, u_errors_abs, e_tilde):
     return float(np.exp(intercept) / e_tilde), -slope
 
 
-def end_to_end(sc: Scenario, epsilons=None, seed: int | None = None,
-               scan_center: float | None = None) -> EndToEndReport:
+def end_to_end(sc: Scenario, epsilons,
+               seed: int | None = None) -> EndToEndReport:
     """Forward, reconstruct, scan, certify, compare.
 
     The certificate constants are all measured on the scenario itself:
@@ -139,17 +138,14 @@ def end_to_end(sc: Scenario, epsilons=None, seed: int | None = None,
     smallness constants from the reconstruction-error noise sweep, and
     the data error from the measured dual-norm gap. When that gap is
     zero there is nothing to certify: the sweep samples are returned
-    without any modulus or smallness fit, and the note says why.
+    without any modulus or smallness fit, and the note says why.  The
+    boundary scan is centred at scan.x0; seed defaults to the config
+    seed + 1234.
     """
     cfg = sc.config
-    if epsilons is None:
-        epsilons = cfg.get("sweep.epsilons")
-        if epsilons is None:
-            epsilons = tuple(10.0 ** (-k) for k in range(2, 9))
     if seed is None:
-        seed = int(cfg.get("seed", 0)) + 1234
-    if scan_center is None:
-        scan_center = cfg.get("scan.x0", 0.0)
+        seed = int(cfg["seed"]) + 1234
+    x0 = cfg["scan.x0"]
 
     s = sc.geom.s
     sol1 = solve_forward(sc.geom, sc.spec, sc.op, sc.q1, sc.f)
@@ -162,12 +158,11 @@ def end_to_end(sc: Scenario, epsilons=None, seed: int | None = None,
     actual = float(np.max(np.abs(sc.q1.values.values - sc.q2.values.values)))
 
     curve = noise_sweep(sc.geom, sc.spec, sc.op, sol2, epsilons,
-                        threshold=cfg.get("recon.theta", 1e-3), seed=seed)
+                        threshold=cfg["recon.theta"], seed=seed)
 
-    dist = min(scan_center - sc.geom.omega[0],
-               sc.geom.omega[1] - scan_center)
+    dist = min(x0 - sc.geom.omega[0], sc.geom.omega[1] - x0)
     radii = np.geomspace(dist / 40, dist / 4.5, 10)
-    boundary = doubling_scan_boundary(sc.geom, sol1.u, scan_center, radii)
+    boundary = doubling_scan_boundary(sc.geom, sol1.u, x0, radii)
 
     e_tilde = sobolev_norm(sol1.u, s) + sobolev_norm(sol2.u, s)
     zero_gap = data_gap <= 0 or actual == 0

@@ -151,8 +151,8 @@ class Region:
     """Integration region in the closed upper half plane.
 
     kinds: "half_ball" (center on y=0 or interior, mask x^2+y^2 < r^2),
-    "boundary_ball" (interval on the trace line), "annulus"
-    (B_R^+ minus B_{R/2}^+) and "slab" (x_interval x y_interval).
+    "annulus" (B_R^+ minus B_{R/2}^+) and "slab" (x_interval x
+    y_interval).
     """
 
     kind: str
@@ -214,14 +214,8 @@ def trace_mass_sq(spec: GridSpec, values: np.ndarray, x0: float,
 
 
 def _region_mass_sq(field_values: np.ndarray, spec: GridSpec, y: np.ndarray,
-                    s: float, region: Region, boundary=None) -> float:
+                    s: float, region: Region) -> float:
     x = spec.nodes()
-    if region.kind == "boundary_ball":
-        x0 = region.center[0]
-        vals = boundary if boundary is not None else field_values[:, 0]
-        if region.radius < spec.h / 2:
-            raise EmptyRegionError(f"no trace nodes in {region}")
-        return trace_mass_sq(spec, vals, x0, region.radius)
     if region.kind == "slab":
         xa, xb = region.x_interval
         ya, yb = region.y_interval
@@ -256,14 +250,10 @@ def _region_mass_sq(field_values: np.ndarray, spec: GridSpec, y: np.ndarray,
 
 
 def weighted_norm(field: ExtensionField, region: Region) -> float:
-    """L2 norm of the field over the region with weight y^(1-2s).
-
-    Boundary balls integrate the squared trace with no weight.
-    """
+    """L2 norm of the field over the region with weight y^(1-2s)."""
     _check_region_in_box(field, region)
     return float(np.sqrt(_region_mass_sq(field.values, field.spec,
-                                         field.y_grid, field.s, region,
-                                         boundary=field.boundary)))
+                                         field.y_grid, field.s, region)))
 
 
 def _check_region_in_box(field: ExtensionField, region: Region) -> None:
@@ -273,9 +263,6 @@ def _check_region_in_box(field: ExtensionField, region: Region) -> None:
         xa, xb = region.x_interval
         ya, yb = region.y_interval
         ok = -L <= xa < xb <= L and 0 <= ya < yb <= Y
-    elif region.kind == "boundary_ball":
-        x0 = region.center[0]
-        ok = -L <= x0 - region.radius and x0 + region.radius <= L
     else:
         x0, y0 = region.center
         ok = (-L <= x0 - region.radius and x0 + region.radius <= L
@@ -316,15 +303,3 @@ def weighted_gradient_norm(field: ExtensionField, region: Region) -> float:
     m2 = (_region_mass_sq(dx, field.spec, field.y_grid, field.s, region)
           + _region_mass_sq(dy, field.spec, field.y_grid, field.s, region))
     return float(np.sqrt(m2))
-
-
-def export_field_csv(field: ExtensionField, path, header_comment="") -> None:
-    """Flat (x, y, value) CSV for external plotting."""
-    x = field.spec.nodes()
-    with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("x,y,value\n")
-        for j, yj in enumerate(field.y_grid):
-            for i in range(field.spec.n_super):
-                fh.write(f"{x[i]:.17g},{yj:.17g},{field.values[i, j]:.17g}\n")

@@ -77,20 +77,19 @@ def eigen_gap(geom: Geometry, spec: GridSpec, op: FracLapDense, q) -> float:
 
 
 def solve_forward(geom: Geometry, spec: GridSpec, op: FracLapDense,
-                  q: Potential, f: GridFunction,
-                  gap_tol: float = GAP_TOL) -> ForwardSolution:
+                  q: Potential, f: GridFunction) -> ForwardSolution:
     """Solve the exterior-value problem for data f on the window.
 
     Raises EigenvalueError when the relative spectral gap of the
-    restricted operator falls below gap_tol (zero too close to an
+    restricted operator falls below GAP_TOL (zero too close to an
     eigenvalue), and SingularSolveError on factorization failure.
     """
     if np.any(f.values[~support_mask(geom, spec, "w")] != 0.0):
         raise SupportError("exterior data must be supported in w")
     gap = eigen_gap(geom, spec, op, q)
-    if gap < gap_tol:
+    if gap < GAP_TOL:
         raise EigenvalueError(
-            f"relative spectral gap {gap:.3e} below tolerance {gap_tol:.0e}")
+            f"relative spectral gap {gap:.3e} below tolerance {GAP_TOL:.0e}")
     omega_idx, w_idx = op.omega_idx, op.w_idx
     M = system_matrix(geom, spec, op, q)
     rhs = -op.matrix[np.ix_(op.omega_pos, op.w_pos)] @ f.values[w_idx]

@@ -189,24 +189,3 @@ def apply_dense(op: FracLapDense, u: GridFunction) -> np.ndarray:
         raise SupportError("dense backend needs input supported on active nodes")
     dual = op.matrix @ u.values[op.active]
     return _nodal_from_dual(dual, op.spec.h)
-
-
-@dataclass(frozen=True)
-class CrossValidation:
-    """Relative L2 distance between the two backends on one input."""
-
-    discrepancy: float
-    tol: float
-    passed: bool
-
-
-def cross_validate(op: FracLapDense, u: GridFunction, tol: float) -> CrossValidation:
-    """Compare spectral and dense application on the active node set."""
-    spectral = apply_spectral(u, op.s).values[op.active]
-    dense = apply_dense(op, u)
-    ref = float(np.linalg.norm(spectral))
-    if ref == 0.0:
-        disc = float(np.linalg.norm(dense))
-    else:
-        disc = float(np.linalg.norm(dense - spectral) / ref)
-    return CrossValidation(discrepancy=disc, tol=tol, passed=disc <= tol)

@@ -77,10 +77,6 @@ class GridFunction:
             raise ValueError(f"unknown support tag {self.support!r}")
         self.values.setflags(write=False)
 
-    def l2(self) -> float:
-        """Discrete L2(R) norm, sqrt(h) * euclidean."""
-        return float(np.sqrt(self.spec.h) * np.linalg.norm(self.values))
-
 
 @dataclass(frozen=True, eq=False)
 class Potential:
@@ -125,7 +121,7 @@ def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
         raise GeometryError(f"s must lie in (0,1), got {s}")
     if max(a, c) <= min(b, d):
         raise OverlapError(
-            f"OverlapError: closures of omega {omega} and w {w} intersect")
+            f"closures of omega {omega} and w {w} intersect")
     if omega_prime is None:
         margin = (b - a) / 8.0
         omega_prime = (a + margin, b - margin)
@@ -147,13 +143,8 @@ def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
         count = int(np.count_nonzero(interval_mask(spec, iv)))
         if count < 16:
             raise ResolutionError(
-                f"ResolutionError: only {count} nodes in {name} {iv} at h={h}")
+                f"only {count} nodes in {name} {iv} at h={h}")
     return geom, spec
-
-
-def snap(spec: GridSpec, value: float) -> float:
-    """Snap a coordinate to the nearest supergrid node."""
-    return spec.origin + round((value - spec.origin) / spec.h) * spec.h
 
 
 def snap_interval(spec: GridSpec, interval) -> tuple[float, float]:
@@ -192,15 +183,15 @@ def support_mask(geom: Geometry, spec: GridSpec, support: str) -> np.ndarray:
     raise ValueError(f"unknown support tag {support!r}")
 
 
-def make_grid_function(geom: Geometry, spec: GridSpec, values, support: str,
-                       validate: bool = True) -> GridFunction:
+def make_grid_function(geom: Geometry, spec: GridSpec, values,
+                       support: str) -> GridFunction:
     """Wrap raw values as a GridFunction, checking the support invariant."""
     vals = np.asarray(values, dtype=float).copy()
     if vals.shape != (spec.n_super,):
         raise ValueError(f"expected {spec.n_super} values, got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise SupportError("grid function contains non-finite entries")
-    if validate and support != "box":
+    if support != "box":
         outside = ~support_mask(geom, spec, support)
         if np.any(vals[outside] != 0.0):
             raise SupportError(

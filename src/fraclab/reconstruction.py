@@ -316,8 +316,8 @@ def potential_sweep(geom: Geometry, spec: GridSpec, op: FracLapDense,
 
 
 def noise_sweep(geom: Geometry, spec: GridSpec, op: FracLapDense,
-                sol: ForwardSolution, epsilons, threshold: float = 1e-3,
-                seed: int = 1234) -> StabilityCurve:
+                sol: ForwardSolution, epsilons, threshold: float,
+                seed: int) -> StabilityCurve:
     """Mode (b): recover sol.q from noisy data of sol over a noise ladder.
 
     The same seed is used at every level, so the sweep moves along one

@@ -32,8 +32,9 @@ def fourier_coefficients(g: GridFunction) -> np.ndarray:
 def sobolev_norm(g: GridFunction, t: float) -> float:
     """Discrete H^t(R) norm of a grid function.
 
-    For t = 0 this equals g.l2() up to roundoff; it is monotone
-    nondecreasing in t because every frequency weight (1+xi^2)^t is.
+    For t = 0 this equals the discrete L2 norm sqrt(h) |g|_2 up to
+    roundoff (Parseval); it is monotone nondecreasing in t because every
+    frequency weight (1+xi^2)^t is.
     """
     ghat = fourier_coefficients(g)
     xi = frequencies(g.spec)
@@ -62,12 +63,12 @@ def oscillation_ratio(geom: Geometry, f: GridFunction, s: float) -> float:
 
 
 def holder_norm(geom: Geometry, spec: GridSpec, values: np.ndarray,
-                s: float, pair_cap: float = 1.0) -> float:
+                s: float) -> float:
     """Full discrete C^{0,s} norm over omega: seminorm plus sup.
 
-    The pair search is capped at |x - y| <= pair_cap; over longer distances
-    the difference quotient is dominated by 2 sup|q| / pair_cap^s, which is
-    included as a closed-form candidate.
+    The pair search is capped at |x - y| <= 1; over longer distances the
+    difference quotient is dominated by 2 sup|q|, which is included as a
+    closed-form candidate.
     """
     mask = interval_mask(spec, geom.omega)
     x = spec.nodes()[mask]
@@ -77,9 +78,9 @@ def holder_norm(geom: Geometry, spec: GridSpec, values: np.ndarray,
         return supq
     dx = np.abs(x[:, None] - x[None, :])
     dq = np.abs(q[:, None] - q[None, :])
-    near = (dx > 0) & (dx <= pair_cap)
+    near = (dx > 0) & (dx <= 1.0)
     semi = float(np.max(dq[near] / dx[near] ** s)) if np.any(near) else 0.0
-    semi = max(semi, 2.0 * supq / pair_cap ** s)
+    semi = max(semi, 2.0 * supq)
     return semi + supq
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from pathlib import Path
@@ -20,6 +22,19 @@ def test_parse_s1_config():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         fl.parse_config_text("geometry.omega = -1, 1\nbogus.key = 3\n")
+
+
+@pytest.mark.parametrize("line", [
+    "recon.strategy = fixed", "recon.lambda = 1e-10", "output.dir = out",
+    "sweep.t_min = 0.1", "sweep.t_max = 1", "sweep.n_points = 5"])
+def test_unread_keys_rejected(tmp_path, line):
+    key = line.split(" =")[0]
+    text = (CONFIGS / "certify_example.cfg").read_text() + line + "\n"
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        fl.parse_config_text(text)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert _run(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
 def test_missing_required_key():
@@ -74,7 +89,9 @@ def test_cmd_forward_overlap_exit_2(tmp_path, capsys):
         "geometry.w = 2, 3", "geometry.w = 0.5, 2"))
     rc = _run(["forward", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 2
-    assert "OverlapError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "OverlapError" in err
+    assert err.count("OverlapError") == 1
 
 
 def test_cmd_forward_missing_config_exit_2(tmp_path):
@@ -116,7 +133,9 @@ def test_cmd_ucp_scan_radius_beyond_r0_exit_3(tmp_path, capsys):
         "scan.r_max = 0.099", "scan.r_max = 0.3"))
     rc = _run(["ucp-scan", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 3
-    assert "GeometryError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "GeometryError" in err
+    assert err.count("GeometryError") == 1
 
 
 def test_cmd_ucp_scan_missing_block_exit_2(tmp_path):
@@ -230,3 +249,22 @@ def test_stability_deterministic(tmp_path):
         assert rc == 0
     for name in ("curve.csv", "fit.txt", "certificate.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_defaulted_keys_may_be_omitted(tmp_path):
+    # every key with an entry in config._DEFAULTS is left out, so a driver
+    # that reads a key with cfg[...] but no default fails here
+    cfg = tmp_path / "minimal.cfg"
+    cfg.write_text("""
+geometry.omega = -1, 1
+geometry.w = 2, 3
+geometry.s = 0.5
+f.center = 2.5
+f.width = 0.4
+scan.r_min = 0.02
+scan.r_max = 0.099
+sweep.epsilons = 1e-3, 1e-5
+""")
+    for cmd in ("ucp-scan", "stability"):
+        out = tmp_path / cmd
+        assert _run([cmd, "--config", str(cfg), "--out", str(out)]) == 0

@@ -35,19 +35,6 @@ def test_carleman_weight_domain():
         fl.carleman_weight(-2.0)
 
 
-def test_carleman_gap_band():
-    lo, hi = fl.carleman_gap_check(1e-8, 1.0, 240)
-    assert lo >= 1.25
-    assert hi <= 1.65
-    assert lo > 0
-
-
-def test_carleman_gap_degenerate_interval():
-    lo, hi = fl.carleman_gap_check(0.3, 0.3)
-    val = abs(fl.carleman_weight(0.3) - fl.carleman_weight(1.2))
-    assert lo == hi == pytest.approx(val, rel=1e-14)
-
-
 # ------------------------------------------------------------------ caccioppoli
 
 def test_caccioppoli_zero_field(s1, s1_field):

@@ -241,15 +241,3 @@ def test_poincare_type_bound(s1, s1_f, s1_field):
     mass = fl.weighted_norm(s1_field, K)
     ratio = mass / fl.sobolev_norm(s1_f, geom.s)
     assert np.isfinite(ratio) and ratio > 0
-
-
-def test_export_field_csv(tmp_path, s1, s1_solution):
-    geom, spec = s1
-    y = np.array([0.0, 0.5, 1.0])
-    field = fl.extend(s1_solution.u, 0.5, y)
-    path = tmp_path / "field.csv"
-    fl.export_field_csv(field, path, header_comment="demo")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# demo"
-    assert lines[1] == "x,y,value"
-    assert len(lines) == 2 + 3 * spec.n_super

@@ -274,11 +274,12 @@ def _tent_profile(center, halfwidth):
     return lambda x: np.maximum(0.0, 1.0 - np.abs(x - center) / halfwidth)
 
 
-def test_cross_validate_zero(s1, s1_op):
-    geom, spec = s1
-    z = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "omega")
-    rep = fl.cross_validate(s1_op, z, tol=1e-3)
-    assert rep.discrepancy == 0.0 and rep.passed
+def _backend_discrepancy(op, u):
+    """Relative L2 distance of dense from spectral application on the
+    active node set."""
+    spectral = fl.apply_spectral(u, op.s).values[op.active]
+    dense = fl.apply_dense(op, u)
+    return float(np.linalg.norm(dense - spectral) / np.linalg.norm(spectral))
 
 
 def test_cross_validate_tent(s1, s1_op):
@@ -286,16 +287,8 @@ def test_cross_validate_tent(s1, s1_op):
     geom, spec = s1
     u = fl.sample_profile(geom, spec, _tent_profile(0.0, 0.7), "omega",
                           mode="average")
-    rep = fl.cross_validate(s1_op, u, tol=5e-3)
-    assert rep.passed, rep.discrepancy
-
-
-def test_cross_validate_zero_tol_fails(s1, s1_op):
-    geom, spec = s1
-    u = fl.sample_profile(geom, spec, fl.bump_profile(0.0, 0.5), "omega",
-                          mode="average")
-    rep = fl.cross_validate(s1_op, u, tol=0.0)
-    assert not rep.passed and rep.discrepancy > 0
+    disc = _backend_discrepancy(s1_op, u)
+    assert disc <= 5e-3, disc
 
 
 def test_backend_agreement_random_bumps(s1, s1_op):
@@ -309,9 +302,9 @@ def test_backend_agreement_random_bumps(s1, s1_op):
         u = fl.sample_profile(geom, spec,
                               fl.bump_profile(center, width, amp), "omega",
                               mode="average")
-        rep = fl.cross_validate(s1_op, u, tol=1e-3)
-        worst = max(worst, rep.discrepancy)
-        assert rep.passed, rep.discrepancy
+        disc = _backend_discrepancy(s1_op, u)
+        worst = max(worst, disc)
+        assert disc <= 1e-3, disc
     assert worst < 1e-3
 
 
