@@ -28,7 +28,7 @@ masks select whole nodes with no partial-cell correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gamma
 
 import numpy as np
@@ -297,9 +297,20 @@ def gradient_components(field: ExtensionField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def weighted_gradient_norm(field: ExtensionField, region: Region) -> float:
-    """Weighted L2 norm of the gradient over the region."""
+    """Weighted L2 norm of the gradient over the region.
+
+    Only the heights the region reaches are differentiated: the levels up
+    to the first one at or above the region's top, and one more so that
+    this level keeps its centered y difference.  The levels left out lie
+    above the region and carry none of its mass.
+    """
     _check_region_in_box(field, region)
-    dx, dy = gradient_components(field)
-    m2 = (_region_mass_sq(dx, field.spec, field.y_grid, field.s, region)
-          + _region_mass_sq(dy, field.spec, field.y_grid, field.s, region))
+    top = (region.y_interval[1] if region.kind == "slab"
+           else region.center[1] + region.radius)
+    keep = min(int(np.searchsorted(field.y_grid, top)) + 2, len(field.y_grid))
+    y = field.y_grid[:keep]
+    dx, dy = gradient_components(
+        replace(field, y_grid=y, values=field.values[:, :keep]))
+    m2 = (_region_mass_sq(dx, field.spec, y, field.s, region)
+          + _region_mass_sq(dy, field.spec, y, field.s, region))
     return float(np.sqrt(m2))

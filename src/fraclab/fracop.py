@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from math import gamma, sqrt, pi
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SupportError
 from .geometry import (Geometry, GridFunction, GridSpec, frequencies,
@@ -129,27 +130,37 @@ class FracLapDense:
 
 
 def active_node_indices(geom: Geometry, spec: GridSpec) -> np.ndarray:
-    """Nodes of omega and w, each padded by the separation distance."""
+    """Nodes of omega and w, each padded by the separation distance.
+
+    The padding equals the gap between the two intervals, so the padded
+    intervals overlap and their union is one contiguous range of nodes.
+    """
     d = geom.gap
     x = spec.nodes()
     tol = spec.h * 1e-9
-    mask = np.zeros(spec.n_super, dtype=bool)
-    for lo, hi in (geom.omega, geom.w):
-        mask |= (x >= lo - d - tol) & (x <= hi + d + tol)
-    return np.nonzero(mask)[0]
+    lo = min(geom.omega[0], geom.w[0])
+    hi = max(geom.omega[1], geom.w[1])
+    return np.arange(np.searchsorted(x, lo - d - tol, side="left"),
+                     np.searchsorted(x, hi + d + tol, side="right"))
 
 
 def assemble_dense(geom: Geometry, spec: GridSpec) -> FracLapDense:
-    """Assemble the dense stiffness matrix over the active node set."""
+    """Assemble the dense stiffness matrix over the active node set.
+
+    The active nodes are contiguous, so the matrix is Toeplitz in their
+    positions: it is copied out of a strided view whose row i reads the
+    lags mirrored about position i, with no index gather.
+    """
     idx = active_node_indices(geom, spec)
-    lags = stiffness_lags(geom.s, spec.h, int(idx[-1] - idx[0]))
-    A = lags[np.abs(idx[:, None] - idx[None, :])]
+    n = len(idx)
+    lags = stiffness_lags(geom.s, spec.h, n - 1)
+    mirrored = np.concatenate([lags[:0:-1], lags])
+    A = sliding_window_view(mirrored, n)[::-1].copy()
     omega_idx = np.nonzero(interval_mask(spec, geom.omega))[0]
     w_idx = np.nonzero(interval_mask(spec, geom.w))[0]
     return FracLapDense(s=geom.s, spec=spec, active=idx, matrix=A,
                         omega_idx=omega_idx, w_idx=w_idx,
-                        omega_pos=np.searchsorted(idx, omega_idx),
-                        w_pos=np.searchsorted(idx, w_idx))
+                        omega_pos=omega_idx - idx[0], w_pos=w_idx - idx[0])
 
 
 #: linear-extrapolation pad, nodes, for the mass solve; the tridiagonal

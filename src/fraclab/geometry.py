@@ -98,7 +98,8 @@ def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
     Parameters
     ----------
     omega, w : pair of floats
-        Domain interval and measurement window; closures must be disjoint.
+        Domain interval and measurement window; closures must be disjoint
+        and at least two grid cells apart.
     s : float
         Fractional exponent, 0 < s < 1.
     box_halfwidth : float
@@ -139,6 +140,11 @@ def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
     spec = GridSpec(h=h, n_super=int(n_super), origin=-L + h / 2)
     geom = Geometry(s=float(s), omega=(a, b), w=(c, d),
                     omega_prime=(ap, bp), box_halfwidth=L)
+    # snapping moves an endpoint by up to h/2, so a gap below 2h lets the
+    # node sets of omega and w meet or leave the gap-padded active range
+    if geom.gap < 2 * h:
+        raise ResolutionError(
+            f"omega and w are {geom.gap} apart, less than two cells at h={h}")
     for name, iv in (("omega", geom.omega), ("w", geom.w)):
         count = int(np.count_nonzero(interval_mask(spec, iv)))
         if count < 16:
@@ -205,10 +211,12 @@ def sample_profile(geom: Geometry, spec: GridSpec, profile, support: str,
 
     ``mode="point"`` evaluates at the nodes; ``mode="average"`` takes exact
     cell averages (midpoint-composite with CELL_AVERAGE_SUBSAMPLES points),
-    which suppresses aliasing from support-edge singularities.  Values are
-    zeroed outside the declared support either way.
+    which suppresses aliasing from support-edge singularities.  The profile
+    is evaluated only at the nodes of the declared support and the values
+    are written into a zero array, so they are zero outside it either way.
     """
-    x = spec.nodes()
+    mask = support_mask(geom, spec, support)
+    x = spec.nodes()[mask]
     if mode == "point":
         vals = np.asarray(profile(x), dtype=float)
     elif mode == "average":
@@ -220,9 +228,9 @@ def sample_profile(geom: Geometry, spec: GridSpec, profile, support: str,
         vals /= m
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    if support != "box":
-        vals = np.where(support_mask(geom, spec, support), vals, 0.0)
-    return make_grid_function(geom, spec, vals, support)
+    out = np.zeros(spec.n_super)
+    out[mask] = vals
+    return make_grid_function(geom, spec, out, support)
 
 
 def bump_profile(center: float, width: float, amplitude: float = 1.0,

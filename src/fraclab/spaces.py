@@ -18,6 +18,7 @@ H^{-s}(w) norm.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SupportError, ZeroDataError
 from .geometry import (Geometry, GridFunction, GridSpec, Potential,
@@ -68,17 +69,27 @@ def holder_norm(geom: Geometry, spec: GridSpec, values: np.ndarray,
 
     The pair search is capped at |x - y| <= 1; over longer distances the
     difference quotient is dominated by 2 sup|q|, which is included as a
-    closed-form candidate.
+    closed-form candidate.  An all-zero q returns 0 at once.  Otherwise
+    each unordered pair is formed once, on the band of lags that can hold
+    |x - y| <= 1: row i of a sliding window over the nodes (padded with
+    +inf, so padded pairs fail the cap) holds the nodes right of x_i.
     """
     mask = interval_mask(spec, geom.omega)
     x = spec.nodes()[mask]
     q = np.asarray(values, dtype=float)[mask]
     supq = float(np.max(np.abs(q))) if q.size else 0.0
-    if q.size < 2:
+    if q.size < 2 or supq == 0.0:
         return supq
-    dx = np.abs(x[:, None] - x[None, :])
-    dq = np.abs(q[:, None] - q[None, :])
-    near = (dx > 0) & (dx <= 1.0)
+    n = q.size
+    # beyond this lag every pair is at least 1 + h apart
+    band = int(np.ceil(1.0 / spec.h)) + 1
+    xr = sliding_window_view(np.concatenate([x, np.full(band, np.inf)]),
+                             band + 1)[:n, 1:]
+    qr = sliding_window_view(np.concatenate([q, np.zeros(band)]),
+                             band + 1)[:n, 1:]
+    dx = xr - x[:, None]
+    near = dx <= 1.0
+    dq = np.abs(qr - q[:, None])
     semi = float(np.max(dq[near] / dx[near] ** s)) if np.any(near) else 0.0
     semi = max(semi, 2.0 * supq)
     return semi + supq

@@ -33,6 +33,20 @@ def test_build_geometry_resolution():
                           n_super=64)
 
 
+def test_build_geometry_gap_below_two_cells():
+    # h = 1/16: both endpoints facing the gap sit on cell boundaries and
+    # snap outward onto the same node; and omega's far end snaps out of
+    # the range padded by the gap
+    with pytest.raises(ResolutionError, match="two cells"):
+        fl.build_geometry(omega=(-1.5, 0.0), w=(0.015625, 1.515625), s=0.5,
+                          box_halfwidth=8.0, n_super=256)
+    geom, spec = fl.build_geometry(omega=(-1.5, 0.0), w=(0.125, 1.5), s=0.5,
+                                   box_halfwidth=8.0, n_super=256)
+    omega = fl.interval_mask(spec, geom.omega)
+    w = fl.interval_mask(spec, geom.w)
+    assert not np.any(omega & w)
+
+
 def test_build_geometry_bad_s():
     for s in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(GeometryError):

@@ -27,14 +27,25 @@ def hypersingular_quad(ufun, x0, s):
     c = 2 ** (2 * s) * s * gamma((1 + 2 * s) / 2) / (sqrt(pi) * gamma(1 - s))
     Z = abs(x0) + 1.0
 
-    def integrand(z):
-        return (2 * ufun(x0) - ufun(x0 + z) - ufun(x0 - z)) / z ** (1 + 2 * s)
+    def second_difference(z):
+        return 2 * ufun(x0) - ufun(x0 + z) - ufun(x0 - z)
 
-    val, _ = integrate.quad(integrand, 0, Z,
-                            points=[1 - abs(x0), min(1 + abs(x0), Z)],
+    # head (0, d): the integrand is O(z^(1-2s)) and its numerator cancels
+    # to rounding, so quad cannot reach 1e-11 there at s > 1/2.  Write the
+    # second difference as c2 z^2 + c4 z^4 + O(z^6), take c2 and c4 from
+    # its values at d and 2d, and integrate against z^(-1-2s) exactly.
+    d = 2e-3
+    r1 = second_difference(d) / d ** 2
+    r2 = second_difference(2 * d) / (2 * d) ** 2
+    c4 = (r2 - r1) / (3 * d * d)
+    c2 = r1 - c4 * d * d
+    head = (c2 * d ** (2 - 2 * s) / (2 - 2 * s)
+            + c4 * d ** (4 - 2 * s) / (4 - 2 * s))
+    val, _ = integrate.quad(lambda z: second_difference(z) / z ** (1 + 2 * s),
+                            d, Z, points=[1 - abs(x0), min(1 + abs(x0), Z)],
                             limit=600, epsabs=1e-11, epsrel=1e-11)
     tail = 2 * ufun(x0) * Z ** (-2 * s) / (2 * s)   # u vanishes beyond Z
-    return c * (val + tail)
+    return c * (head + val + tail)
 
 
 def test_quad_oracle_matches_analytic_constant():
