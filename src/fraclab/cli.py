@@ -101,7 +101,7 @@ def cmd_stability(sc: Scenario, out: Path) -> None:
         ts = cfg.get("sweep.t_values")
         if not ts:
             raise ConfigError("potential sweep needs nonempty sweep.t_values")
-        curve = potential_sweep(sc.geom, sc.spec, sc.op, sc.q1, sc.q2, sc.f, ts)
+        curve = potential_sweep(sc.op, sc.q1, sc.q2, sc.f, ts)
         report = None
     elif mode == "noise":
         eps = cfg.get("sweep.epsilons")
@@ -175,6 +175,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be nonnegative")
             entries = dict(cfg.entries)
             entries["seed"] = args.seed
             entries["noise.seed"] = args.seed

@@ -47,6 +47,11 @@ _STR_KEYS = {"sweep.mode"}
 
 _KNOWN = _FLOAT_KEYS | _INT_KEYS | _PAIR_KEYS | _LIST_KEYS | _STR_KEYS
 
+# keys whose value, or each entry of a list, must be > 0 or >= 0
+_POSITIVE_KEYS = {"f.width", "q1.width", "q2.width"}
+_NONNEGATIVE_KEYS = {"noise.epsilon", "sweep.epsilons", "seed", "noise.seed",
+                     "recon.theta"}
+
 _DEFAULTS = {
     "geometry.omega_prime": None,
     "grid.L": 32.0,
@@ -116,7 +121,13 @@ def parse_config_text(text: str) -> ScenarioConfig:
         key, raw = (p.strip() for p in body.split("=", 1))
         if key not in _KNOWN:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        entries[key] = _parse_value(key, raw)
+        entries[key] = value = _parse_value(key, raw)
+        vals = value if isinstance(value, tuple) else (value,)
+        # written so that NaN fails too
+        if key in _POSITIVE_KEYS and not all(v > 0 for v in vals):
+            raise ConfigError(f"line {lineno}: {key} must be positive")
+        if key in _NONNEGATIVE_KEYS and not all(v >= 0 for v in vals):
+            raise ConfigError(f"line {lineno}: {key} must be nonnegative")
     for required in ("geometry.omega", "geometry.w", "geometry.s"):
         if required not in entries:
             raise ConfigError(f"missing required key {required!r}")

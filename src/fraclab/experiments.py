@@ -33,8 +33,8 @@ class ForwardArtifacts:
 
 def run_forward(sc: Scenario) -> ForwardArtifacts:
     """Forward solve for q1 with optional measurement noise."""
-    sol = solve_forward(sc.geom, sc.spec, sc.op, sc.q1, sc.f)
-    meas = dtn_map(sc.geom, sc.spec, sc.op, sol)
+    sol = solve_forward(sc.op, sc.q1, sc.f)
+    meas = dtn_map(sc.op, sol)
     eps = sc.config["noise.epsilon"]
     if eps > 0:
         meas = add_noise(sc.geom, meas, eps, sc.config["noise.seed"])
@@ -77,7 +77,7 @@ def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
     cfg = sc.config
     x0 = cfg["scan.x0"]
     radii = scan_radii(sc)
-    sol = solve_forward(sc.geom, sc.spec, sc.op, sc.q1, sc.f)
+    sol = solve_forward(sc.op, sc.q1, sc.f)
     # tall extension so the annulus check at R = 4 stays inside the box
     y_grid = default_y_grid(sc.geom.s, height=8.5,
                             n_levels=int(cfg["extension.n_levels"]))
@@ -148,17 +148,17 @@ def end_to_end(sc: Scenario, epsilons,
     x0 = cfg["scan.x0"]
 
     s = sc.geom.s
-    sol1 = solve_forward(sc.geom, sc.spec, sc.op, sc.q1, sc.f)
-    sol2 = solve_forward(sc.geom, sc.spec, sc.op, sc.q2, sc.f)
-    lam1 = dtn_map(sc.geom, sc.spec, sc.op, sol1)
-    lam2 = dtn_map(sc.geom, sc.spec, sc.op, sol2)
+    sol1 = solve_forward(sc.op, sc.q1, sc.f)
+    sol2 = solve_forward(sc.op, sc.q2, sc.f)
+    lam1 = dtn_map(sc.op, sol1)
+    lam2 = dtn_map(sc.op, sol2)
     gap_gf = make_grid_function(
         sc.geom, sc.spec, lam1.lambda_f.values - lam2.lambda_f.values, "w")
     data_gap = dual_norm_on_window(sc.geom, gap_gf, s)
     actual = float(np.max(np.abs(sc.q1.values.values - sc.q2.values.values)))
 
-    curve = noise_sweep(sc.geom, sc.spec, sc.op, sol2, epsilons,
-                        threshold=cfg["recon.theta"], seed=seed)
+    curve = noise_sweep(sc.op, sol2, epsilons, threshold=cfg["recon.theta"],
+                        seed=seed)
 
     dist = min(x0 - sc.geom.omega[0], sc.geom.omega[1] - x0)
     radii = np.geomspace(dist / 40, dist / 4.5, 10)

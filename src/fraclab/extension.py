@@ -143,7 +143,7 @@ def neumann_trace(field: ExtensionField, max_rel_gap: float = 0.05) -> GridFunct
     if gap > max_rel_gap:
         raise ResolutionError(
             f"finite-difference trace deviates from spectral by {gap:.3g}")
-    return GridFunction(spec=field.spec, values=spectral, support="box")
+    return GridFunction(spec=field.spec, values=spectral)
 
 
 @dataclass(frozen=True)

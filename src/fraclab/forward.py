@@ -13,6 +13,7 @@ window,
 
 The Schur-complement structure makes the measurement map self-adjoint on
 L2(w) for real potentials, which the tests exercise as reciprocity.
+The solve and the measurement take the operator alone; its blocks are views.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import EigenvalueError, SingularSolveError, SupportError
 from .fracop import FracLapDense
-from .geometry import (Geometry, GridFunction, GridSpec, Potential,
-                       make_grid_function, support_mask)
+from .geometry import (Geometry, GridFunction, Potential, make_grid_function,
+                       support_mask)
 from .spaces import dual_norm_on_window, sobolev_norm
 
 #: relative spectral gap below which the restricted operator is rejected
@@ -57,42 +58,43 @@ def _q_values(q) -> np.ndarray:
     return q.values.values if isinstance(q, Potential) else q.values
 
 
-def system_matrix(geom: Geometry, spec: GridSpec, op: FracLapDense,
-                  q) -> np.ndarray:
-    """A_OO + h diag(q) over the omega nodes."""
-    A = op.matrix[np.ix_(op.omega_pos, op.omega_pos)]
-    return A + spec.h * np.diag(_q_values(q)[op.omega_idx])
+def system_matrix(op: FracLapDense, q) -> np.ndarray:
+    """A_OO + h diag(q) over the omega nodes, as a fresh array."""
+    M = op.matrix[op.omega_pos, op.omega_pos].copy()
+    M[np.diag_indices_from(M)] += op.spec.h * _q_values(q)[op.omega_idx]
+    return M
 
 
-def eigen_gap(geom: Geometry, spec: GridSpec, op: FracLapDense, q) -> float:
-    """Smallest singular value of the restricted system over its largest.
+def eigen_gap(M: np.ndarray) -> float:
+    """Smallest singular value of a symmetric system over its largest.
 
     The system is symmetric, so its singular values are the moduli of its
-    eigenvalues.  Accepts a Potential or any GridFunction of nodal values
-    (the latter allows probing resonant shifts that are not admissible
-    potentials).
+    eigenvalues.
     """
-    ev = np.abs(np.linalg.eigvalsh(system_matrix(geom, spec, op, q)))
+    ev = np.abs(np.linalg.eigvalsh(M))
     return float(ev.min() / ev.max())
 
 
-def solve_forward(geom: Geometry, spec: GridSpec, op: FracLapDense,
-                  q: Potential, f: GridFunction) -> ForwardSolution:
+def solve_forward(op: FracLapDense, q: Potential,
+                  f: GridFunction) -> ForwardSolution:
     """Solve the exterior-value problem for data f on the window.
 
+    q is a Potential or any GridFunction of nodal values (the latter
+    allows probing resonant shifts that are not admissible potentials).
     Raises EigenvalueError when the relative spectral gap of the
     restricted operator falls below GAP_TOL (zero too close to an
     eigenvalue), and SingularSolveError on factorization failure.
     """
+    geom, spec = op.geom, op.spec
     if np.any(f.values[~support_mask(geom, spec, "w")] != 0.0):
         raise SupportError("exterior data must be supported in w")
-    gap = eigen_gap(geom, spec, op, q)
+    M = system_matrix(op, q)
+    gap = eigen_gap(M)
     if gap < GAP_TOL:
         raise EigenvalueError(
             f"relative spectral gap {gap:.3e} below tolerance {GAP_TOL:.0e}")
     omega_idx, w_idx = op.omega_idx, op.w_idx
-    M = system_matrix(geom, spec, op, q)
-    rhs = -op.matrix[np.ix_(op.omega_pos, op.w_pos)] @ f.values[w_idx]
+    rhs = -op.matrix[op.omega_pos, op.w_pos] @ f.values[w_idx]
     try:
         u_omega = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
@@ -110,15 +112,14 @@ def solve_forward(geom: Geometry, spec: GridSpec, op: FracLapDense,
                            apriori_ratio=ratio)
 
 
-def dtn_map(geom: Geometry, spec: GridSpec, op: FracLapDense,
-            sol: ForwardSolution) -> Measurement:
+def dtn_map(op: FracLapDense, sol: ForwardSolution) -> Measurement:
     """Measurement on the window: nodal fractional Laplacian of u."""
-    io, iw = op.omega_pos, op.w_pos
-    lam_w = (op.matrix[np.ix_(iw, io)] @ sol.u.values[op.omega_idx]
-             + op.matrix[np.ix_(iw, iw)] @ sol.f.values[op.w_idx]) / spec.h
-    vals = np.zeros(spec.n_super)
+    lam_w = (op.matrix[op.w_pos, op.omega_pos] @ sol.u.values[op.omega_idx]
+             + op.matrix[op.w_pos, op.w_pos] @ sol.f.values[op.w_idx])
+    lam_w /= op.spec.h
+    vals = np.zeros(op.spec.n_super)
     vals[op.w_idx] = lam_w
-    lam = make_grid_function(geom, spec, vals, "w")
+    lam = make_grid_function(op.geom, op.spec, vals, "w")
     return Measurement(lambda_f=lam, noise_level=0.0, seed=None)
 
 
@@ -151,7 +152,7 @@ def add_noise(geom: Geometry, m: Measurement, eps: float, seed: int) -> Measurem
     pert = np.zeros(spec.n_super)
     pert[wmask] = sum(c * np.sin((k + 1) * np.pi * z)
                       for k, c in enumerate(coeff))
-    pert_gf = GridFunction(spec=spec, values=pert, support="w")
+    pert_gf = GridFunction(spec=spec, values=pert)
     s = geom.s
     scale = (eps * dual_norm_on_window(geom, m.lambda_f, s)
              / dual_norm_on_window(geom, pert_gf, s))

@@ -52,7 +52,7 @@ def apply_spectral(u: GridFunction, s: float) -> GridFunction:
         raise SupportError("input has mass within the periodization guard band")
     xi = frequencies(u.spec)
     out = np.real(np.fft.ifft(np.abs(xi) ** (2 * s) * np.fft.fft(vals)))
-    return GridFunction(spec=u.spec, values=out, support="box")
+    return GridFunction(spec=u.spec, values=out)
 
 
 #: terms of the far-field series; successive terms shrink by about
@@ -111,18 +111,19 @@ class FracLapDense:
     application converts dual values to point values through the
     consistent P1 mass matrix, which cancels the lumped-mass mid-band
     attenuation to fourth order in the frequency.  The omega and w nodes
-    are kept both as supergrid indices and as positions in ``active``,
-    so ``matrix[np.ix_(w_pos, omega_pos)]`` is the A_WO block.
+    are each a contiguous run, kept both as supergrid indices and as
+    slices of positions in ``active``: ``matrix[w_pos, omega_pos]`` is a
+    view of the A_WO block.
     """
 
-    s: float
+    geom: Geometry
     spec: GridSpec
     active: np.ndarray          # supergrid indices of active nodes
-    matrix: np.ndarray          # symmetric stiffness, Galerkin scaling
+    matrix: np.ndarray          # symmetric Galerkin stiffness, read-only
     omega_idx: np.ndarray       # supergrid indices of the omega nodes
     w_idx: np.ndarray           # supergrid indices of the w nodes
-    omega_pos: np.ndarray       # positions of omega_idx in active
-    w_pos: np.ndarray           # positions of w_idx in active
+    omega_pos: slice            # positions of omega_idx in active
+    w_pos: slice                # positions of w_idx in active
 
     @property
     def n_active(self) -> int:
@@ -156,11 +157,14 @@ def assemble_dense(geom: Geometry, spec: GridSpec) -> FracLapDense:
     lags = stiffness_lags(geom.s, spec.h, n - 1)
     mirrored = np.concatenate([lags[:0:-1], lags])
     A = sliding_window_view(mirrored, n)[::-1].copy()
+    A.setflags(write=False)     # callers get views of its blocks
     omega_idx = np.nonzero(interval_mask(spec, geom.omega))[0]
     w_idx = np.nonzero(interval_mask(spec, geom.w))[0]
-    return FracLapDense(s=geom.s, spec=spec, active=idx, matrix=A,
+    return FracLapDense(geom=geom, spec=spec, active=idx, matrix=A,
                         omega_idx=omega_idx, w_idx=w_idx,
-                        omega_pos=omega_idx - idx[0], w_pos=w_idx - idx[0])
+                        omega_pos=slice(omega_idx[0] - idx[0],
+                                        omega_idx[-1] + 1 - idx[0]),
+                        w_pos=slice(w_idx[0] - idx[0], w_idx[-1] + 1 - idx[0]))
 
 
 #: linear-extrapolation pad, nodes, for the mass solve; the tridiagonal

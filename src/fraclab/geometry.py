@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import OverlapError, ResolutionError, GeometryError, SupportError
 
-SUPPORT_TAGS = ("omega", "w", "omega_w", "omega_prime", "box")
-
 #: subsamples per cell used by average-mode sampling
 CELL_AVERAGE_SUBSAMPLES = 64
 
@@ -66,15 +64,12 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real values on the supergrid with a declared support tag."""
+    """Read-only real values on the supergrid."""
 
     spec: GridSpec
     values: np.ndarray
-    support: str
 
     def __post_init__(self):
-        if self.support not in SUPPORT_TAGS:
-            raise ValueError(f"unknown support tag {self.support!r}")
         self.values.setflags(write=False)
 
 
@@ -202,7 +197,7 @@ def make_grid_function(geom: Geometry, spec: GridSpec, values,
         if np.any(vals[outside] != 0.0):
             raise SupportError(
                 f"values nonzero outside declared support {support!r}")
-    return GridFunction(spec=spec, values=vals, support=support)
+    return GridFunction(spec=spec, values=vals)
 
 
 def sample_profile(geom: Geometry, spec: GridSpec, profile, support: str,

@@ -3,10 +3,11 @@ certificate arithmetic that turns measured constants into a sup-norm bound.
 
 Step one recovers the interior solution from window data by Tikhonov
 least squares: the continuation operator v -> (A_WO v)/h is independent
-of the potential and is factored once per operator, the penalty is the
-discrete H^s norm of the zero extension, and the regularization
-parameter is fixed or set by the discrepancy principle (bisection in log
-lambda on the closed-form residual until it lies in [delta, 2 delta]).
+of the potential and is factored once per operator (which carries the
+grid and the omega/w partition), the penalty is the discrete H^s norm of
+the zero extension, and the regularization parameter is fixed or set by
+the discrepancy principle (bisection in log lambda on the closed-form
+residual until it lies in [delta, 2 delta]).
 
 Step two divides: q = -(-Lap)^s u / u on nodes where |u| clears a
 relative threshold, with nearest-neighbour fill on the excluded set, a
@@ -36,9 +37,8 @@ from .errors import (AllExcludedError, DiscrepancyError, DomainError)
 from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
                       solve_forward)
 from .fracop import FracLapDense, apply_dense
-from .geometry import (Geometry, GridFunction, GridSpec, Potential,
-                       frequencies, make_grid_function,
-                       support_mask)
+from .geometry import (GridFunction, GridSpec, Potential, frequencies,
+                       make_grid_function, support_mask)
 from .spaces import dual_norm_on_window, make_potential
 
 
@@ -114,10 +114,10 @@ def _continuation(op: FracLapDense):
     the omega nodes.  The cache is keyed by op's identity; the shared
     arrays are read-only.
     """
-    row = hs_gram_row(op.spec, op.s)
+    row = hs_gram_row(op.spec, op.geom.s)
     G = row[np.abs(op.omega_idx[:, None] - op.omega_idx[None, :])]
     L = np.linalg.cholesky(G)
-    A_ow = op.matrix[np.ix_(op.omega_pos, op.w_pos)]
+    A_ow = op.matrix[op.omega_pos, op.w_pos]
     B = np.linalg.solve(L, A_ow).T / np.sqrt(op.spec.h)   # sqrt(h) M L^-T
     U, sv, Vt = np.linalg.svd(B, full_matrices=False)
     C = np.linalg.solve(L.T, Vt.T)
@@ -126,8 +126,7 @@ def _continuation(op: FracLapDense):
     return U, sv, C
 
 
-def recover_u(geom: Geometry, spec: GridSpec, op: FracLapDense,
-              f: GridFunction, m: Measurement,
+def recover_u(op: FracLapDense, f: GridFunction, m: Measurement,
               strategy: tuple[str, float] = ("fixed", 1e-14),
               u_true: GridFunction | None = None) -> ReconstructionResult:
     """Tikhonov recovery of the interior solution from window data.
@@ -138,9 +137,9 @@ def recover_u(geom: Geometry, spec: GridSpec, op: FracLapDense,
     unreachable bracket.  The SVD is computed once per operator, and the
     bisection evaluates only the residual.
     """
-    omega_idx, w_idx = op.omega_idx, op.w_idx
+    spec, omega_idx, w_idx = op.spec, op.omega_idx, op.w_idx
     U, sv, C = _continuation(op)
-    A_ww = op.matrix[np.ix_(op.w_pos, op.w_pos)] / spec.h
+    A_ww = op.matrix[op.w_pos, op.w_pos] / spec.h
     b = m.lambda_f.values[w_idx] - A_ww @ f.values[w_idx]
     bb = np.sqrt(spec.h) * b
     Utb = U.T @ bb
@@ -186,7 +185,7 @@ def recover_u(geom: Geometry, spec: GridSpec, op: FracLapDense,
     vals = np.zeros(spec.n_super)
     vals[omega_idx] = v
     vals[w_idx] = f.values[w_idx]
-    u_rec = make_grid_function(geom, spec, vals, "omega_w")
+    u_rec = make_grid_function(op.geom, spec, vals, "omega_w")
     err_l2 = None
     if u_true is not None:
         diff = (u_rec.values - u_true.values)[omega_idx]
@@ -197,9 +196,8 @@ def recover_u(geom: Geometry, spec: GridSpec, op: FracLapDense,
                                 u_error_l2=err_l2, q_error_sup=None)
 
 
-def recover_q(geom: Geometry, spec: GridSpec, op: FracLapDense,
-              result: ReconstructionResult, threshold: float,
-              holder_bound: float,
+def recover_q(op: FracLapDense, result: ReconstructionResult,
+              threshold: float, holder_bound: float,
               q_true: Potential | None = None) -> ReconstructionResult:
     """Division step with zero-set guarding.
 
@@ -208,7 +206,7 @@ def recover_q(geom: Geometry, spec: GridSpec, op: FracLapDense,
     ten times the a priori Hoelder bound and zeroed outside the potential
     support.
     """
-    omega_idx = op.omega_idx
+    geom, spec, omega_idx = op.geom, op.spec, op.omega_idx
     w_omega = apply_dense(op, result.u_rec)[op.omega_pos]
     u_omega = result.u_rec.values[omega_idx]
 
@@ -289,12 +287,12 @@ def certify_bound(holder_bound: float, alpha: float, beta: float,
                                 r_opt=float(r_opt), bound=bound)
 
 
-def potential_sweep(geom: Geometry, spec: GridSpec, op: FracLapDense,
-                    q1: Potential, perturbation: Potential, f: GridFunction,
-                    t_values) -> StabilityCurve:
+def potential_sweep(op: FracLapDense, q1: Potential, perturbation: Potential,
+                    f: GridFunction, t_values) -> StabilityCurve:
     """Mode (a): sweep q2 = q1 + t p and record (data gap, sup gap) pairs."""
-    sol1 = solve_forward(geom, spec, op, q1, f)
-    lam1 = dtn_map(geom, spec, op, sol1)
+    geom, spec = op.geom, op.spec
+    sol1 = solve_forward(op, q1, f)
+    lam1 = dtn_map(op, sol1)
     ts, errs = [], []
     for t in t_values:
         if t == 0:
@@ -305,8 +303,8 @@ def potential_sweep(geom: Geometry, spec: GridSpec, op: FracLapDense,
             geom, spec,
             q1.values.values + t * perturbation.values.values, "omega_prime")
         q2 = make_potential(geom, q2_vals)
-        sol2 = solve_forward(geom, spec, op, q2, f)
-        lam2 = dtn_map(geom, spec, op, sol2)
+        sol2 = solve_forward(op, q2, f)
+        lam2 = dtn_map(op, sol2)
         gap_gf = make_grid_function(
             geom, spec, lam1.lambda_f.values - lam2.lambda_f.values, "w")
         delta = dual_norm_on_window(geom, gap_gf, geom.s)
@@ -315,9 +313,8 @@ def potential_sweep(geom: Geometry, spec: GridSpec, op: FracLapDense,
     return _finish_curve("potential_sweep", np.array(ts), np.array(errs))
 
 
-def noise_sweep(geom: Geometry, spec: GridSpec, op: FracLapDense,
-                sol: ForwardSolution, epsilons, threshold: float,
-                seed: int) -> StabilityCurve:
+def noise_sweep(op: FracLapDense, sol: ForwardSolution, epsilons,
+                threshold: float, seed: int) -> StabilityCurve:
     """Mode (b): recover sol.q from noisy data of sol over a noise ladder.
 
     The same seed is used at every level, so the sweep moves along one
@@ -325,22 +322,21 @@ def noise_sweep(geom: Geometry, spec: GridSpec, op: FracLapDense,
     discrepancy principle receives the actual L2(w) size of the injected
     perturbation.
     """
-    meas = dtn_map(geom, spec, op, sol)
-    u_ref = float(np.sqrt(spec.h)
-                  * np.linalg.norm(sol.u.values[op.omega_idx]))
+    meas = dtn_map(op, sol)
+    sqrt_h = np.sqrt(op.spec.h)
+    u_ref = float(sqrt_h * np.linalg.norm(sol.u.values[op.omega_idx]))
     ts, errs, u_abs = [], [], []
     for eps in epsilons:
-        noisy = add_noise(geom, meas, eps, seed)
-        delta = float(np.sqrt(spec.h) * np.linalg.norm(
+        noisy = add_noise(op.geom, meas, eps, seed)
+        delta = float(sqrt_h * np.linalg.norm(
             (noisy.lambda_f.values - meas.lambda_f.values)[op.w_idx]))
         try:
-            rec = recover_u(geom, spec, op, sol.f, noisy,
+            rec = recover_u(op, sol.f, noisy,
                             strategy=("discrepancy", delta), u_true=sol.u)
         except DiscrepancyError:
-            rec = recover_u(geom, spec, op, sol.f, noisy,
+            rec = recover_u(op, sol.f, noisy,
                             strategy=("fixed", 1e-14), u_true=sol.u)
-        rec = recover_q(geom, spec, op, rec, threshold, sol.q.holder_bound,
-                        q_true=sol.q)
+        rec = recover_q(op, rec, threshold, sol.q.holder_bound, q_true=sol.q)
         ts.append(float(eps))
         errs.append(rec.q_error_sup if rec.q_error_sup is not None else 0.0)
         u_abs.append(rec.u_error_l2 * u_ref if rec.u_error_l2 is not None else 0.0)

@@ -54,9 +54,8 @@ def s1_qbump(s1):
 
 
 @pytest.fixture(scope="session")
-def s1_solution(s1, s1_op, s1_f, s1_q0):
-    geom, spec = s1
-    return fl.solve_forward(geom, spec, s1_op, s1_q0, s1_f)
+def s1_solution(s1_op, s1_f, s1_q0):
+    return fl.solve_forward(s1_op, s1_q0, s1_f)
 
 
 @pytest.fixture(scope="session")

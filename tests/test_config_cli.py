@@ -71,6 +71,25 @@ def _run(args):
     return main(args)
 
 
+@pytest.mark.parametrize("line, flags", [
+    ("f.width = 0", []), ("q1.width = -0.5", []), ("q2.width = 0", []),
+    ("noise.epsilon = -0.5", []), ("noise.epsilon = nan", []),
+    ("sweep.epsilons = 1e-3, -1e-4", []), ("seed = -1", []),
+    ("noise.seed = -1", []), ("recon.theta = -1", []),
+    ("noise.epsilon = 1e-3", ["--seed", "-1"])])
+def test_out_of_range_values_exit_2(tmp_path, capsys, line, flags):
+    text = (CONFIGS / "s1_forward.cfg").read_text() + line + "\n"
+    if not flags:
+        with pytest.raises(ConfigError):
+            fl.parse_config_text(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = _run(["forward", "--config", str(cfg), "--out", str(tmp_path)]
+              + flags)
+    assert rc == 2
+    assert capsys.readouterr().err.count("ConfigError") == 1
+
+
 def test_cmd_forward_files(tmp_path):
     rc = _run(["forward", "--config", str(CONFIGS / "s1_forward.cfg"),
                "--out", str(tmp_path)])

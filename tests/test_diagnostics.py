@@ -192,7 +192,7 @@ def test_boundary_doubling_constant_u(s1):
     # a constant trace has L2 mass sqrt(2r) c: vanishing order 1/2 exactly
     geom, spec = s1
     vals = np.where(np.abs(spec.nodes()) <= 1.0, 0.7, 0.0)
-    u = fl.GridFunction(spec=spec, values=vals, support="omega")
+    u = fl.GridFunction(spec=spec, values=vals)
     rep = fl.doubling_scan_boundary(geom, u, 0.0, np.geomspace(0.02, 0.24, 8))
     assert rep.beta_hat == pytest.approx(0.5, abs=1e-6)
     assert np.allclose(rep.ratios, np.sqrt(2.0), rtol=1e-9)
@@ -211,7 +211,7 @@ def test_boundary_doubling_s1(s1, s1_solution, golden):
 def test_boundary_doubling_zero_mass(s1):
     geom, spec = s1
     vals = np.where(np.abs(spec.nodes() - 0.9) <= 0.05, 1.0, 0.0)
-    u = fl.GridFunction(spec=spec, values=vals, support="omega")
+    u = fl.GridFunction(spec=spec, values=vals)
     with pytest.raises(ZeroMassError):
         fl.doubling_scan_boundary(geom, u, -0.5, np.geomspace(0.02, 0.1, 8))
 
@@ -242,8 +242,7 @@ def test_boundary_bulk_homogeneity(s1, s1_field, s1_solution):
     scaled_f = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
                                  values=3.0 * s1_field.values, s=0.5,
                                  d_s=1.0, boundary=3.0 * s1_field.boundary)
-    scaled_u = fl.GridFunction(spec=spec, values=3.0 * s1_solution.u.values,
-                               support="omega_w")
+    scaled_u = fl.GridFunction(spec=spec, values=3.0 * s1_solution.u.values)
     chk3 = fl.boundary_bulk_check(geom, scaled_f, scaled_u, 0.0, 0.2)
     assert chk3.implied_constant == \
         pytest.approx(chk1.implied_constant, rel=1e-9)
@@ -274,7 +273,7 @@ def test_doubling_uniformity_across_potentials(s1, s1_op, s1_f, golden):
                                 rng.uniform(-0.5, 0.5)),
                 "omega_prime", mode="average")
             q = fl.make_potential(geom, gf, holder_bound=2.0, sup_bound=0.5)
-            sol = fl.solve_forward(geom, spec, s1_op, q, s1_f)
+            sol = fl.solve_forward(s1_op, q, s1_f)
             rep = fl.doubling_scan_boundary(geom, sol.u, 0.0,
                                             np.geomspace(0.02, 0.24, 8))
             stats.append(np.max(rep.ratios))

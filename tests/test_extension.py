@@ -226,7 +226,7 @@ def test_energy_bound_and_refinement_stability(s1, s1_f, s1_field):
     q0 = fl.make_potential(
         geom2, fl.make_grid_function(geom2, spec2,
                                      np.zeros(spec2.n_super), "omega_prime"))
-    sol2 = fl.solve_forward(geom2, spec2, op2, q0, f2)
+    sol2 = fl.solve_forward(op2, q0, f2)
     field2 = fl.extend(sol2.u, s, fl.default_y_grid(s, n_levels=128))
     e2 = fl.weighted_gradient_norm(field2, box)
     c2 = e2 / fl.sobolev_norm(f2, s)

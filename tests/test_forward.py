@@ -3,6 +3,7 @@ import pytest
 
 import fraclab as fl
 from fraclab.errors import EigenvalueError, SupportError
+from fraclab.forward import system_matrix
 
 
 def _zero_potential(geom, spec):
@@ -14,7 +15,7 @@ def _zero_potential(geom, spec):
 def test_zero_data_zero_solution(s1, s1_op, s1_q0):
     geom, spec = s1
     f0 = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "w")
-    sol = fl.solve_forward(geom, spec, s1_op, s1_q0, f0)
+    sol = fl.solve_forward(s1_op, s1_q0, f0)
     assert np.all(sol.u.values == 0.0)
 
 
@@ -39,13 +40,12 @@ def test_forward_rejects_bad_data_support(s1, s1_op, s1_q0):
     f_bad = fl.sample_profile(geom, spec, fl.bump_profile(0.0, 0.5), "omega",
                               mode="average")
     with pytest.raises(SupportError):
-        fl.solve_forward(geom, spec, s1_op, s1_q0, f_bad)
+        fl.solve_forward(s1_op, s1_q0, f_bad)
 
 
-def test_mirror_symmetry(s1, s1_op, s1_q0, s1_f):
+def test_mirror_symmetry(s1_op, s1_q0, s1_f):
     # solving the mirrored geometry with mirrored data mirrors the solution
-    geom, spec = s1
-    sol = fl.solve_forward(geom, spec, s1_op, s1_q0, s1_f)
+    sol = fl.solve_forward(s1_op, s1_q0, s1_f)
     geom_m, spec_m = fl.build_geometry(omega=(-1.0, 1.0), w=(-3.0, -2.0),
                                        s=0.5, box_halfwidth=32.0,
                                        n_super=4096,
@@ -54,7 +54,7 @@ def test_mirror_symmetry(s1, s1_op, s1_q0, s1_f):
     q0_m = _zero_potential(geom_m, spec_m)
     f_m = fl.sample_profile(geom_m, spec_m, fl.bump_profile(-2.5, 0.4), "w",
                             mode="average")
-    sol_m = fl.solve_forward(geom_m, spec_m, op_m, q0_m, f_m)
+    sol_m = fl.solve_forward(op_m, q0_m, f_m)
     # cell-centered grid maps node i to node n-1-i under x -> -x
     mirrored = sol_m.u.values[::-1]
     assert np.max(np.abs(mirrored - sol.u.values)) < 1e-10
@@ -75,7 +75,7 @@ def test_wellposedness_random_scenarios(s1, s1_op):
             fl.bump_profile(rng.uniform(2.3, 2.7), rng.uniform(0.2, 0.35),
                             rng.uniform(0.5, 2.0)),
             "w", mode="average")
-        sol = fl.solve_forward(geom, spec, s1_op, q, f)
+        sol = fl.solve_forward(s1_op, q, f)
         assert sol.residual < 1e-8
         assert np.isfinite(sol.apriori_ratio)
 
@@ -94,10 +94,8 @@ def test_reciprocity(s1, s1_op, s1_qbump):
             geom, spec, fl.bump_profile(rng.uniform(2.2, 2.8),
                                         rng.uniform(0.15, 0.3)), "w",
             mode="average")
-        m1 = fl.dtn_map(geom, spec, s1_op,
-                        fl.solve_forward(geom, spec, s1_op, s1_qbump, f1))
-        m2 = fl.dtn_map(geom, spec, s1_op,
-                        fl.solve_forward(geom, spec, s1_op, s1_qbump, f2))
+        m1 = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, f1))
+        m2 = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, f2))
         lhs = h * np.dot(m1.lambda_f.values[wmask], f2.values[wmask])
         rhs = h * np.dot(f1.values[wmask], m2.lambda_f.values[wmask])
         assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -112,8 +110,7 @@ def test_dtn_linearity(s1, s1_op, s1_q0):
     combo = fl.make_grid_function(geom, spec,
                                   1.5 * f1.values - 0.5 * f2.values, "w")
     lam = lambda f: fl.dtn_map(
-        geom, spec, s1_op,
-        fl.solve_forward(geom, spec, s1_op, s1_q0, f)).lambda_f.values
+        s1_op, fl.solve_forward(s1_op, s1_q0, f)).lambda_f.values
     lhs = lam(combo)
     rhs = 1.5 * lam(f1) - 0.5 * lam(f2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
@@ -121,59 +118,53 @@ def test_dtn_linearity(s1, s1_op, s1_q0):
 
 def test_identical_potentials_zero_gap(s1, s1_op, s1_qbump, s1_f):
     geom, spec = s1
-    m1 = fl.dtn_map(geom, spec, s1_op,
-                    fl.solve_forward(geom, spec, s1_op, s1_qbump, s1_f))
-    m2 = fl.dtn_map(geom, spec, s1_op,
-                    fl.solve_forward(geom, spec, s1_op, s1_qbump, s1_f))
+    m1 = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, s1_f))
+    m2 = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, s1_f))
     gap = fl.make_grid_function(
         geom, spec, m1.lambda_f.values - m2.lambda_f.values, "w")
     assert fl.dual_norm_on_window(geom, gap, geom.s) <= 1e-12
 
 
-def test_eigen_gap_positive_at_zero_potential(s1, s1_op, s1_q0):
-    geom, spec = s1
-    assert fl.eigen_gap(geom, spec, s1_op, s1_q0) > 1e-4
+def test_eigen_gap_positive_at_zero_potential(s1_op, s1_q0):
+    assert fl.eigen_gap(system_matrix(s1_op, s1_q0)) > 1e-4
 
 
 def test_eigen_gap_resonant_shift(s1, s1_op):
     # shifting by the smallest eigenvalue of the restricted operator
     # (in nodal scaling) collapses the gap
     geom, spec = s1
-    from fraclab.forward import system_matrix
-    M0 = system_matrix(geom, spec, s1_op,
+    M0 = system_matrix(s1_op,
                        fl.make_grid_function(geom, spec,
                                              np.zeros(spec.n_super), "box"))
     lam1 = np.linalg.eigvalsh(M0)[0]
     shift = np.where(fl.support_mask(geom, spec, "omega"),
                      -lam1 / spec.h, 0.0)
     q_res = fl.make_grid_function(geom, spec, shift, "omega")
-    gap = fl.eigen_gap(geom, spec, s1_op, q_res)
+    gap = fl.eigen_gap(system_matrix(s1_op, q_res))
     assert gap < 1e-10
     f = fl.sample_profile(geom, spec, fl.bump_profile(2.5, 0.4), "w",
                           mode="average")
     with pytest.raises(EigenvalueError):
-        fl.solve_forward(geom, spec, s1_op, q_res, f)
+        fl.solve_forward(s1_op, q_res, f)
 
 
 def test_eigen_gap_monotone_under_nonnegative_shift(s1, s1_op, s1_q0):
     geom, spec = s1
-    from fraclab.forward import system_matrix
     vals = np.where(fl.support_mask(geom, spec, "omega_prime"), 0.3, 0.0)
     q_pos = fl.make_grid_function(geom, spec, vals, "omega_prime")
-    M0 = system_matrix(geom, spec, s1_op, s1_q0)
-    M1 = system_matrix(geom, spec, s1_op, q_pos)
+    M0 = system_matrix(s1_op, s1_q0)
+    M1 = system_matrix(s1_op, q_pos)
     lam0 = np.linalg.eigvalsh(M0)[0]
     lam1 = np.linalg.eigvalsh(M1)[0]
     assert lam1 >= lam0 - 1e-14
-    gap0 = fl.eigen_gap(geom, spec, s1_op, s1_q0)
-    gap1 = fl.eigen_gap(geom, spec, s1_op, q_pos)
+    gap0 = fl.eigen_gap(M0)
+    gap1 = fl.eigen_gap(M1)
     assert gap1 >= gap0 * (1 - 1e-6)
 
 
 def test_add_noise_deterministic_and_calibrated(s1, s1_op, s1_q0, s1_f):
     geom, spec = s1
-    m = fl.dtn_map(geom, spec, s1_op,
-                   fl.solve_forward(geom, spec, s1_op, s1_q0, s1_f))
+    m = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_q0, s1_f))
     n1 = fl.add_noise(geom, m, 1e-3, seed=5)
     n2 = fl.add_noise(geom, m, 1e-3, seed=5)
     assert np.array_equal(n1.lambda_f.values, n2.lambda_f.values)
@@ -188,16 +179,14 @@ def test_add_noise_deterministic_and_calibrated(s1, s1_op, s1_q0, s1_f):
 
 def test_add_noise_zero_is_identity(s1, s1_op, s1_q0, s1_f):
     geom, spec = s1
-    m = fl.dtn_map(geom, spec, s1_op,
-                   fl.solve_forward(geom, spec, s1_op, s1_q0, s1_f))
+    m = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_q0, s1_f))
     n = fl.add_noise(geom, m, 0.0, seed=5)
     assert np.array_equal(n.lambda_f.values, m.lambda_f.values)
 
 
 def test_measurement_csv(tmp_path, s1, s1_op, s1_q0, s1_f):
     geom, spec = s1
-    m = fl.dtn_map(geom, spec, s1_op,
-                   fl.solve_forward(geom, spec, s1_op, s1_q0, s1_f))
+    m = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_q0, s1_f))
     path = tmp_path / "m.csv"
     fl.export_measurement_csv(geom, m, path)
     lines = path.read_text().splitlines()

@@ -93,7 +93,7 @@ def test_apply_spectral_edge_guard(s1):
     geom, spec = s1
     vals = np.zeros(spec.n_super)
     vals[3] = 1.0
-    g = fl.GridFunction(spec=spec, values=vals, support="box")
+    g = fl.GridFunction(spec=spec, values=vals)
     with pytest.raises(SupportError):
         fl.apply_spectral(g, 0.5)
 
@@ -288,7 +288,7 @@ def _tent_profile(center, halfwidth):
 def _backend_discrepancy(op, u):
     """Relative L2 distance of dense from spectral application on the
     active node set."""
-    spectral = fl.apply_spectral(u, op.s).values[op.active]
+    spectral = fl.apply_spectral(u, op.geom.s).values[op.active]
     dense = fl.apply_dense(op, u)
     return float(np.linalg.norm(dense - spectral) / np.linalg.norm(spectral))
 

@@ -7,10 +7,9 @@ from fraclab.reconstruction import _continuation, hs_gram_row
 
 
 @pytest.fixture(scope="module")
-def s1_bump_problem(s1, s1_op, s1_f, s1_qbump):
-    geom, spec = s1
-    sol = fl.solve_forward(geom, spec, s1_op, s1_qbump, s1_f)
-    lam = fl.dtn_map(geom, spec, s1_op, sol)
+def s1_bump_problem(s1_op, s1_f, s1_qbump):
+    sol = fl.solve_forward(s1_op, s1_qbump, s1_f)
+    lam = fl.dtn_map(s1_op, sol)
     return sol, lam
 
 
@@ -33,14 +32,13 @@ def test_recover_u_zero_data(s1, s1_op, s1_q0):
     geom, spec = s1
     zero = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "w")
     m = fl.Measurement(lambda_f=zero, noise_level=0.0, seed=None)
-    rec = fl.recover_u(geom, spec, s1_op, zero, m, strategy=("fixed", 1e-10))
+    rec = fl.recover_u(s1_op, zero, m, strategy=("fixed", 1e-10))
     assert np.all(rec.u_rec.values == 0.0)
 
 
-def test_recover_u_exact_data(s1, s1_op, s1_f, s1_bump_problem, golden):
-    geom, spec = s1
+def test_recover_u_exact_data(s1_op, s1_f, s1_bump_problem, golden):
     sol, lam = s1_bump_problem
-    rec = fl.recover_u(geom, spec, s1_op, s1_f, lam,
+    rec = fl.recover_u(s1_op, s1_f, lam,
                        strategy=("fixed", 1e-14), u_true=sol.u)
     assert rec.u_error_l2 < 0.3
     assert rec.u_error_l2 == pytest.approx(golden["recover_u_exact_rel_error"],
@@ -50,7 +48,7 @@ def test_recover_u_exact_data(s1, s1_op, s1_f, s1_bump_problem, golden):
 def test_recover_u_window_values_kept(s1, s1_op, s1_f, s1_bump_problem):
     geom, spec = s1
     _, lam = s1_bump_problem
-    rec = fl.recover_u(geom, spec, s1_op, s1_f, lam, strategy=("fixed", 1e-12))
+    rec = fl.recover_u(s1_op, s1_f, lam, strategy=("fixed", 1e-12))
     wmask = fl.support_mask(geom, spec, "w")
     assert np.array_equal(rec.u_rec.values[wmask], s1_f.values[wmask])
 
@@ -62,23 +60,21 @@ def test_recover_u_discrepancy_bracket(s1, s1_op, s1_f, s1_bump_problem):
     w_idx = np.nonzero(fl.interval_mask(spec, geom.w))[0]
     delta = float(np.sqrt(spec.h) * np.linalg.norm(
         (noisy.lambda_f.values - lam.lambda_f.values)[w_idx]))
-    rec = fl.recover_u(geom, spec, s1_op, s1_f, noisy,
+    rec = fl.recover_u(s1_op, s1_f, noisy,
                        strategy=("discrepancy", delta))
     assert delta <= rec.discrepancy <= 2 * delta
 
 
-def test_recover_u_discrepancy_unreachable(s1, s1_op, s1_f, s1_bump_problem):
-    geom, spec = s1
+def test_recover_u_discrepancy_unreachable(s1_op, s1_f, s1_bump_problem):
     _, lam = s1_bump_problem
     with pytest.raises(DiscrepancyError):
-        fl.recover_u(geom, spec, s1_op, s1_f, lam,
+        fl.recover_u(s1_op, s1_f, lam,
                      strategy=("discrepancy", 1e9))
 
 
-def test_recover_u_error_monotone_in_noise(s1, s1_op, s1_f, s1_qbump, s1_q0):
-    geom, spec = s1
-    sol = fl.solve_forward(geom, spec, s1_op, s1_qbump, s1_f)
-    curve = fl.noise_sweep(geom, spec, s1_op, sol, (1e-2, 1e-4, 1e-8),
+def test_recover_u_error_monotone_in_noise(s1_op, s1_f, s1_qbump, s1_q0):
+    sol = fl.solve_forward(s1_op, s1_qbump, s1_f)
+    curve = fl.noise_sweep(s1_op, sol, (1e-2, 1e-4, 1e-8),
                            threshold=1e-3, seed=1234)
     # errors listed by increasing noise; must not decrease (10% slack)
     e = curve.errors
@@ -91,8 +87,8 @@ def test_recover_u_normal_equations(s1, s1_op, s1_f, s1_bump_problem, lam):
     geom, spec = s1
     _, meas = s1_bump_problem
     op, h = s1_op, spec.h
-    M = op.matrix[np.ix_(op.w_pos, op.omega_pos)] / h
-    A_ww = op.matrix[np.ix_(op.w_pos, op.w_pos)] / h
+    M = op.matrix[op.w_pos, op.omega_pos] / h
+    A_ww = op.matrix[op.w_pos, op.w_pos] / h
     b = meas.lambda_f.values[op.w_idx] - A_ww @ s1_f.values[op.w_idx]
     G = hs_gram_row(spec, geom.s)[
         np.abs(op.omega_idx[:, None] - op.omega_idx[None, :])]
@@ -103,14 +99,13 @@ def test_recover_u_normal_equations(s1, s1_op, s1_f, s1_bump_problem, lam):
     K, rhs = h * Ml.T @ Ml + lam * G, h * Ml.T @ bl
     ref = np.linalg.solve(K.astype(float), rhs.astype(float))
     ref += np.linalg.solve(K.astype(float), (rhs - K @ ref).astype(float))
-    rec = fl.recover_u(geom, spec, op, s1_f, meas, strategy=("fixed", lam))
+    rec = fl.recover_u(op, s1_f, meas, strategy=("fixed", lam))
     v = rec.u_rec.values[op.omega_idx]
     assert np.linalg.norm(v - ref) < 1e-9 * np.linalg.norm(ref)
 
 
-def test_recover_u_cache_keyed_by_operator(s1, s1_op, s1_f, s1_bump_problem):
+def test_recover_u_cache_keyed_by_operator(s1_op, s1_f, s1_bump_problem):
     # alternating operators never reuse the other's factorization
-    geom, spec = s1
     _, meas = s1_bump_problem
     geom2, spec2 = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
                                      box_halfwidth=32.0, n_super=8192,
@@ -121,9 +116,8 @@ def test_recover_u_cache_keyed_by_operator(s1, s1_op, s1_f, s1_bump_problem):
     q2 = fl.make_potential(geom2, fl.sample_profile(
         geom2, spec2, fl.bump_profile(0.0, 0.5, 0.5), "omega_prime",
         mode="average"))
-    meas2 = fl.dtn_map(geom2, spec2, op2,
-                       fl.solve_forward(geom2, spec2, op2, q2, f2))
-    cases = [(geom, spec, s1_op, s1_f, meas), (geom2, spec2, op2, f2, meas2)]
+    meas2 = fl.dtn_map(op2, fl.solve_forward(op2, q2, f2))
+    cases = [(s1_op, s1_f, meas), (op2, f2, meas2)]
     for args in cases + cases:
         u = fl.recover_u(*args, strategy=("fixed", 1e-10)).u_rec.values
         _continuation.cache_clear()
@@ -131,13 +125,12 @@ def test_recover_u_cache_keyed_by_operator(s1, s1_op, s1_f, s1_bump_problem):
         assert np.array_equal(u, fresh)
 
 
-def test_recover_q_round_trip(s1, s1_op, s1_qbump, s1_bump_problem):
-    geom, spec = s1
+def test_recover_q_round_trip(s1_op, s1_qbump, s1_bump_problem):
     sol, _ = s1_bump_problem
     base = fl.ReconstructionResult(u_rec=sol.u, q_rec=None, reg_param=0.0,
                                    discrepancy=0.0, excluded=None,
                                    u_error_l2=None, q_error_sup=None)
-    rec = fl.recover_q(geom, spec, s1_op, base, 1e-6,
+    rec = fl.recover_q(s1_op, base, 1e-6,
                        s1_qbump.holder_bound, q_true=s1_qbump)
     assert rec.q_error_sup < 0.05
 
@@ -150,7 +143,7 @@ def test_recover_q_guard_on_sign_change(s1, s1_op, s1_qbump):
     base = fl.ReconstructionResult(u_rec=u, q_rec=None, reg_param=0.0,
                                    discrepancy=0.0, excluded=None,
                                    u_error_l2=None, q_error_sup=None)
-    rec = fl.recover_q(geom, spec, s1_op, base, 0.05, s1_qbump.holder_bound)
+    rec = fl.recover_q(s1_op, base, 0.05, s1_qbump.holder_bound)
     cap = 10.0 * s1_qbump.holder_bound
     assert np.all(np.abs(rec.q_rec.values) <= cap)
     assert np.all(np.isfinite(rec.q_rec.values))
@@ -167,7 +160,7 @@ def test_recover_q_all_excluded(s1, s1_op, s1_qbump):
                                    discrepancy=0.0, excluded=None,
                                    u_error_l2=None, q_error_sup=None)
     with pytest.raises(AllExcludedError):
-        fl.recover_q(geom, spec, s1_op, base, 1e-3, 1.0)
+        fl.recover_q(s1_op, base, 1e-3, 1.0)
 
 
 def test_recover_q_zero_outside_support(s1, s1_op, s1_qbump, s1_bump_problem):
@@ -176,18 +169,17 @@ def test_recover_q_zero_outside_support(s1, s1_op, s1_qbump, s1_bump_problem):
     base = fl.ReconstructionResult(u_rec=sol.u, q_rec=None, reg_param=0.0,
                                    discrepancy=0.0, excluded=None,
                                    u_error_l2=None, q_error_sup=None)
-    rec = fl.recover_q(geom, spec, s1_op, base, 1e-6, s1_qbump.holder_bound)
+    rec = fl.recover_q(s1_op, base, 1e-6, s1_qbump.holder_bound)
     outside = ~fl.support_mask(geom, spec, "omega_prime")
     assert np.all(rec.q_rec.values[outside] == 0.0)
 
 
-def test_q_zero_reconstruction_floor(s1, s1_op, s1_f, s1_q0, golden):
-    geom, spec = s1
-    sol = fl.solve_forward(geom, spec, s1_op, s1_q0, s1_f)
-    lam = fl.dtn_map(geom, spec, s1_op, sol)
-    rec = fl.recover_u(geom, spec, s1_op, s1_f, lam,
+def test_q_zero_reconstruction_floor(s1_op, s1_f, s1_q0, golden):
+    sol = fl.solve_forward(s1_op, s1_q0, s1_f)
+    lam = fl.dtn_map(s1_op, sol)
+    rec = fl.recover_u(s1_op, s1_f, lam,
                        strategy=("fixed", 1e-14), u_true=sol.u)
-    rec = fl.recover_q(geom, spec, s1_op, rec, 1e-6, 1.0)
+    rec = fl.recover_q(s1_op, rec, 1e-6, 1.0)
     floor = float(np.max(np.abs(rec.q_rec.values)))
     assert floor <= golden["q_zero_floor"] * 1.5
 
@@ -238,18 +230,16 @@ def test_certificate_directional_derivatives():
 
 # ------------------------------------------------------------------- sweeps
 
-def test_potential_sweep_zero_t(s1, s1_op, s1_q0, s1_qbump, s1_f):
-    geom, spec = s1
-    curve = fl.potential_sweep(geom, spec, s1_op, s1_q0, s1_qbump, s1_f,
+def test_potential_sweep_zero_t(s1_op, s1_q0, s1_qbump, s1_f):
+    curve = fl.potential_sweep(s1_op, s1_q0, s1_qbump, s1_f,
                                [0.0])
     assert curve.t_values[0] == 0.0 and curve.errors[0] == 0.0
     assert curve.gamma_hat is None and "skipped" in curve.note
 
 
-def test_potential_sweep_monotone_data_gap(s1, s1_op, s1_q0, s1_qbump, s1_f):
-    geom, spec = s1
+def test_potential_sweep_monotone_data_gap(s1_op, s1_q0, s1_qbump, s1_f):
     ts = np.geomspace(1e-3, 1e-1, 7)
-    curve = fl.potential_sweep(geom, spec, s1_op, s1_q0, s1_qbump, s1_f, ts)
+    curve = fl.potential_sweep(s1_op, s1_q0, s1_qbump, s1_f, ts)
     assert np.all(np.diff(curve.t_values) > 0)
     assert np.all(np.diff(curve.errors) > 0)
     assert curve.gamma_hat is not None and curve.gamma_hat > 0
@@ -284,8 +274,8 @@ q2.amplitude = 0.5
 """)
     sc = fl.build_scenario(cfg)
     eps = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-    sol = fl.solve_forward(sc.geom, sc.spec, sc.op, sc.q2, sc.f)
-    curve = fl.noise_sweep(sc.geom, sc.spec, sc.op, sol, eps, threshold=1e-3,
+    sol = fl.solve_forward(sc.op, sc.q2, sc.f)
+    curve = fl.noise_sweep(sc.op, sol, eps, threshold=1e-3,
                            seed=1234)
     assert np.allclose(curve.errors, golden["sweep_errors"], rtol=1e-8)
     assert curve.gamma_hat > 0

@@ -30,7 +30,7 @@ def s1_objects(n_super=4096, n_levels=64):
     q0 = fl.make_potential(
         geom, fl.make_grid_function(geom, spec, np.zeros(spec.n_super),
                                     "omega_prime"))
-    sol = fl.solve_forward(geom, spec, op, q0, f)
+    sol = fl.solve_forward(op, q0, f)
     field = fl.extend(sol.u, geom.s, fl.default_y_grid(geom.s,
                                                        n_levels=n_levels))
     return geom, spec, op, f, q0, sol, field
@@ -76,7 +76,7 @@ def main():
                                 rng.uniform(-0.5, 0.5)),
                 "omega_prime", mode="average")
             q = fl.make_potential(geom, gf, holder_bound=2.0, sup_bound=0.5)
-            solq = fl.solve_forward(geom, spec, op, q, f)
+            solq = fl.solve_forward(op, q, f)
             repq = fl.doubling_scan_boundary(geom, solq.u, 0.0,
                                              np.geomspace(0.02, 0.24, 8))
             stats.append(float(np.max(repq.ratios)))
@@ -88,26 +88,25 @@ def main():
     qb = fl.make_potential(
         geom, fl.sample_profile(geom, spec, fl.bump_profile(0.0, 0.5, 0.5),
                                 "omega_prime", mode="average"))
-    solq = fl.solve_forward(geom, spec, op, qb, f)
-    lamq = fl.dtn_map(geom, spec, op, solq)
-    rec = fl.recover_u(geom, spec, op, f, lamq, strategy=("fixed", 1e-14),
+    solq = fl.solve_forward(op, qb, f)
+    lamq = fl.dtn_map(op, solq)
+    rec = fl.recover_u(op, f, lamq, strategy=("fixed", 1e-14),
                        u_true=solq.u)
     golden["recover_u_exact_rel_error"] = rec.u_error_l2
 
     # zero-potential reconstruction floor: |q_rec|_inf after exact round trip
     res0 = fl.recover_q(
-        geom, spec, op,
-        fl.recover_u(geom, spec, op, f,
-                     fl.dtn_map(geom, spec, op, sol),
-                     strategy=("fixed", 1e-14), u_true=sol.u),
+        op,
+        fl.recover_u(op, f, fl.dtn_map(op, sol), strategy=("fixed", 1e-14),
+                     u_true=sol.u),
         1e-6, 1.0)
     golden["q_zero_floor"] = float(np.max(np.abs(res0.q_rec.values)))
 
     # noise-sweep benchmark scenario (gentler window, s = 1/4)
     cfg = fl.parse_config_text(SWEEP_CONFIG)
     sc = fl.build_scenario(cfg)
-    sol = fl.solve_forward(sc.geom, sc.spec, sc.op, sc.q2, sc.f)
-    curve = fl.noise_sweep(sc.geom, sc.spec, sc.op, sol, EPSILONS,
+    sol = fl.solve_forward(sc.op, sc.q2, sc.f)
+    curve = fl.noise_sweep(sc.op, sol, EPSILONS,
                            threshold=1e-3, seed=1234)
     golden["sweep_errors"] = [float(v) for v in curve.errors]
     golden["sweep_gamma_hat"] = curve.gamma_hat
