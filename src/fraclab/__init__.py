@@ -13,8 +13,8 @@ from .errors import (AllExcludedError, ConfigError, DegenerateError,
                      OverlapError, ResolutionError, SingularSolveError,
                      SupportError, ZeroDataError, ZeroMassError)
 from .geometry import (Geometry, GridFunction, GridSpec, Potential,
-                       build_geometry, bump_profile, interval_mask,
-                       make_grid_function, sample_profile, support_mask)
+                       build_geometry, bump_profile, make_grid_function,
+                       sample_profile, support_mask)
 from .spaces import (dual_norm_on_window, holder_norm, make_potential,
                      oscillation_ratio, sobolev_norm)
 from .fracop import (FracLapDense, apply_dense, apply_spectral,

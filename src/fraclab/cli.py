@@ -20,7 +20,7 @@ from .config import Scenario, ScenarioConfig, build_scenario, load_config
 from .errors import ConfigError, FraclabError
 from .experiments import end_to_end, run_forward, run_ucp_scan
 from .forward import export_measurement_csv
-from .geometry import interval_mask
+from .geometry import support_mask
 from .reconstruction import (StabilityCertificate, certify_bound,
                              potential_sweep)
 
@@ -53,8 +53,8 @@ def _certificate_lines(c: StabilityCertificate) -> list:
 
 def cmd_forward(sc: Scenario, out: Path) -> None:
     art = run_forward(sc)
-    x = sc.spec.nodes()
-    mask = interval_mask(sc.spec, sc.geom.omega) | interval_mask(sc.spec, sc.geom.w)
+    x = sc.geom.spec.nodes()
+    mask = support_mask(sc.geom, "omega_w")
     rows = [f"# {_header(sc)}", "x,u"]
     rows += [f"{_fmt(xx)},{_fmt(vv)}"
              for xx, vv in zip(x[mask], art.solution.u.values[mask])]

@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .fracop import FracLapDense, assemble_dense
-from .geometry import (Geometry, GridFunction, GridSpec, Potential,
-                       build_geometry, bump_profile, make_grid_function,
-                       sample_profile)
+from .geometry import (Geometry, GridFunction, Potential, build_geometry,
+                       bump_profile, make_grid_function, sample_profile)
 from .spaces import make_potential
 
 _FLOAT_KEYS = {
@@ -48,9 +47,10 @@ _STR_KEYS = {"sweep.mode"}
 _KNOWN = _FLOAT_KEYS | _INT_KEYS | _PAIR_KEYS | _LIST_KEYS | _STR_KEYS
 
 # keys whose value, or each entry of a list, must be > 0 or >= 0
-_POSITIVE_KEYS = {"f.width", "q1.width", "q2.width"}
+_POSITIVE_KEYS = {"f.width", "q1.width", "q2.width", "extension.n_levels"}
 _NONNEGATIVE_KEYS = {"noise.epsilon", "sweep.epsilons", "seed", "noise.seed",
-                     "recon.theta"}
+                     "recon.theta", "f.smoothness", "q1.smoothness",
+                     "q2.smoothness"}
 
 _DEFAULTS = {
     "geometry.omega_prime": None,
@@ -141,22 +141,20 @@ def load_config(path) -> ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Everything a driver needs: geometry, grid, operator, data, potentials."""
+    """What a driver needs: geometry and grid, operator, data, potentials."""
 
     config: ScenarioConfig
     geom: Geometry
-    spec: GridSpec
     op: FracLapDense
     f: GridFunction             # exterior data on w
     q1: Potential
     q2: Potential
 
 
-def _bump_from_block(cfg: ScenarioConfig, block: str, geom, spec, support):
+def _bump_from_block(cfg: ScenarioConfig, block: str, geom, support):
     amp = cfg[f"{block}.amplitude"]
     if amp == 0.0:
-        zeros = np.zeros(spec.n_super)
-        return make_grid_function(geom, spec, zeros, support)
+        return make_grid_function(geom, np.zeros(geom.spec.n_super), support)
     center = cfg.get(f"{block}.center")
     width = cfg.get(f"{block}.width")
     if center is None or width is None:
@@ -167,7 +165,7 @@ def _bump_from_block(cfg: ScenarioConfig, block: str, geom, spec, support):
             f"{block} bump support [{center - width}, {center + width}] "
             f"leaves its interval [{lo}, {hi}]")
     prof = bump_profile(center, width, amp, cfg[f"{block}.smoothness"])
-    return sample_profile(geom, spec, prof, support, mode="average")
+    return sample_profile(geom, prof, support, mode="average")
 
 
 def build_scenario(cfg: ScenarioConfig, resolution_multiplier: int = 1) -> Scenario:
@@ -178,7 +176,7 @@ def build_scenario(cfg: ScenarioConfig, resolution_multiplier: int = 1) -> Scena
     """
     try:
         n_super = int(cfg["grid.n_super"]) * int(resolution_multiplier)
-        geom, spec = build_geometry(
+        geom = build_geometry(
             omega=cfg["geometry.omega"], w=cfg["geometry.w"],
             s=cfg["geometry.s"], box_halfwidth=cfg["grid.L"],
             n_super=n_super, omega_prime=cfg["geometry.omega_prime"])
@@ -186,12 +184,10 @@ def build_scenario(cfg: ScenarioConfig, resolution_multiplier: int = 1) -> Scena
         raise ConfigError(f"missing required key {exc}") from exc
     if cfg.get("f.center") is None:
         raise ConfigError("missing required block 'f' (exterior data bump)")
-    f = _bump_from_block(cfg, "f", geom, spec, "w")
+    f = _bump_from_block(cfg, "f", geom, "w")
     if not np.any(f.values):
         raise ConfigError("exterior data f must be nonzero")
-    q1 = make_potential(geom, _bump_from_block(cfg, "q1", geom, spec,
-                                               "omega_prime"))
-    q2 = make_potential(geom, _bump_from_block(cfg, "q2", geom, spec,
-                                               "omega_prime"))
-    op = assemble_dense(geom, spec)
-    return Scenario(config=cfg, geom=geom, spec=spec, op=op, f=f, q1=q1, q2=q2)
+    q1 = make_potential(geom, _bump_from_block(cfg, "q1", geom, "omega_prime"))
+    q2 = make_potential(geom, _bump_from_block(cfg, "q2", geom, "omega_prime"))
+    return Scenario(config=cfg, geom=geom, op=assemble_dense(geom), f=f, q1=q1,
+                    q2=q2)

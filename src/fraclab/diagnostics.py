@@ -25,7 +25,7 @@ from .errors import (DegenerateError, DomainError, GeometryError,
                      ZeroDataError, ZeroMassError)
 from .extension import (ExtensionField, Region, trace_mass_sq,
                         weighted_gradient_norm, weighted_norm)
-from .geometry import Geometry, GridFunction, interval_mask
+from .geometry import Geometry, GridFunction
 from .spaces import oscillation_ratio, sobolev_norm
 
 
@@ -64,6 +64,21 @@ def carleman_weight(r: float) -> float:
     return float(-lr + 0.1 * (lr * np.arctan(lr) - 0.5 * np.log1p(lr * lr)))
 
 
+def check_scan(geom: Geometry, x0: float, radii=(), divisor: float = 1.0):
+    """Sorted radii and r0 = dist(x0, boundary)/divisor for a centre x0.
+
+    The one home of the scan-centre rule: x0 must lie inside omega and
+    no radius may exceed r0.  With the defaults, r0 is the distance.
+    """
+    if not (geom.omega[0] < x0 < geom.omega[1]):
+        raise GeometryError(f"center {x0} outside omega")
+    r0 = min(x0 - geom.omega[0], geom.omega[1] - x0) / divisor
+    radii = np.asarray(sorted(radii), dtype=float)
+    if np.any(radii > r0 * (1 + 1e-12)):
+        raise GeometryError(f"radius {radii.max()} exceeds r0 = {r0}")
+    return radii, r0
+
+
 def caccioppoli_check(geom: Geometry, field: ExtensionField, q_sup: float,
                       x0: float, r: float) -> LemmaCheck:
     """Weighted gradient over B_r^+ against weighted mass over B_2r^+.
@@ -71,7 +86,7 @@ def caccioppoli_check(geom: Geometry, field: ExtensionField, q_sup: float,
     rhs core is (1 + |q|_inf^(1/2s)) r^-1 N(2r); the hypothesis needs
     4r within the distance from x0 to the domain boundary.
     """
-    dist = min(x0 - geom.omega[0], geom.omega[1] - x0)
+    _, dist = check_scan(geom, x0)
     if 4 * r > dist:
         raise GeometryError(
             f"4r = {4*r} exceeds dist(x0, boundary) = {dist}")
@@ -103,7 +118,7 @@ def persistence_check(geom: Geometry, field: ExtensionField, f: GridFunction,
     if not np.any(f.values):
         raise ZeroDataError("persistence bound needs f != 0")
     s = field.s
-    F = oscillation_ratio(geom, f, s)
+    F = oscillation_ratio(geom, f)
     fhs = sobolev_norm(f, s)
     fl2 = sobolev_norm(f, 0.0)
     c_s = 1.0 / np.sqrt(2 * s)
@@ -135,7 +150,7 @@ def annulus_ratio(geom: Geometry, field: ExtensionField, f: GridFunction,
     if ball == 0.0 or ann < 1e-14 * ball:
         raise ZeroMassError("annulus mass is numerically zero")
     lhs = ball / ann
-    F = oscillation_ratio(geom, f, field.s)
+    F = oscillation_ratio(geom, f)
     gamma_hat = float(np.log(lhs) / np.log(F)) if F > 1 else float("nan")
     return LemmaCheck("annulus", lhs, F, gamma_hat,
                       {"R": R, "center": 0.0, "gamma_hat": gamma_hat})
@@ -183,14 +198,7 @@ def doubling_scan_bulk(geom: Geometry, field: ExtensionField, x0: float,
 
     All radii must stay below r0 = dist(x0, boundary)/10.
     """
-    if not (geom.omega[0] < x0 < geom.omega[1]):
-        raise GeometryError(f"center {x0} outside omega")
-    dist = min(x0 - geom.omega[0], geom.omega[1] - x0)
-    r0 = dist / 10.0
-    radii = np.asarray(sorted(radii), dtype=float)
-    if np.any(radii > r0 * (1 + 1e-12)):
-        raise GeometryError(
-            f"radius {radii.max()} exceeds r0 = {r0}")
+    radii, r0 = check_scan(geom, x0, radii, 10.0)
     masses = np.array([weighted_norm(field, Region("half_ball", (x0, 0.0), r))
                        for r in radii])
     doubled = np.array([weighted_norm(field, Region("half_ball", (x0, 0.0), 2 * r))
@@ -215,21 +223,14 @@ def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,
     Radii must stay below dist(x0, boundary)/4; the fitted power law
     gives the empirical vanishing order of u at x0.
     """
-    if not (geom.omega[0] < x0 < geom.omega[1]):
-        raise GeometryError(f"center {x0} outside omega")
-    dist = min(x0 - geom.omega[0], geom.omega[1] - x0)
-    r0 = dist / 4.0
-    radii = np.asarray(sorted(radii), dtype=float)
-    if np.any(radii > r0 * (1 + 1e-12)):
-        raise GeometryError(
-            f"radius {radii.max()} exceeds r0 = {r0}")
+    radii, r0 = check_scan(geom, x0, radii, 4.0)
 
     def mass(r):
         return float(np.sqrt(trace_mass_sq(u.spec, u.values, x0, r)))
 
     masses = np.array([mass(r) for r in radii])
-    omega_mask = interval_mask(u.spec, geom.omega)
-    total = float(np.sqrt(u.spec.h * np.sum(u.values[omega_mask] ** 2)))
+    u_omega = u.values[geom.omega_nodes]
+    total = float(np.sqrt(u.spec.h * np.sum(u_omega ** 2)))
     if total == 0.0 or masses[0] < 1e-14 * total:
         raise ZeroMassError("smallest-radius trace mass is numerically zero")
     doubled = np.array([mass(2 * r) for r in radii])

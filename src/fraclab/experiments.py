@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import (DoublingReport, annulus_ratio, caccioppoli_check,
-                          carleman_weight, doubling_scan_boundary,
+                          carleman_weight, check_scan, doubling_scan_boundary,
                           doubling_scan_bulk, fit_loglog, persistence_check)
 from .errors import ConfigError
 from .extension import default_y_grid, extend
@@ -46,7 +46,7 @@ def run_forward(sc: Scenario) -> ForwardArtifacts:
         f"f_hs_norm={sobolev_norm(sc.f, s):.17g}",
         f"f_l2_norm={sobolev_norm(sc.f, 0.0):.17g}",
         f"u_hs_norm={sobolev_norm(sol.u, s):.17g}",
-        f"lambda_dual_norm={dual_norm_on_window(sc.geom, meas.lambda_f, s):.17g}",
+        f"lambda_dual_norm={dual_norm_on_window(sc.geom, meas.lambda_f):.17g}",
     ]
     return ForwardArtifacts(solution=sol, measurement=meas, report_lines=lines)
 
@@ -146,6 +146,7 @@ def end_to_end(sc: Scenario, epsilons,
     if seed is None:
         seed = int(cfg["seed"]) + 1234
     x0 = cfg["scan.x0"]
+    _, dist = check_scan(sc.geom, x0)
 
     s = sc.geom.s
     sol1 = solve_forward(sc.op, sc.q1, sc.f)
@@ -153,14 +154,13 @@ def end_to_end(sc: Scenario, epsilons,
     lam1 = dtn_map(sc.op, sol1)
     lam2 = dtn_map(sc.op, sol2)
     gap_gf = make_grid_function(
-        sc.geom, sc.spec, lam1.lambda_f.values - lam2.lambda_f.values, "w")
-    data_gap = dual_norm_on_window(sc.geom, gap_gf, s)
+        sc.geom, lam1.lambda_f.values - lam2.lambda_f.values, "w")
+    data_gap = dual_norm_on_window(sc.geom, gap_gf)
     actual = float(np.max(np.abs(sc.q1.values.values - sc.q2.values.values)))
 
     curve = noise_sweep(sc.op, sol2, epsilons, threshold=cfg["recon.theta"],
                         seed=seed)
 
-    dist = min(x0 - sc.geom.omega[0], sc.geom.omega[1] - x0)
     radii = np.geomspace(dist / 40, dist / 4.5, 10)
     boundary = doubling_scan_boundary(sc.geom, sol1.u, x0, radii)
 

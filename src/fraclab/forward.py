@@ -60,8 +60,9 @@ def _q_values(q) -> np.ndarray:
 
 def system_matrix(op: FracLapDense, q) -> np.ndarray:
     """A_OO + h diag(q) over the omega nodes, as a fresh array."""
+    geom = op.geom
     M = op.matrix[op.omega_pos, op.omega_pos].copy()
-    M[np.diag_indices_from(M)] += op.spec.h * _q_values(q)[op.omega_idx]
+    M[np.diag_indices_from(M)] += geom.spec.h * _q_values(q)[geom.omega_nodes]
     return M
 
 
@@ -85,24 +86,23 @@ def solve_forward(op: FracLapDense, q: Potential,
     restricted operator falls below GAP_TOL (zero too close to an
     eigenvalue), and SingularSolveError on factorization failure.
     """
-    geom, spec = op.geom, op.spec
-    if np.any(f.values[~support_mask(geom, spec, "w")] != 0.0):
+    geom, om, w = op.geom, op.geom.omega_nodes, op.geom.w_nodes
+    if np.any(f.values[~support_mask(geom, "w")] != 0.0):
         raise SupportError("exterior data must be supported in w")
     M = system_matrix(op, q)
     gap = eigen_gap(M)
     if gap < GAP_TOL:
         raise EigenvalueError(
             f"relative spectral gap {gap:.3e} below tolerance {GAP_TOL:.0e}")
-    omega_idx, w_idx = op.omega_idx, op.w_idx
-    rhs = -op.matrix[op.omega_pos, op.w_pos] @ f.values[w_idx]
+    rhs = -op.matrix[op.omega_pos, op.w_pos] @ f.values[w]
     try:
         u_omega = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSolveError(f"dense solve failed: {exc}") from exc
-    vals = np.zeros(spec.n_super)
-    vals[omega_idx] = u_omega
-    vals[w_idx] = f.values[w_idx]
-    u = make_grid_function(geom, spec, vals, "omega_w")
+    vals = np.zeros(geom.spec.n_super)
+    vals[om] = u_omega
+    vals[w] = f.values[w]
+    u = make_grid_function(geom, vals, "omega_w")
     rhs_norm = float(np.linalg.norm(rhs))
     res = float(np.linalg.norm(M @ u_omega - rhs))
     residual = res / rhs_norm if rhs_norm > 0 else res
@@ -114,12 +114,12 @@ def solve_forward(op: FracLapDense, q: Potential,
 
 def dtn_map(op: FracLapDense, sol: ForwardSolution) -> Measurement:
     """Measurement on the window: nodal fractional Laplacian of u."""
-    lam_w = (op.matrix[op.w_pos, op.omega_pos] @ sol.u.values[op.omega_idx]
-             + op.matrix[op.w_pos, op.w_pos] @ sol.f.values[op.w_idx])
-    lam_w /= op.spec.h
-    vals = np.zeros(op.spec.n_super)
-    vals[op.w_idx] = lam_w
-    lam = make_grid_function(op.geom, op.spec, vals, "w")
+    geom = op.geom
+    lam_w = (op.matrix[op.w_pos, op.omega_pos] @ sol.u.values[geom.omega_nodes]
+             + op.matrix[op.w_pos, op.w_pos] @ sol.f.values[geom.w_nodes])
+    vals = np.zeros(geom.spec.n_super)
+    vals[geom.w_nodes] = lam_w / geom.spec.h
+    lam = make_grid_function(geom, vals, "w")
     return Measurement(lambda_f=lam, noise_level=0.0, seed=None)
 
 
@@ -142,32 +142,28 @@ def add_noise(geom: Geometry, m: Measurement, eps: float, seed: int) -> Measurem
         raise ValueError("noise level must be nonnegative")
     if eps == 0:
         return Measurement(lambda_f=m.lambda_f, noise_level=0.0, seed=seed)
-    spec = m.lambda_f.spec
-    wmask = support_mask(geom, spec, "w")
-    xw = spec.nodes()[wmask]
+    spec = geom.spec
+    xw = spec.nodes()[geom.w_nodes]
     lo, hi = xw[0], xw[-1]
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal(NOISE_MODES)
     z = (xw - lo) / (hi - lo)
     pert = np.zeros(spec.n_super)
-    pert[wmask] = sum(c * np.sin((k + 1) * np.pi * z)
-                      for k, c in enumerate(coeff))
+    pert[geom.w_nodes] = sum(c * np.sin((k + 1) * np.pi * z)
+                             for k, c in enumerate(coeff))
     pert_gf = GridFunction(spec=spec, values=pert)
-    s = geom.s
-    scale = (eps * dual_norm_on_window(geom, m.lambda_f, s)
-             / dual_norm_on_window(geom, pert_gf, s))
+    scale = (eps * dual_norm_on_window(geom, m.lambda_f)
+             / dual_norm_on_window(geom, pert_gf))
     vals = m.lambda_f.values + scale * pert
-    noisy = make_grid_function(geom, spec, vals, "w")
+    noisy = make_grid_function(geom, vals, "w")
     return Measurement(lambda_f=noisy, noise_level=float(eps), seed=seed)
 
 
 def export_measurement_csv(geom: Geometry, m: Measurement, path,
                            header_comment: str = "") -> None:
     """CSV with one row per window node: node_x, lambda_value."""
-    spec = m.lambda_f.spec
-    wmask = support_mask(geom, spec, "w")
-    x = spec.nodes()[wmask]
-    vals = m.lambda_f.values[wmask]
+    x = geom.spec.nodes()[geom.w_nodes]
+    vals = m.lambda_f.values[geom.w_nodes]
     seed = "" if m.seed is None else str(m.seed)
     with open(path, "w", encoding="utf-8") as fh:
         if header_comment:

@@ -28,8 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SupportError
-from .geometry import (Geometry, GridFunction, GridSpec, frequencies,
-                       interval_mask)
+from .geometry import Geometry, GridFunction, frequencies
 
 #: nodes within this count of the box edge must be empty (periodization guard)
 EDGE_GUARD_NODES = 8
@@ -107,64 +106,57 @@ def stiffness_lags(s: float, h: float, max_lag: int) -> np.ndarray:
 class FracLapDense:
     """Dense Galerkin realization of the operator on the active node set.
 
-    ``matrix`` holds the raw stiffness (dual/Galerkin scaling); nodal
-    application converts dual values to point values through the
-    consistent P1 mass matrix, which cancels the lumped-mass mid-band
-    attenuation to fourth order in the frequency.  The omega and w nodes
-    are each a contiguous run, kept both as supergrid indices and as
-    slices of positions in ``active``: ``matrix[w_pos, omega_pos]`` is a
-    view of the A_WO block.
+    ``geom`` carries the grid, the exponent and the node slices.
+    ``active`` is the slice of supergrid indices the matrix acts on, and
+    ``matrix`` holds the raw stiffness over them (dual/Galerkin scaling,
+    read-only); nodal application converts dual values to point values
+    through the consistent P1 mass matrix, which cancels the lumped-mass
+    mid-band attenuation to fourth order in the frequency.  ``omega_pos``
+    and ``w_pos`` are the positions of the omega and w nodes within
+    ``active``: ``matrix[w_pos, omega_pos]`` is a view of the A_WO block.
     """
 
     geom: Geometry
-    spec: GridSpec
-    active: np.ndarray          # supergrid indices of active nodes
-    matrix: np.ndarray          # symmetric Galerkin stiffness, read-only
-    omega_idx: np.ndarray       # supergrid indices of the omega nodes
-    w_idx: np.ndarray           # supergrid indices of the w nodes
-    omega_pos: slice            # positions of omega_idx in active
-    w_pos: slice                # positions of w_idx in active
+    active: slice
+    matrix: np.ndarray
+    omega_pos: slice
+    w_pos: slice
 
     @property
     def n_active(self) -> int:
-        return len(self.active)
+        return self.active.stop - self.active.start
 
 
-def active_node_indices(geom: Geometry, spec: GridSpec) -> np.ndarray:
-    """Nodes of omega and w, each padded by the separation distance.
+def symmetric_toeplitz(row: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with first row ``row``, as a new array.
 
-    The padding equals the gap between the two intervals, so the padded
-    intervals overlap and their union is one contiguous range of nodes.
+    It is copied out of a strided view whose row i reads ``row`` mirrored
+    about position i, with no index gather.
     """
-    d = geom.gap
+    mirrored = np.concatenate([row[:0:-1], row])
+    return sliding_window_view(mirrored, len(row))[::-1].copy()
+
+
+def assemble_dense(geom: Geometry) -> FracLapDense:
+    """Assemble the dense stiffness matrix over the active node set.
+
+    The active nodes are those of omega and w, each padded by the gap
+    between them, so the padded intervals overlap and their union is one
+    contiguous run.  The matrix is therefore Toeplitz in their positions.
+    """
+    spec, d = geom.spec, geom.gap
     x = spec.nodes()
     tol = spec.h * 1e-9
     lo = min(geom.omega[0], geom.w[0])
     hi = max(geom.omega[1], geom.w[1])
-    return np.arange(np.searchsorted(x, lo - d - tol, side="left"),
-                     np.searchsorted(x, hi + d + tol, side="right"))
-
-
-def assemble_dense(geom: Geometry, spec: GridSpec) -> FracLapDense:
-    """Assemble the dense stiffness matrix over the active node set.
-
-    The active nodes are contiguous, so the matrix is Toeplitz in their
-    positions: it is copied out of a strided view whose row i reads the
-    lags mirrored about position i, with no index gather.
-    """
-    idx = active_node_indices(geom, spec)
-    n = len(idx)
-    lags = stiffness_lags(geom.s, spec.h, n - 1)
-    mirrored = np.concatenate([lags[:0:-1], lags])
-    A = sliding_window_view(mirrored, n)[::-1].copy()
+    first = int(np.searchsorted(x, lo - d - tol, side="left"))
+    stop = int(np.searchsorted(x, hi + d + tol, side="right"))
+    A = symmetric_toeplitz(stiffness_lags(geom.s, spec.h, stop - first - 1))
     A.setflags(write=False)     # callers get views of its blocks
-    omega_idx = np.nonzero(interval_mask(spec, geom.omega))[0]
-    w_idx = np.nonzero(interval_mask(spec, geom.w))[0]
-    return FracLapDense(geom=geom, spec=spec, active=idx, matrix=A,
-                        omega_idx=omega_idx, w_idx=w_idx,
-                        omega_pos=slice(omega_idx[0] - idx[0],
-                                        omega_idx[-1] + 1 - idx[0]),
-                        w_pos=slice(w_idx[0] - idx[0], w_idx[-1] + 1 - idx[0]))
+    om, w = geom.omega_nodes, geom.w_nodes
+    return FracLapDense(geom=geom, active=slice(first, stop), matrix=A,
+                        omega_pos=slice(om.start - first, om.stop - first),
+                        w_pos=slice(w.start - first, w.stop - first))
 
 
 #: linear-extrapolation pad, nodes, for the mass solve; the tridiagonal
@@ -198,9 +190,8 @@ def apply_dense(op: FracLapDense, u: GridFunction) -> np.ndarray:
     P1 mass matrix converts them to nodal samples with a symbol error of
     only O((xi h)^4) in the mid band.
     """
-    outside = np.ones(u.spec.n_super, dtype=bool)
-    outside[op.active] = False
-    if np.any(u.values[outside] != 0.0):
+    a = op.active
+    if np.any(u.values[:a.start] != 0.0) or np.any(u.values[a.stop:] != 0.0):
         raise SupportError("dense backend needs input supported on active nodes")
     dual = op.matrix @ u.values[op.active]
-    return _nodal_from_dual(dual, op.spec.h)
+    return _nodal_from_dual(dual, op.geom.spec.h)

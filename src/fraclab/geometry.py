@@ -8,6 +8,11 @@ cell-centered nodes covering ``[-L, L)``; supports sit in the central
 quarter so that the periodization error of the nonlocal operator stays
 far below the acceptance tolerances.
 
+A ``Geometry`` carries its grid and, for each interval, its nodes as a
+slice of supergrid indices.  ``build_geometry`` is the one place where an
+interval becomes nodes (the snap rule); every other module indexes with
+the slices.
+
 Cell-centered nodes (``x_j = -L + (j + 1/2) h``) are deliberate: snapped
 interval endpoints then fall on cell boundaries, so support-edge
 singularities of compactly supported profiles land between sample points,
@@ -30,27 +35,6 @@ CELL_AVERAGE_SUBSAMPLES = 64
 
 
 @dataclass(frozen=True)
-class Geometry:
-    """Intervals and exponent defining one scenario.
-
-    ``omega``, ``w`` and ``omega_prime`` are closed intervals (a, b);
-    ``box_halfwidth`` is the truncation halfwidth L of the periodic
-    supergrid.
-    """
-
-    s: float
-    omega: tuple[float, float]
-    w: tuple[float, float]
-    omega_prime: tuple[float, float]
-    box_halfwidth: float
-
-    @property
-    def gap(self) -> float:
-        """Distance between omega and w."""
-        return max(self.w[0] - self.omega[1], self.omega[0] - self.w[1])
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic supergrid: ``n_super`` nodes spaced ``h`` apart."""
 
@@ -60,6 +44,33 @@ class GridSpec:
 
     def nodes(self) -> np.ndarray:
         return self.origin + self.h * np.arange(self.n_super)
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Intervals, exponent and grid defining one scenario.
+
+    ``omega``, ``w`` and ``omega_prime`` are closed intervals (a, b);
+    ``box_halfwidth`` is the truncation halfwidth L of the periodic
+    supergrid ``spec``.  ``omega_nodes``, ``w_nodes`` and ``prime_nodes``
+    are the supergrid indices of each interval's nodes, fixed once by the
+    snap rule in ``build_geometry``.
+    """
+
+    s: float
+    omega: tuple[float, float]
+    w: tuple[float, float]
+    omega_prime: tuple[float, float]
+    box_halfwidth: float
+    spec: GridSpec
+    omega_nodes: slice
+    w_nodes: slice
+    prime_nodes: slice
+
+    @property
+    def gap(self) -> float:
+        """Distance between omega and w."""
+        return max(self.w[0] - self.omega[1], self.omega[0] - self.w[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,13 +93,9 @@ class Potential:
     sup_bound: float
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
-                   omega_prime=None):
-    """Validate a scenario and build its supergrid.
+                   omega_prime=None) -> Geometry:
+    """Validate a scenario and fix its supergrid and node slices.
 
     Parameters
     ----------
@@ -105,9 +112,9 @@ def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
         Potential support, strictly inside omega.  Defaults to omega
         shrunk by an eighth of its length on each side.
 
-    Returns
-    -------
-    (Geometry, GridSpec)
+    The snap rule: an interval's nodes run between its endpoints, each
+    snapped to the nearest node.  A tie (within 1e-9 cells) goes outward,
+    so mirrored intervals stay mirrored: both sides grow, neither shifts.
     """
     a, b = float(omega[0]), float(omega[1])
     c, d = float(w[0]), float(w[1])
@@ -129,78 +136,63 @@ def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
     if not (min(a, c) >= -L / 4 and max(b, d) <= L / 4):
         raise GeometryError(
             f"omega and w must sit inside the central quarter [-{L/4}, {L/4}]")
-    if not _is_power_of_two(int(n_super)):
+    n = int(n_super)
+    if n <= 0 or n & (n - 1):
         raise GeometryError(f"n_super must be a power of two, got {n_super}")
-    h = 2.0 * L / int(n_super)
-    spec = GridSpec(h=h, n_super=int(n_super), origin=-L + h / 2)
+    h = 2.0 * L / n
+    spec = GridSpec(h=h, n_super=n, origin=-L + h / 2)
+
+    def nodes(lo, hi):
+        return slice(math.ceil((lo - spec.origin) / h - 0.5 - 1e-9),
+                     math.floor((hi - spec.origin) / h + 0.5 + 1e-9) + 1)
+
     geom = Geometry(s=float(s), omega=(a, b), w=(c, d),
-                    omega_prime=(ap, bp), box_halfwidth=L)
+                    omega_prime=(ap, bp), box_halfwidth=L, spec=spec,
+                    omega_nodes=nodes(a, b), w_nodes=nodes(c, d),
+                    prime_nodes=nodes(ap, bp))
     # snapping moves an endpoint by up to h/2, so a gap below 2h lets the
     # node sets of omega and w meet or leave the gap-padded active range
     if geom.gap < 2 * h:
         raise ResolutionError(
             f"omega and w are {geom.gap} apart, less than two cells at h={h}")
-    for name, iv in (("omega", geom.omega), ("w", geom.w)):
-        count = int(np.count_nonzero(interval_mask(spec, iv)))
-        if count < 16:
+    for name, iv, sl in (("omega", geom.omega, geom.omega_nodes),
+                         ("w", geom.w, geom.w_nodes)):
+        if (count := sl.stop - sl.start) < 16:
             raise ResolutionError(
                 f"only {count} nodes in {name} {iv} at h={h}")
-    return geom, spec
+    return geom
 
 
-def snap_interval(spec: GridSpec, interval) -> tuple[float, float]:
-    """Snap interval endpoints to nearest nodes, breaking ties outward.
-
-    Outward tie-breaking keeps mirrored intervals mirrored: an endpoint
-    sitting exactly on a cell boundary (distance h/2 from two nodes)
-    enlarges the interval on both sides instead of shifting it.
-    """
-    t_lo = (interval[0] - spec.origin) / spec.h
-    t_hi = (interval[1] - spec.origin) / spec.h
-    i_lo = math.ceil(t_lo - 0.5 - 1e-9)
-    i_hi = math.floor(t_hi + 0.5 + 1e-9)
-    return spec.origin + i_lo * spec.h, spec.origin + i_hi * spec.h
-
-
-def interval_mask(spec: GridSpec, interval) -> np.ndarray:
-    """Boolean node mask by closed-interval containment of snapped endpoints."""
-    lo, hi = snap_interval(spec, interval)
-    x = spec.nodes()
-    tol = spec.h * 1e-9
-    return (x >= lo - tol) & (x <= hi + tol)
+def support_mask(geom: Geometry, support: str) -> np.ndarray:
+    """Boolean supergrid mask of a support tag's nodes."""
+    slices = {"omega": [geom.omega_nodes], "w": [geom.w_nodes],
+              "omega_w": [geom.omega_nodes, geom.w_nodes],
+              "omega_prime": [geom.prime_nodes], "box": [slice(None)]}
+    if support not in slices:
+        raise ValueError(f"unknown support tag {support!r}")
+    mask = np.zeros(geom.spec.n_super, dtype=bool)
+    for nodes in slices[support]:
+        mask[nodes] = True
+    return mask
 
 
-def support_mask(geom: Geometry, spec: GridSpec, support: str) -> np.ndarray:
-    if support == "omega":
-        return interval_mask(spec, geom.omega)
-    if support == "w":
-        return interval_mask(spec, geom.w)
-    if support == "omega_w":
-        return interval_mask(spec, geom.omega) | interval_mask(spec, geom.w)
-    if support == "omega_prime":
-        return interval_mask(spec, geom.omega_prime)
-    if support == "box":
-        return np.ones(spec.n_super, dtype=bool)
-    raise ValueError(f"unknown support tag {support!r}")
-
-
-def make_grid_function(geom: Geometry, spec: GridSpec, values,
-                       support: str) -> GridFunction:
+def make_grid_function(geom: Geometry, values, support: str) -> GridFunction:
     """Wrap raw values as a GridFunction, checking the support invariant."""
+    spec = geom.spec
     vals = np.asarray(values, dtype=float).copy()
     if vals.shape != (spec.n_super,):
         raise ValueError(f"expected {spec.n_super} values, got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise SupportError("grid function contains non-finite entries")
     if support != "box":
-        outside = ~support_mask(geom, spec, support)
+        outside = ~support_mask(geom, support)
         if np.any(vals[outside] != 0.0):
             raise SupportError(
                 f"values nonzero outside declared support {support!r}")
     return GridFunction(spec=spec, values=vals)
 
 
-def sample_profile(geom: Geometry, spec: GridSpec, profile, support: str,
+def sample_profile(geom: Geometry, profile, support: str,
                    mode: str = "point") -> GridFunction:
     """Sample a callable onto the supergrid.
 
@@ -210,7 +202,8 @@ def sample_profile(geom: Geometry, spec: GridSpec, profile, support: str,
     is evaluated only at the nodes of the declared support and the values
     are written into a zero array, so they are zero outside it either way.
     """
-    mask = support_mask(geom, spec, support)
+    spec = geom.spec
+    mask = support_mask(geom, support)
     x = spec.nodes()[mask]
     if mode == "point":
         vals = np.asarray(profile(x), dtype=float)
@@ -225,7 +218,7 @@ def sample_profile(geom: Geometry, spec: GridSpec, profile, support: str,
         raise ValueError(f"unknown sampling mode {mode!r}")
     out = np.zeros(spec.n_super)
     out[mask] = vals
-    return make_grid_function(geom, spec, out, support)
+    return make_grid_function(geom, out, support)
 
 
 def bump_profile(center: float, width: float, amplitude: float = 1.0,

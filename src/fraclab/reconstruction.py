@@ -36,9 +36,9 @@ from .diagnostics import fit_loglog
 from .errors import (AllExcludedError, DiscrepancyError, DomainError)
 from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
                       solve_forward)
-from .fracop import FracLapDense, apply_dense
+from .fracop import FracLapDense, apply_dense, symmetric_toeplitz
 from .geometry import (GridFunction, GridSpec, Potential, frequencies,
-                       make_grid_function, support_mask)
+                       make_grid_function)
 from .spaces import dual_norm_on_window, make_potential
 
 
@@ -111,14 +111,14 @@ def _continuation(op: FracLapDense):
     """U, sv and C = L^-T V, with U diag(sv) V^T = sqrt(h) M L^-T, L L^T = G.
 
     M = A_WO / h is the nodal continuation and G the H^s Gram matrix on
-    the omega nodes.  The cache is keyed by op's identity; the shared
-    arrays are read-only.
+    the omega nodes, Toeplitz since they are contiguous.  The cache is
+    keyed by op's identity; the shared arrays are read-only.
     """
-    row = hs_gram_row(op.spec, op.geom.s)
-    G = row[np.abs(op.omega_idx[:, None] - op.omega_idx[None, :])]
-    L = np.linalg.cholesky(G)
+    geom = op.geom
     A_ow = op.matrix[op.omega_pos, op.w_pos]
-    B = np.linalg.solve(L, A_ow).T / np.sqrt(op.spec.h)   # sqrt(h) M L^-T
+    row = hs_gram_row(geom.spec, geom.s)[:len(A_ow)]
+    L = np.linalg.cholesky(symmetric_toeplitz(row))
+    B = np.linalg.solve(L, A_ow).T / np.sqrt(geom.spec.h)   # sqrt(h) M L^-T
     U, sv, Vt = np.linalg.svd(B, full_matrices=False)
     C = np.linalg.solve(L.T, Vt.T)
     for a in (U, sv, C):
@@ -137,10 +137,10 @@ def recover_u(op: FracLapDense, f: GridFunction, m: Measurement,
     unreachable bracket.  The SVD is computed once per operator, and the
     bisection evaluates only the residual.
     """
-    spec, omega_idx, w_idx = op.spec, op.omega_idx, op.w_idx
+    spec, om, w = op.geom.spec, op.geom.omega_nodes, op.geom.w_nodes
     U, sv, C = _continuation(op)
     A_ww = op.matrix[op.w_pos, op.w_pos] / spec.h
-    b = m.lambda_f.values[w_idx] - A_ww @ f.values[w_idx]
+    b = m.lambda_f.values[w] - A_ww @ f.values[w]
     bb = np.sqrt(spec.h) * b
     Utb = U.T @ bb
     ortho_sq = float(bb @ bb - Utb @ Utb)   # residual outside the range
@@ -183,13 +183,13 @@ def recover_u(op: FracLapDense, f: GridFunction, m: Measurement,
     v = C @ (sv * Utb / (sv * sv + lam))
 
     vals = np.zeros(spec.n_super)
-    vals[omega_idx] = v
-    vals[w_idx] = f.values[w_idx]
-    u_rec = make_grid_function(op.geom, spec, vals, "omega_w")
+    vals[om] = v
+    vals[w] = f.values[w]
+    u_rec = make_grid_function(op.geom, vals, "omega_w")
     err_l2 = None
     if u_true is not None:
-        diff = (u_rec.values - u_true.values)[omega_idx]
-        ref = np.linalg.norm(u_true.values[omega_idx])
+        diff = (u_rec.values - u_true.values)[om]
+        ref = np.linalg.norm(u_true.values[om])
         err_l2 = float(np.linalg.norm(diff) / ref) if ref > 0 else None
     return ReconstructionResult(u_rec=u_rec, q_rec=None, reg_param=lam,
                                 discrepancy=res, excluded=None,
@@ -206,9 +206,11 @@ def recover_q(op: FracLapDense, result: ReconstructionResult,
     ten times the a priori Hoelder bound and zeroed outside the potential
     support.
     """
-    geom, spec, omega_idx = op.geom, op.spec, op.omega_idx
+    geom, om, prime = op.geom, op.geom.omega_nodes, op.geom.prime_nodes
+    # the omega_prime nodes as positions among the omega nodes
+    p = slice(prime.start - om.start, prime.stop - om.start)
     w_omega = apply_dense(op, result.u_rec)[op.omega_pos]
-    u_omega = result.u_rec.values[omega_idx]
+    u_omega = result.u_rec.values[om]
 
     umax = float(np.max(np.abs(u_omega)))
     if umax == 0.0:
@@ -220,28 +222,24 @@ def recover_q(op: FracLapDense, result: ReconstructionResult,
     q_omega = np.zeros_like(u_omega)
     q_omega[included] = -w_omega[included] / u_omega[included]
     # nearest included neighbour fill for the excluded nodes
-    inc_pos = np.nonzero(included)[0]
-    for i in np.nonzero(~included)[0]:
+    inc_pos, exc_pos = np.nonzero(included)[0], np.nonzero(~included)[0]
+    for i in exc_pos:
         j = inc_pos[np.argmin(np.abs(inc_pos - i))]
         q_omega[i] = q_omega[j]
     cap = 10.0 * holder_bound
     q_omega = np.clip(q_omega, -cap, cap)
 
-    vals = np.zeros(spec.n_super)
-    vals[omega_idx] = q_omega
-    vals[~support_mask(geom, spec, "omega_prime")] = 0.0
-    q_rec = make_grid_function(geom, spec, vals, "omega_prime")
+    vals = np.zeros(geom.spec.n_super)
+    vals[prime] = q_omega[p]
+    q_rec = make_grid_function(geom, vals, "omega_prime")
     q_err = None
     if q_true is not None:
         ref = float(np.max(np.abs(q_true.values.values)))
-        prime = support_mask(geom, spec, "omega_prime")
-        inc_mask = np.zeros(spec.n_super, dtype=bool)
-        inc_mask[omega_idx[included]] = True
-        sel = prime & inc_mask
+        sel = included[p]
         if ref > 0 and np.any(sel):
-            q_err = float(np.max(np.abs(
-                q_rec.values[sel] - q_true.values.values[sel])) / ref)
-    return replace(result, q_rec=q_rec, excluded=omega_idx[~included],
+            dev = q_omega[p][sel] - q_true.values.values[prime][sel]
+            q_err = float(np.max(np.abs(dev)) / ref)
+    return replace(result, q_rec=q_rec, excluded=om.start + exc_pos,
                    q_error_sup=q_err)
 
 
@@ -290,7 +288,7 @@ def certify_bound(holder_bound: float, alpha: float, beta: float,
 def potential_sweep(op: FracLapDense, q1: Potential, perturbation: Potential,
                     f: GridFunction, t_values) -> StabilityCurve:
     """Mode (a): sweep q2 = q1 + t p and record (data gap, sup gap) pairs."""
-    geom, spec = op.geom, op.spec
+    geom = op.geom
     sol1 = solve_forward(op, q1, f)
     lam1 = dtn_map(op, sol1)
     ts, errs = [], []
@@ -300,14 +298,14 @@ def potential_sweep(op: FracLapDense, q1: Potential, perturbation: Potential,
             errs.append(0.0)
             continue
         q2_vals = make_grid_function(
-            geom, spec,
-            q1.values.values + t * perturbation.values.values, "omega_prime")
+            geom, q1.values.values + t * perturbation.values.values,
+            "omega_prime")
         q2 = make_potential(geom, q2_vals)
         sol2 = solve_forward(op, q2, f)
         lam2 = dtn_map(op, sol2)
         gap_gf = make_grid_function(
-            geom, spec, lam1.lambda_f.values - lam2.lambda_f.values, "w")
-        delta = dual_norm_on_window(geom, gap_gf, geom.s)
+            geom, lam1.lambda_f.values - lam2.lambda_f.values, "w")
+        delta = dual_norm_on_window(geom, gap_gf)
         ts.append(delta)
         errs.append(float(np.max(np.abs(t * perturbation.values.values))))
     return _finish_curve("potential_sweep", np.array(ts), np.array(errs))
@@ -322,14 +320,15 @@ def noise_sweep(op: FracLapDense, sol: ForwardSolution, epsilons,
     discrepancy principle receives the actual L2(w) size of the injected
     perturbation.
     """
+    geom = op.geom
     meas = dtn_map(op, sol)
-    sqrt_h = np.sqrt(op.spec.h)
-    u_ref = float(sqrt_h * np.linalg.norm(sol.u.values[op.omega_idx]))
+    sqrt_h = np.sqrt(geom.spec.h)
+    u_ref = float(sqrt_h * np.linalg.norm(sol.u.values[geom.omega_nodes]))
     ts, errs, u_abs = [], [], []
     for eps in epsilons:
-        noisy = add_noise(op.geom, meas, eps, seed)
+        noisy = add_noise(geom, meas, eps, seed)
         delta = float(sqrt_h * np.linalg.norm(
-            (noisy.lambda_f.values - meas.lambda_f.values)[op.w_idx]))
+            (noisy.lambda_f.values - meas.lambda_f.values)[geom.w_nodes]))
         try:
             rec = recover_u(op, sol.f, noisy,
                             strategy=("discrepancy", delta), u_true=sol.u)

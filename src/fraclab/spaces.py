@@ -21,8 +21,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SupportError, ZeroDataError
-from .geometry import (Geometry, GridFunction, GridSpec, Potential,
-                       frequencies, interval_mask, support_mask)
+from .geometry import (Geometry, GridFunction, Potential, frequencies,
+                       support_mask)
 
 
 def fourier_coefficients(g: GridFunction) -> np.ndarray:
@@ -44,28 +44,27 @@ def sobolev_norm(g: GridFunction, t: float) -> float:
     return float(np.sqrt(np.sum(weights * np.abs(ghat) ** 2) * dxi))
 
 
-def dual_norm_on_window(geom: Geometry, g: GridFunction, s: float) -> float:
+def dual_norm_on_window(geom: Geometry, g: GridFunction) -> float:
     """H^{-s} surrogate norm of data supported on the window w.
 
     The zero extension of g is measured in H^{-s}(R); this upper-bounds the
     quotient H^{-s}(w) norm and is never larger than the L2 norm.
     """
-    outside = ~support_mask(geom, g.spec, "w")
+    outside = ~support_mask(geom, "w")
     if np.any(g.values[outside] != 0.0):
         raise SupportError("dual norm requires data supported in w")
-    return sobolev_norm(g, -s)
+    return sobolev_norm(g, -geom.s)
 
 
-def oscillation_ratio(geom: Geometry, f: GridFunction, s: float) -> float:
+def oscillation_ratio(geom: Geometry, f: GridFunction) -> float:
     """H^s-to-L2 norm ratio of the data; measures its oscillation."""
     if not np.any(f.values):
         raise ZeroDataError("oscillation ratio undefined for f = 0")
-    return sobolev_norm(f, s) / sobolev_norm(f, 0.0)
+    return sobolev_norm(f, geom.s) / sobolev_norm(f, 0.0)
 
 
-def holder_norm(geom: Geometry, spec: GridSpec, values: np.ndarray,
-                s: float) -> float:
-    """Full discrete C^{0,s} norm over omega: seminorm plus sup.
+def holder_norm(geom: Geometry, values: np.ndarray) -> float:
+    """Full discrete C^{0,s} norm over omega, s = geom.s: seminorm plus sup.
 
     The pair search is capped at |x - y| <= 1; over longer distances the
     difference quotient is dominated by 2 sup|q|, which is included as a
@@ -74,9 +73,9 @@ def holder_norm(geom: Geometry, spec: GridSpec, values: np.ndarray,
     |x - y| <= 1: row i of a sliding window over the nodes (padded with
     +inf, so padded pairs fail the cap) holds the nodes right of x_i.
     """
-    mask = interval_mask(spec, geom.omega)
-    x = spec.nodes()[mask]
-    q = np.asarray(values, dtype=float)[mask]
+    spec, s = geom.spec, geom.s
+    x = spec.nodes()[geom.omega_nodes]
+    q = np.asarray(values, dtype=float)[geom.omega_nodes]
     supq = float(np.max(np.abs(q))) if q.size else 0.0
     if q.size < 2 or supq == 0.0:
         return supq
@@ -99,8 +98,7 @@ def make_potential(geom: Geometry, values: GridFunction,
                    holder_bound: float | None = None,
                    sup_bound: float | None = None) -> Potential:
     """Attach a priori bounds to a potential, measuring them if absent."""
-    spec = values.spec
-    outside = ~support_mask(geom, spec, "omega_prime")
+    outside = ~support_mask(geom, "omega_prime")
     if np.any(values.values[outside] != 0.0):
         raise SupportError("potential must be supported in omega_prime")
     sup = float(np.max(np.abs(values.values)))
@@ -108,7 +106,7 @@ def make_potential(geom: Geometry, values: GridFunction,
         sup_bound = sup
     elif sup > sup_bound:
         raise ValueError(f"sup |q| = {sup} exceeds declared bound {sup_bound}")
-    measured = holder_norm(geom, spec, values.values, geom.s)
+    measured = holder_norm(geom, values.values)
     if holder_bound is None:
         holder_bound = measured
     elif measured > holder_bound * (1 + 1e-12):

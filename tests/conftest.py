@@ -18,22 +18,22 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden" / "v1"
 
 @pytest.fixture(scope="session")
 def s1():
-    geom, spec = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
-                                   box_halfwidth=32.0, n_super=4096,
-                                   omega_prime=(-0.75, 0.75))
-    return geom, spec
+    geom = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
+                             box_halfwidth=32.0, n_super=4096,
+                             omega_prime=(-0.75, 0.75))
+    return geom, geom.spec
 
 
 @pytest.fixture(scope="session")
 def s1_op(s1):
     geom, spec = s1
-    return fl.assemble_dense(geom, spec)
+    return fl.assemble_dense(geom)
 
 
 @pytest.fixture(scope="session")
 def s1_f(s1):
     geom, spec = s1
-    return fl.sample_profile(geom, spec, fl.bump_profile(2.5, 0.4), "w",
+    return fl.sample_profile(geom, fl.bump_profile(2.5, 0.4), "w",
                              mode="average")
 
 
@@ -42,13 +42,13 @@ def s1_q0(s1):
     geom, spec = s1
     zeros = np.zeros(spec.n_super)
     return fl.make_potential(
-        geom, fl.make_grid_function(geom, spec, zeros, "omega_prime"))
+        geom, fl.make_grid_function(geom, zeros, "omega_prime"))
 
 
 @pytest.fixture(scope="session")
 def s1_qbump(s1):
     geom, spec = s1
-    gf = fl.sample_profile(geom, spec, fl.bump_profile(0.0, 0.5, 0.5),
+    gf = fl.sample_profile(geom, fl.bump_profile(0.0, 0.5, 0.5),
                            "omega_prime", mode="average")
     return fl.make_potential(geom, gf)
 

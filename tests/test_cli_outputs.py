@@ -1,0 +1,33 @@
+"""tools/cli_outputs.py records every output of each CLI run, so two runs
+of the same sources must give identical trees."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_two_runs_give_identical_trees(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "cli_outputs", ROOT / "tools" / "cli_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    subset = ["--configs", "certify_example.cfg", "s1_forward.cfg",
+              "--commands", "forward", "certify", "--resolutions", "1"]
+    for side in ("a", "b"):
+        assert tool.main([str(tmp_path / side)] + subset) == 0
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    assert a == b
+    rc = {p.parent.name: v for p, v in a.items() if p.name == "rc"}
+    # certify needs the cert.* keys and forward the f block
+    assert rc == {"certify_example.certify.r1": b"0\n",
+                  "certify_example.forward.r1": b"2\n",
+                  "s1_forward.certify.r1": b"2\n",
+                  "s1_forward.forward.r1": b"0\n"}
+    assert Path("s1_forward.forward.r1", "u.csv") in a
+    assert Path("certify_example.certify.r1", "certificate.txt") in a

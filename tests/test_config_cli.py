@@ -76,7 +76,9 @@ def _run(args):
     ("noise.epsilon = -0.5", []), ("noise.epsilon = nan", []),
     ("sweep.epsilons = 1e-3, -1e-4", []), ("seed = -1", []),
     ("noise.seed = -1", []), ("recon.theta = -1", []),
-    ("noise.epsilon = 1e-3", ["--seed", "-1"])])
+    ("noise.epsilon = 1e-3", ["--seed", "-1"]),
+    ("extension.n_levels = 0", []), ("f.smoothness = -1", []),
+    ("q1.smoothness = -1", []), ("q2.smoothness = -1", [])])
 def test_out_of_range_values_exit_2(tmp_path, capsys, line, flags):
     text = (CONFIGS / "s1_forward.cfg").read_text() + line + "\n"
     if not flags:
@@ -87,7 +89,28 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, line, flags):
     rc = _run(["forward", "--config", str(cfg), "--out", str(tmp_path)]
               + flags)
     assert rc == 2
-    assert capsys.readouterr().err.count("ConfigError") == 1
+    err = capsys.readouterr().err
+    assert err.count("ConfigError") == 1
+    assert (flags[0] if flags else line.split(" =")[0]) in err
+
+
+def test_stability_centre_on_boundary_exit_3(tmp_path, capsys):
+    # the boundary scan's radii are fractions of dist(x0, boundary) = 0
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text((CONFIGS / "s1_stability.cfg").read_text().replace(
+        "scan.x0 = 0.0", "scan.x0 = 1.0"))
+    rc = _run(["stability", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 3
+    assert "GeometryError: center 1.0 outside omega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, command", [
+    ("extension.n_levels = 1", "ucp-scan"), ("f.smoothness = 0", "forward"),
+    ("q1.smoothness = 0", "forward"), ("q2.smoothness = 0", "forward")])
+def test_boundary_values_run(tmp_path, line, command):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text((CONFIGS / "s1_ucp_scan.cfg").read_text() + line + "\n")
+    assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_cmd_forward_files(tmp_path):
@@ -97,8 +120,8 @@ def test_cmd_forward_files(tmp_path):
     for name in ("u.csv", "measurement.csv", "apriori_report.txt"):
         assert (tmp_path / name).exists()
     lines = (tmp_path / "measurement.csv").read_text().splitlines()
-    geom, spec = fl.build_geometry((-1, 1), (2, 3), 0.5)
-    n_w = int(np.count_nonzero(fl.support_mask(geom, spec, "w")))
+    geom = fl.build_geometry((-1, 1), (2, 3), 0.5)
+    n_w = int(np.count_nonzero(fl.support_mask(geom, "w")))
     assert len(lines) == 3 + n_w   # hash comment, header keys, column row
 
 

@@ -231,7 +231,7 @@ def test_boundary_bulk_zero(s1, s1_field):
     zero = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
                              values=np.zeros_like(s1_field.values), s=0.5,
                              d_s=1.0, boundary=np.zeros(spec.n_super))
-    u0 = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "omega")
+    u0 = fl.make_grid_function(geom, np.zeros(spec.n_super), "omega")
     with pytest.raises(ZeroMassError):
         fl.boundary_bulk_check(geom, zero, u0, 0.0, 0.2)
 
@@ -267,7 +267,7 @@ def test_doubling_uniformity_across_potentials(s1, s1_op, s1_f, golden):
         rng = np.random.default_rng(seed)
         for _ in range(10):
             gf = fl.sample_profile(
-                geom, spec,
+                geom,
                 fl.bump_profile(rng.uniform(-0.2, 0.2),
                                 rng.uniform(0.3, 0.5),
                                 rng.uniform(-0.5, 0.5)),

@@ -60,7 +60,7 @@ def test_multiplier_clamps_beyond_underflow():
 
 def test_extend_zero(s1):
     geom, spec = s1
-    z = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "box")
+    z = fl.make_grid_function(geom, np.zeros(spec.n_super), "box")
     field = fl.extend(z, 0.5)
     assert np.all(field.values == 0.0)
 
@@ -69,7 +69,7 @@ def test_extend_poisson_half(s1):
     # s = 1/2 extension is the classical Poisson multiplier exp(-|xi| y)
     geom, spec = s1
     from fraclab.geometry import frequencies
-    u = fl.sample_profile(geom, spec, lambda x: np.exp(-x * x), "box",
+    u = fl.sample_profile(geom, lambda x: np.exp(-x * x), "box",
                           mode="point")
     y = np.array([0.0, 0.05, 0.3, 1.0, 2.5])
     field = fl.extend(u, 0.5, y)
@@ -118,7 +118,7 @@ def test_import_leaves_scipy_special_unloaded():
 
 def test_trace_recovery(s1):
     geom, spec = s1
-    u = fl.sample_profile(geom, spec, lambda x: np.exp(-x * x), "box",
+    u = fl.sample_profile(geom, lambda x: np.exp(-x * x), "box",
                           mode="point")
     y = np.concatenate([[0.0], np.geomspace(1e-4, 4.0, 40)])
     field = fl.extend(u, 0.5, y)
@@ -138,7 +138,7 @@ def test_trace_constant_half():
 def test_neumann_consistency(s1):
     # finite-difference route against the exact spectral route
     geom, spec = s1
-    u = fl.sample_profile(geom, spec, lambda x: np.exp(-x * x), "box",
+    u = fl.sample_profile(geom, lambda x: np.exp(-x * x), "box",
                           mode="point")
     for s in (0.3, 0.5, 0.7):
         field = fl.extend(u, s)
@@ -152,7 +152,7 @@ def test_neumann_consistency(s1):
 
 def test_neumann_zero(s1):
     geom, spec = s1
-    z = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "box")
+    z = fl.make_grid_function(geom, np.zeros(spec.n_super), "box")
     field = fl.extend(z, 0.5)
     assert np.all(fl.neumann_trace(field).values == 0.0)
 
@@ -216,15 +216,16 @@ def test_energy_bound_and_refinement_stability(s1, s1_f, s1_field):
     e1 = fl.weighted_gradient_norm(s1_field, box)
     c1 = e1 / fl.sobolev_norm(s1_f, s)
 
-    geom2, spec2 = fl.build_geometry(omega=geom.omega, w=geom.w, s=s,
-                                     box_halfwidth=geom.box_halfwidth,
-                                     n_super=2 * spec.n_super,
-                                     omega_prime=geom.omega_prime)
-    op2 = fl.assemble_dense(geom2, spec2)
-    f2 = fl.sample_profile(geom2, spec2, fl.bump_profile(2.5, 0.4), "w",
+    geom2 = fl.build_geometry(omega=geom.omega, w=geom.w, s=s,
+                              box_halfwidth=geom.box_halfwidth,
+                              n_super=2 * spec.n_super,
+                              omega_prime=geom.omega_prime)
+    spec2 = geom2.spec
+    op2 = fl.assemble_dense(geom2)
+    f2 = fl.sample_profile(geom2, fl.bump_profile(2.5, 0.4), "w",
                            mode="average")
     q0 = fl.make_potential(
-        geom2, fl.make_grid_function(geom2, spec2,
+        geom2, fl.make_grid_function(geom2,
                                      np.zeros(spec2.n_super), "omega_prime"))
     sol2 = fl.solve_forward(op2, q0, f2)
     field2 = fl.extend(sol2.u, s, fl.default_y_grid(s, n_levels=128))

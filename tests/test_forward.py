@@ -8,13 +8,13 @@ from fraclab.forward import system_matrix
 
 def _zero_potential(geom, spec):
     return fl.make_potential(
-        geom, fl.make_grid_function(geom, spec, np.zeros(spec.n_super),
+        geom, fl.make_grid_function(geom, np.zeros(spec.n_super),
                                     "omega_prime"))
 
 
 def test_zero_data_zero_solution(s1, s1_op, s1_q0):
     geom, spec = s1
-    f0 = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "w")
+    f0 = fl.make_grid_function(geom, np.zeros(spec.n_super), "w")
     sol = fl.solve_forward(s1_op, s1_q0, f0)
     assert np.all(sol.u.values == 0.0)
 
@@ -25,19 +25,19 @@ def test_forward_residual(s1, s1_solution):
 
 def test_forward_support(s1, s1_solution):
     geom, spec = s1
-    outside = ~fl.support_mask(geom, spec, "omega_w")
+    outside = ~fl.support_mask(geom, "omega_w")
     assert np.all(s1_solution.u.values[outside] == 0.0)
 
 
 def test_forward_window_values_imposed(s1, s1_f, s1_solution):
     geom, spec = s1
-    wmask = fl.support_mask(geom, spec, "w")
+    wmask = fl.support_mask(geom, "w")
     assert np.array_equal(s1_solution.u.values[wmask], s1_f.values[wmask])
 
 
 def test_forward_rejects_bad_data_support(s1, s1_op, s1_q0):
     geom, spec = s1
-    f_bad = fl.sample_profile(geom, spec, fl.bump_profile(0.0, 0.5), "omega",
+    f_bad = fl.sample_profile(geom, fl.bump_profile(0.0, 0.5), "omega",
                               mode="average")
     with pytest.raises(SupportError):
         fl.solve_forward(s1_op, s1_q0, f_bad)
@@ -46,13 +46,13 @@ def test_forward_rejects_bad_data_support(s1, s1_op, s1_q0):
 def test_mirror_symmetry(s1_op, s1_q0, s1_f):
     # solving the mirrored geometry with mirrored data mirrors the solution
     sol = fl.solve_forward(s1_op, s1_q0, s1_f)
-    geom_m, spec_m = fl.build_geometry(omega=(-1.0, 1.0), w=(-3.0, -2.0),
-                                       s=0.5, box_halfwidth=32.0,
-                                       n_super=4096,
-                                       omega_prime=(-0.75, 0.75))
-    op_m = fl.assemble_dense(geom_m, spec_m)
-    q0_m = _zero_potential(geom_m, spec_m)
-    f_m = fl.sample_profile(geom_m, spec_m, fl.bump_profile(-2.5, 0.4), "w",
+    geom_m = fl.build_geometry(omega=(-1.0, 1.0), w=(-3.0, -2.0),
+                               s=0.5, box_halfwidth=32.0,
+                               n_super=4096,
+                               omega_prime=(-0.75, 0.75))
+    op_m = fl.assemble_dense(geom_m)
+    q0_m = _zero_potential(geom_m, geom_m.spec)
+    f_m = fl.sample_profile(geom_m, fl.bump_profile(-2.5, 0.4), "w",
                             mode="average")
     sol_m = fl.solve_forward(op_m, q0_m, f_m)
     # cell-centered grid maps node i to node n-1-i under x -> -x
@@ -65,13 +65,13 @@ def test_wellposedness_random_scenarios(s1, s1_op):
     rng = np.random.default_rng(77)
     for _ in range(20):
         qgf = fl.sample_profile(
-            geom, spec,
+            geom,
             fl.bump_profile(rng.uniform(-0.2, 0.2), rng.uniform(0.3, 0.6),
                             rng.uniform(-1.0, 1.0)),
             "omega_prime", mode="average")
         q = fl.make_potential(geom, qgf)
         f = fl.sample_profile(
-            geom, spec,
+            geom,
             fl.bump_profile(rng.uniform(2.3, 2.7), rng.uniform(0.2, 0.35),
                             rng.uniform(0.5, 2.0)),
             "w", mode="average")
@@ -82,17 +82,17 @@ def test_wellposedness_random_scenarios(s1, s1_op):
 
 def test_reciprocity(s1, s1_op, s1_qbump):
     geom, spec = s1
-    wmask = fl.support_mask(geom, spec, "w")
+    wmask = fl.support_mask(geom, "w")
     h = spec.h
     rng = np.random.default_rng(13)
     for _ in range(5):
         f1 = fl.sample_profile(
-            geom, spec, fl.bump_profile(rng.uniform(2.2, 2.8),
-                                        rng.uniform(0.15, 0.3)), "w",
+            geom, fl.bump_profile(rng.uniform(2.2, 2.8),
+                                  rng.uniform(0.15, 0.3)), "w",
             mode="average")
         f2 = fl.sample_profile(
-            geom, spec, fl.bump_profile(rng.uniform(2.2, 2.8),
-                                        rng.uniform(0.15, 0.3)), "w",
+            geom, fl.bump_profile(rng.uniform(2.2, 2.8),
+                                  rng.uniform(0.15, 0.3)), "w",
             mode="average")
         m1 = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, f1))
         m2 = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, f2))
@@ -103,11 +103,11 @@ def test_reciprocity(s1, s1_op, s1_qbump):
 
 def test_dtn_linearity(s1, s1_op, s1_q0):
     geom, spec = s1
-    f1 = fl.sample_profile(geom, spec, fl.bump_profile(2.4, 0.3), "w",
+    f1 = fl.sample_profile(geom, fl.bump_profile(2.4, 0.3), "w",
                            mode="average")
-    f2 = fl.sample_profile(geom, spec, fl.bump_profile(2.7, 0.2), "w",
+    f2 = fl.sample_profile(geom, fl.bump_profile(2.7, 0.2), "w",
                            mode="average")
-    combo = fl.make_grid_function(geom, spec,
+    combo = fl.make_grid_function(geom,
                                   1.5 * f1.values - 0.5 * f2.values, "w")
     lam = lambda f: fl.dtn_map(
         s1_op, fl.solve_forward(s1_op, s1_q0, f)).lambda_f.values
@@ -121,8 +121,8 @@ def test_identical_potentials_zero_gap(s1, s1_op, s1_qbump, s1_f):
     m1 = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, s1_f))
     m2 = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, s1_f))
     gap = fl.make_grid_function(
-        geom, spec, m1.lambda_f.values - m2.lambda_f.values, "w")
-    assert fl.dual_norm_on_window(geom, gap, geom.s) <= 1e-12
+        geom, m1.lambda_f.values - m2.lambda_f.values, "w")
+    assert fl.dual_norm_on_window(geom, gap) <= 1e-12
 
 
 def test_eigen_gap_positive_at_zero_potential(s1_op, s1_q0):
@@ -134,15 +134,15 @@ def test_eigen_gap_resonant_shift(s1, s1_op):
     # (in nodal scaling) collapses the gap
     geom, spec = s1
     M0 = system_matrix(s1_op,
-                       fl.make_grid_function(geom, spec,
+                       fl.make_grid_function(geom,
                                              np.zeros(spec.n_super), "box"))
     lam1 = np.linalg.eigvalsh(M0)[0]
-    shift = np.where(fl.support_mask(geom, spec, "omega"),
+    shift = np.where(fl.support_mask(geom, "omega"),
                      -lam1 / spec.h, 0.0)
-    q_res = fl.make_grid_function(geom, spec, shift, "omega")
+    q_res = fl.make_grid_function(geom, shift, "omega")
     gap = fl.eigen_gap(system_matrix(s1_op, q_res))
     assert gap < 1e-10
-    f = fl.sample_profile(geom, spec, fl.bump_profile(2.5, 0.4), "w",
+    f = fl.sample_profile(geom, fl.bump_profile(2.5, 0.4), "w",
                           mode="average")
     with pytest.raises(EigenvalueError):
         fl.solve_forward(s1_op, q_res, f)
@@ -150,8 +150,8 @@ def test_eigen_gap_resonant_shift(s1, s1_op):
 
 def test_eigen_gap_monotone_under_nonnegative_shift(s1, s1_op, s1_q0):
     geom, spec = s1
-    vals = np.where(fl.support_mask(geom, spec, "omega_prime"), 0.3, 0.0)
-    q_pos = fl.make_grid_function(geom, spec, vals, "omega_prime")
+    vals = np.where(fl.support_mask(geom, "omega_prime"), 0.3, 0.0)
+    q_pos = fl.make_grid_function(geom, vals, "omega_prime")
     M0 = system_matrix(s1_op, s1_q0)
     M1 = system_matrix(s1_op, q_pos)
     lam0 = np.linalg.eigvalsh(M0)[0]
@@ -171,9 +171,9 @@ def test_add_noise_deterministic_and_calibrated(s1, s1_op, s1_q0, s1_f):
     n3 = fl.add_noise(geom, m, 1e-3, seed=6)
     assert not np.array_equal(n1.lambda_f.values, n3.lambda_f.values)
     pert = fl.make_grid_function(
-        geom, spec, n1.lambda_f.values - m.lambda_f.values, "w")
-    target = 1e-3 * fl.dual_norm_on_window(geom, m.lambda_f, geom.s)
-    assert fl.dual_norm_on_window(geom, pert, geom.s) == \
+        geom, n1.lambda_f.values - m.lambda_f.values, "w")
+    target = 1e-3 * fl.dual_norm_on_window(geom, m.lambda_f)
+    assert fl.dual_norm_on_window(geom, pert) == \
         pytest.approx(target, rel=1e-10)
 
 
@@ -192,5 +192,5 @@ def test_measurement_csv(tmp_path, s1, s1_op, s1_q0, s1_f):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# s=0.5 epsilon=0")
     assert lines[1] == "node_x,lambda_value"
-    n_w = int(np.count_nonzero(fl.support_mask(geom, spec, "w")))
+    n_w = int(np.count_nonzero(fl.support_mask(geom, "w")))
     assert len(lines) == 2 + n_w

@@ -7,8 +7,9 @@ from fraclab.errors import (GeometryError, OverlapError, ResolutionError,
 
 
 def test_build_geometry_s1():
-    geom, spec = fl.build_geometry(omega=(-1, 1), w=(2, 3), s=0.5,
-                                   box_halfwidth=32, n_super=4096)
+    geom = fl.build_geometry(omega=(-1, 1), w=(2, 3), s=0.5,
+                             box_halfwidth=32, n_super=4096)
+    spec = geom.spec
     assert spec.h == 2 * 32 / 4096
     assert spec.n_super == 4096
     # cell-centered nodes cover [-L, L)
@@ -40,10 +41,10 @@ def test_build_geometry_gap_below_two_cells():
     with pytest.raises(ResolutionError, match="two cells"):
         fl.build_geometry(omega=(-1.5, 0.0), w=(0.015625, 1.515625), s=0.5,
                           box_halfwidth=8.0, n_super=256)
-    geom, spec = fl.build_geometry(omega=(-1.5, 0.0), w=(0.125, 1.5), s=0.5,
-                                   box_halfwidth=8.0, n_super=256)
-    omega = fl.interval_mask(spec, geom.omega)
-    w = fl.interval_mask(spec, geom.w)
+    geom = fl.build_geometry(omega=(-1.5, 0.0), w=(0.125, 1.5), s=0.5,
+                             box_halfwidth=8.0, n_super=256)
+    omega = fl.support_mask(geom, "omega")
+    w = fl.support_mask(geom, "w")
     assert not np.any(omega & w)
 
 
@@ -71,8 +72,8 @@ def test_n_super_power_of_two():
 
 def test_interval_masks_and_snapping(s1):
     geom, spec = s1
-    m_omega = fl.interval_mask(spec, geom.omega)
-    m_w = fl.interval_mask(spec, geom.w)
+    m_omega = fl.support_mask(geom, "omega")
+    m_w = fl.support_mask(geom, "w")
     assert not np.any(m_omega & m_w)
     x = spec.nodes()
     # snapping moves endpoints by at most half a cell
@@ -85,7 +86,7 @@ def test_grid_function_support_enforced(s1):
     geom, spec = s1
     vals = np.ones(spec.n_super)
     with pytest.raises(SupportError):
-        fl.make_grid_function(geom, spec, vals, "w")
+        fl.make_grid_function(geom, vals, "w")
 
 
 def test_grid_function_rejects_nan(s1):
@@ -93,14 +94,14 @@ def test_grid_function_rejects_nan(s1):
     vals = np.zeros(spec.n_super)
     vals[0] = np.nan
     with pytest.raises(SupportError):
-        fl.make_grid_function(geom, spec, vals, "box")
+        fl.make_grid_function(geom, vals, "box")
 
 
 def test_sample_profile_modes_agree_for_smooth(s1):
     geom, spec = s1
     prof = fl.bump_profile(2.5, 0.4)
-    pt = fl.sample_profile(geom, spec, prof, "w", mode="point")
-    av = fl.sample_profile(geom, spec, prof, "w", mode="average")
+    pt = fl.sample_profile(geom, prof, "w", mode="point")
+    av = fl.sample_profile(geom, prof, "w", mode="average")
     # cell averaging is a second-order perturbation for smooth profiles
     scale = np.max(np.abs(pt.values))
     assert np.max(np.abs(pt.values - av.values)) < 5e-3 * scale
@@ -121,7 +122,7 @@ def test_potential_bounds_measured(s1, s1_qbump):
 
 def test_potential_support_enforced(s1):
     geom, spec = s1
-    gf = fl.sample_profile(geom, spec, fl.bump_profile(0.0, 0.9), "omega",
+    gf = fl.sample_profile(geom, fl.bump_profile(0.0, 0.9), "omega",
                            mode="point")
     with pytest.raises(SupportError):
         fl.make_potential(geom, gf)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,14 +59,14 @@ def test_quad_oracle_matches_analytic_constant():
 
 def test_apply_spectral_zero(s1):
     geom, spec = s1
-    z = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "box")
+    z = fl.make_grid_function(geom, np.zeros(spec.n_super), "box")
     assert np.all(fl.apply_spectral(z, 0.5).values == 0.0)
 
 
 @pytest.mark.parametrize("s,tol", [(0.25, 0.01), (0.5, 0.01), (0.75, 0.02)])
 def test_getoor_identity_spectral(s1, s, tol):
     geom, spec = s1
-    u = fl.sample_profile(geom, spec, getoor_profile(s), "omega",
+    u = fl.sample_profile(geom, getoor_profile(s), "omega",
                           mode="average")
     w = fl.apply_spectral(u, s)
     mask = np.abs(spec.nodes()) < 0.9
@@ -76,13 +77,13 @@ def test_getoor_identity_spectral(s1, s, tol):
 def test_apply_spectral_linearity(s1):
     geom, spec = s1
     rng = np.random.default_rng(21)
-    m = fl.support_mask(geom, spec, "omega")
+    m = fl.support_mask(geom, "omega")
     v1, v2 = np.zeros(spec.n_super), np.zeros(spec.n_super)
     v1[m] = rng.standard_normal(np.count_nonzero(m))
     v2[m] = rng.standard_normal(np.count_nonzero(m))
-    g1 = fl.make_grid_function(geom, spec, v1, "omega")
-    g2 = fl.make_grid_function(geom, spec, v2, "omega")
-    combo = fl.make_grid_function(geom, spec, 2.5 * v1 - 1.25 * v2, "omega")
+    g1 = fl.make_grid_function(geom, v1, "omega")
+    g2 = fl.make_grid_function(geom, v2, "omega")
+    combo = fl.make_grid_function(geom, 2.5 * v1 - 1.25 * v2, "omega")
     lhs = fl.apply_spectral(combo, 0.5).values
     rhs = 2.5 * fl.apply_spectral(g1, 0.5).values \
         - 1.25 * fl.apply_spectral(g2, 0.5).values
@@ -101,14 +102,14 @@ def test_apply_spectral_edge_guard(s1):
 def test_symmetry_both_backends(s1, s1_op):
     geom, spec = s1
     rng = np.random.default_rng(4)
-    m = fl.support_mask(geom, spec, "omega") | fl.support_mask(geom, spec, "w")
+    m = fl.support_mask(geom, "omega") | fl.support_mask(geom, "w")
     h = spec.h
     for _ in range(10):
         v1, v2 = np.zeros(spec.n_super), np.zeros(spec.n_super)
         v1[m] = rng.standard_normal(np.count_nonzero(m))
         v2[m] = rng.standard_normal(np.count_nonzero(m))
-        g1 = fl.make_grid_function(geom, spec, v1, "omega_w")
-        g2 = fl.make_grid_function(geom, spec, v2, "omega_w")
+        g1 = fl.make_grid_function(geom, v1, "omega_w")
+        g2 = fl.make_grid_function(geom, v2, "omega_w")
         a1 = fl.apply_spectral(g1, geom.s).values
         a2 = fl.apply_spectral(g2, geom.s).values
         lhs = h * np.dot(a1, v2)
@@ -124,11 +125,11 @@ def test_symmetry_both_backends(s1, s1_op):
 def test_positivity(s1, s1_op):
     geom, spec = s1
     rng = np.random.default_rng(9)
-    m = fl.support_mask(geom, spec, "omega")
+    m = fl.support_mask(geom, "omega")
     for _ in range(100):
         v = np.zeros(spec.n_super)
         v[m] = rng.standard_normal(np.count_nonzero(m))
-        g = fl.make_grid_function(geom, spec, v, "omega")
+        g = fl.make_grid_function(geom, v, "omega")
         assert np.dot(fl.apply_spectral(g, geom.s).values, v) >= 0.0
         assert np.dot(fl.apply_dense(s1_op, g), v[s1_op.active]) >= 0.0
 
@@ -136,7 +137,7 @@ def test_positivity(s1, s1_op):
 def test_parity(s1):
     geom, spec = s1
     x = spec.nodes()
-    even = fl.sample_profile(geom, spec, lambda t: np.exp(-4 * t * t), "box",
+    even = fl.sample_profile(geom, lambda t: np.exp(-4 * t * t), "box",
                              mode="point")
     w = fl.apply_spectral(even, 0.5).values
     assert np.max(np.abs(w - w[::-1])) <= 1e-12 * np.max(np.abs(w))
@@ -150,7 +151,7 @@ def test_symbol_consistency_midband(s1):
     env = np.where(np.abs(x) < 14.0, np.exp(-x * x / (2 * 4.0 ** 2)), 0.0)
     for frac in (0.1, 0.25, 0.5):
         k0 = frac * ximax
-        u = fl.make_grid_function(geom, spec, env * np.cos(k0 * x), "box")
+        u = fl.make_grid_function(geom, env * np.cos(k0 * x), "box")
         w = fl.apply_spectral(u, 0.5)
         sel = np.abs(x) < 3.0
         ratio = np.linalg.norm(w.values[sel]) / np.linalg.norm(u.values[sel])
@@ -255,11 +256,11 @@ def test_apply_dense_leaves_scipy_linalg_unloaded():
     # dense backend pays for importing scipy.linalg
     src = Path(fl.__file__).resolve().parents[1]
     code = ("import sys, fraclab as fl; "
-            "g, sp = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), "
+            "g = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), "
             "s=0.5, box_halfwidth=32.0, n_super=1024); "
-            "u = fl.sample_profile(g, sp, fl.bump_profile(0.0, 0.5), "
+            "u = fl.sample_profile(g, fl.bump_profile(0.0, 0.5), "
             "'omega'); "
-            "fl.apply_dense(fl.assemble_dense(g, sp), u); "
+            "fl.apply_dense(fl.assemble_dense(g), u); "
             "print('scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -272,11 +273,11 @@ def test_constant_indicator_interior_action(s1, s1_op):
     geom, spec = s1
     x = spec.nodes()
     vals = np.where(np.abs(x) <= 1.5, 1.0, 0.0)
-    g = fl.make_grid_function(geom, spec, vals, "box")
+    g = fl.make_grid_function(geom, vals, "box")
     inner = fl.apply_spectral(g, 0.5).values[np.abs(x) < 0.2]
     hat_vals = np.zeros(spec.n_super)
     hat_vals[np.argmin(np.abs(x))] = 1.0
-    bump = fl.make_grid_function(geom, spec, hat_vals, "box")
+    bump = fl.make_grid_function(geom, hat_vals, "box")
     ref = np.max(np.abs(fl.apply_spectral(bump, 0.5).values))
     assert np.max(np.abs(inner)) < 0.05 * ref
 
@@ -296,7 +297,7 @@ def _backend_discrepancy(op, u):
 def test_cross_validate_tent(s1, s1_op):
     # macroscopic tent at the domain center
     geom, spec = s1
-    u = fl.sample_profile(geom, spec, _tent_profile(0.0, 0.7), "omega",
+    u = fl.sample_profile(geom, _tent_profile(0.0, 0.7), "omega",
                           mode="average")
     disc = _backend_discrepancy(s1_op, u)
     assert disc <= 5e-3, disc
@@ -310,7 +311,7 @@ def test_backend_agreement_random_bumps(s1, s1_op):
         center = rng.uniform(-0.15, 0.15)
         width = rng.uniform(0.5, 0.8)
         amp = rng.uniform(0.5, 2.0)
-        u = fl.sample_profile(geom, spec,
+        u = fl.sample_profile(geom,
                               fl.bump_profile(center, width, amp), "omega",
                               mode="average")
         disc = _backend_discrepancy(s1_op, u)
@@ -323,11 +324,8 @@ def test_backend_agreement_random_bumps(s1, s1_op):
 def test_getoor_identity_dense(s1, s):
     # dense Galerkin route nails the identity well inside the support
     geom, spec = s1
-    op = fl.assemble_dense(
-        fl.Geometry(s=s, omega=geom.omega, w=geom.w,
-                    omega_prime=geom.omega_prime,
-                    box_halfwidth=geom.box_halfwidth), spec)
-    u = fl.sample_profile(geom, spec, getoor_profile(s), "omega",
+    op = fl.assemble_dense(replace(geom, s=s))
+    u = fl.sample_profile(geom, getoor_profile(s), "omega",
                           mode="average")
     vals = fl.apply_dense(op, u)
     x = spec.nodes()[op.active]

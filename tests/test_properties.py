@@ -1,4 +1,7 @@
-"""Property tests of the dense operator over s and the geometry."""
+"""Property tests of the geometry's node slices and of the dense operator
+and the forward map over s and the geometry."""
+
+import math
 
 import numpy as np
 import pytest
@@ -17,9 +20,9 @@ PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 @example(s=0.5)
 def test_assembled_matrix_symmetric_positive_definite(s):
     # a small accepted geometry: 66 omega nodes, 18 window nodes, 128 active
-    geom, spec = fl.build_geometry(omega=(-1.0, 1.0), w=(1.5, 2.0), s=s,
-                                   box_halfwidth=8.0, n_super=512)
-    A = fl.assemble_dense(geom, spec).matrix
+    geom = fl.build_geometry(omega=(-1.0, 1.0), w=(1.5, 2.0), s=s,
+                             box_halfwidth=8.0, n_super=512)
+    A = fl.assemble_dense(geom).matrix
     assert np.array_equal(A, A.T)
     ev = np.linalg.eigvalsh(A)
     assert ev[0] > 0.0
@@ -67,15 +70,93 @@ def _placements(draw):
 @given(_placements())
 def test_assembly_is_contiguous_toeplitz(placement):
     s, omega, w, n_super = placement
-    geom, spec = fl.build_geometry(omega=omega, w=w, s=s, box_halfwidth=8.0,
-                                   n_super=n_super)
-    op = fl.assemble_dense(geom, spec)
-    i = op.active
+    geom = fl.build_geometry(omega=omega, w=w, s=s, box_halfwidth=8.0,
+                             n_super=n_super)
+    spec = geom.spec
+    op = fl.assemble_dense(geom)
+    i = np.arange(spec.n_super)[op.active]
     assert np.array_equal(i, np.arange(i[0], i[-1] + 1))
     assert np.array_equal(i, _active_as_two_intervals(geom, spec))
-    assert np.array_equal(i[op.omega_pos], op.omega_idx)
-    assert np.array_equal(i[op.w_pos], op.w_idx)
+    assert np.array_equal(i[op.omega_pos],
+                          np.nonzero(fl.support_mask(geom, "omega"))[0])
+    assert np.array_equal(i[op.w_pos],
+                          np.nonzero(fl.support_mask(geom, "w"))[0])
     lags = stiffness_lags(s, spec.h, int(i[-1] - i[0]))
     gathered = lags[np.abs(i[:, None] - i[None, :])]
     assert op.matrix.tobytes() == gathered.tobytes()
     assert op.matrix.flags.c_contiguous and op.matrix.flags.owndata
+
+
+@PROPERTY_SETTINGS
+@given(_placements(), st.floats(0.0, 2.0))
+def test_reciprocity_and_residual(placement, amp):
+    # <Lambda f1, f2>_w = <f1, Lambda f2>_w with a bump q >= 0 in omega'
+    s, omega, w, n_super = placement
+    geom = fl.build_geometry(omega=omega, w=w, s=s, box_halfwidth=8.0,
+                             n_super=n_super)
+    op = fl.assemble_dense(geom)
+    (a, b), (c, d) = geom.omega_prime, geom.w
+    q = fl.make_potential(geom, fl.sample_profile(
+        geom, fl.bump_profile((a + b) / 2, (b - a) / 2, amp), "omega_prime",
+        mode="average"))
+    sols = [fl.solve_forward(op, q, fl.sample_profile(
+        geom, fl.bump_profile(c + t * (d - c), 0.3 * (d - c)), "w",
+        mode="average")) for t in (0.4, 0.6)]
+    m1, m2 = (fl.dtn_map(op, sol).lambda_f.values[geom.w_nodes]
+              for sol in sols)
+    f1, f2 = (sol.f.values[geom.w_nodes] for sol in sols)
+    assert np.dot(m1, f2) == pytest.approx(np.dot(f1, m2), rel=1e-9)
+    assert max(sol.residual for sol in sols) <= 1e-10
+
+
+def _snapped_mask(spec, interval):
+    """The snap rule over the whole grid: each endpoint goes to its nearest
+    node, ties outward, and every node in the snapped interval is in."""
+    t_lo = (interval[0] - spec.origin) / spec.h
+    t_hi = (interval[1] - spec.origin) / spec.h
+    lo = spec.origin + math.ceil(t_lo - 0.5 - 1e-9) * spec.h
+    hi = spec.origin + math.floor(t_hi + 0.5 + 1e-9) * spec.h
+    x = spec.nodes()
+    tol = spec.h * 1e-9
+    return (x >= lo - tol) & (x <= hi + tol)
+
+
+# where an endpoint sits in its cell, in cells from the left boundary: on
+# the boundary (a tie between two nodes), on the node, or anywhere
+_IN_CELL = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)
+
+
+@st.composite
+def _snap_cases(draw):
+    """L, n_super, and omega, w (either order) and omega' as endpoints."""
+    L = draw(st.sampled_from([4.0, 8.0, 32.0]))
+    n = 2 ** draw(st.integers(8, 14))
+    m = n // 4                          # cells in the central quarter
+    a = draw(st.integers(0, m - 41))
+    len1 = draw(st.integers(17, m - 24 - a))
+    gap = draw(st.integers(4, m - 20 - a - len1))
+    len2 = draw(st.integers(17, m - 1 - a - len1 - gap))
+    first = (a, a + len1)
+    second = (a + len1 + gap, a + len1 + gap + len2)
+    omega, w = (second, first) if draw(st.booleans()) else (first, second)
+    i = draw(st.integers(1, omega[1] - omega[0] - 2))
+    k = draw(st.integers(i + 1, omega[1] - omega[0] - 1))
+    h = 2 * L / n
+    cells = (omega, w, (omega[0] + i, omega[0] + k))
+    return L, n, *[tuple(-L / 4 + (c + draw(_IN_CELL)) * h for c in iv)
+                   for iv in cells]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_snap_cases())
+def test_node_slices_match_whole_grid_snap(case):
+    L, n_super, omega, w, prime = case
+    geom = fl.build_geometry(omega=omega, w=w, s=0.5, box_halfwidth=L,
+                             n_super=n_super, omega_prime=prime)
+    for interval, nodes, tag in ((omega, geom.omega_nodes, "omega"),
+                                 (w, geom.w_nodes, "w"),
+                                 (prime, geom.prime_nodes, "omega_prime")):
+        mask = np.zeros(n_super, dtype=bool)
+        mask[nodes] = True
+        assert np.array_equal(mask, _snapped_mask(geom.spec, interval)), tag
+        assert np.array_equal(fl.support_mask(geom, tag), mask)

@@ -18,11 +18,11 @@ def test_gram_row_matches_sobolev_norm(s1):
     geom, spec = s1
     rng = np.random.default_rng(8)
     row = hs_gram_row(spec, geom.s)
-    omega_idx = np.nonzero(fl.interval_mask(spec, geom.omega))[0]
+    omega_idx = np.nonzero(fl.support_mask(geom, "omega"))[0]
     G = row[np.abs(omega_idx[:, None] - omega_idx[None, :])]
     vals = np.zeros(spec.n_super)
     vals[omega_idx] = rng.standard_normal(len(omega_idx))
-    g = fl.make_grid_function(geom, spec, vals, "omega")
+    g = fl.make_grid_function(geom, vals, "omega")
     direct = fl.sobolev_norm(g, geom.s) ** 2
     quad = vals[omega_idx] @ G @ vals[omega_idx]
     assert quad == pytest.approx(direct, rel=1e-10)
@@ -30,7 +30,7 @@ def test_gram_row_matches_sobolev_norm(s1):
 
 def test_recover_u_zero_data(s1, s1_op, s1_q0):
     geom, spec = s1
-    zero = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "w")
+    zero = fl.make_grid_function(geom, np.zeros(spec.n_super), "w")
     m = fl.Measurement(lambda_f=zero, noise_level=0.0, seed=None)
     rec = fl.recover_u(s1_op, zero, m, strategy=("fixed", 1e-10))
     assert np.all(rec.u_rec.values == 0.0)
@@ -49,7 +49,7 @@ def test_recover_u_window_values_kept(s1, s1_op, s1_f, s1_bump_problem):
     geom, spec = s1
     _, lam = s1_bump_problem
     rec = fl.recover_u(s1_op, s1_f, lam, strategy=("fixed", 1e-12))
-    wmask = fl.support_mask(geom, spec, "w")
+    wmask = fl.support_mask(geom, "w")
     assert np.array_equal(rec.u_rec.values[wmask], s1_f.values[wmask])
 
 
@@ -57,7 +57,7 @@ def test_recover_u_discrepancy_bracket(s1, s1_op, s1_f, s1_bump_problem):
     geom, spec = s1
     sol, lam = s1_bump_problem
     noisy = fl.add_noise(geom, lam, 1e-4, seed=3)
-    w_idx = np.nonzero(fl.interval_mask(spec, geom.w))[0]
+    w_idx = np.nonzero(fl.support_mask(geom, "w"))[0]
     delta = float(np.sqrt(spec.h) * np.linalg.norm(
         (noisy.lambda_f.values - lam.lambda_f.values)[w_idx]))
     rec = fl.recover_u(s1_op, s1_f, noisy,
@@ -89,9 +89,11 @@ def test_recover_u_normal_equations(s1, s1_op, s1_f, s1_bump_problem, lam):
     op, h = s1_op, spec.h
     M = op.matrix[op.w_pos, op.omega_pos] / h
     A_ww = op.matrix[op.w_pos, op.w_pos] / h
-    b = meas.lambda_f.values[op.w_idx] - A_ww @ s1_f.values[op.w_idx]
+    w_idx = np.nonzero(fl.support_mask(geom, "w"))[0]
+    omega_idx = np.nonzero(fl.support_mask(geom, "omega"))[0]
+    b = meas.lambda_f.values[w_idx] - A_ww @ s1_f.values[w_idx]
     G = hs_gram_row(spec, geom.s)[
-        np.abs(op.omega_idx[:, None] - op.omega_idx[None, :])]
+        np.abs(omega_idx[:, None] - omega_idx[None, :])]
     # the system has condition ~2.5e7 at lam = 1e-10: one refinement step
     # with the residual in extended precision restores the digits a plain
     # float64 solve loses (5e-10 before, 6e-13 after)
@@ -100,21 +102,21 @@ def test_recover_u_normal_equations(s1, s1_op, s1_f, s1_bump_problem, lam):
     ref = np.linalg.solve(K.astype(float), rhs.astype(float))
     ref += np.linalg.solve(K.astype(float), (rhs - K @ ref).astype(float))
     rec = fl.recover_u(op, s1_f, meas, strategy=("fixed", lam))
-    v = rec.u_rec.values[op.omega_idx]
+    v = rec.u_rec.values[omega_idx]
     assert np.linalg.norm(v - ref) < 1e-9 * np.linalg.norm(ref)
 
 
 def test_recover_u_cache_keyed_by_operator(s1_op, s1_f, s1_bump_problem):
     # alternating operators never reuse the other's factorization
     _, meas = s1_bump_problem
-    geom2, spec2 = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
-                                     box_halfwidth=32.0, n_super=8192,
-                                     omega_prime=(-0.75, 0.75))
-    op2 = fl.assemble_dense(geom2, spec2)
-    f2 = fl.sample_profile(geom2, spec2, fl.bump_profile(2.5, 0.4), "w",
+    geom2 = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
+                              box_halfwidth=32.0, n_super=8192,
+                              omega_prime=(-0.75, 0.75))
+    op2 = fl.assemble_dense(geom2)
+    f2 = fl.sample_profile(geom2, fl.bump_profile(2.5, 0.4), "w",
                            mode="average")
     q2 = fl.make_potential(geom2, fl.sample_profile(
-        geom2, spec2, fl.bump_profile(0.0, 0.5, 0.5), "omega_prime",
+        geom2, fl.bump_profile(0.0, 0.5, 0.5), "omega_prime",
         mode="average"))
     meas2 = fl.dtn_map(op2, fl.solve_forward(op2, q2, f2))
     cases = [(s1_op, s1_f, meas), (op2, f2, meas2)]
@@ -138,8 +140,8 @@ def test_recover_q_round_trip(s1_op, s1_qbump, s1_bump_problem):
 def test_recover_q_guard_on_sign_change(s1, s1_op, s1_qbump):
     geom, spec = s1
     x = spec.nodes()
-    vals = np.where(fl.support_mask(geom, spec, "omega_w"), np.sin(3 * x), 0.0)
-    u = fl.make_grid_function(geom, spec, vals, "omega_w")
+    vals = np.where(fl.support_mask(geom, "omega_w"), np.sin(3 * x), 0.0)
+    u = fl.make_grid_function(geom, vals, "omega_w")
     base = fl.ReconstructionResult(u_rec=u, q_rec=None, reg_param=0.0,
                                    discrepancy=0.0, excluded=None,
                                    u_error_l2=None, q_error_sup=None)
@@ -155,7 +157,7 @@ def test_recover_q_guard_on_sign_change(s1, s1_op, s1_qbump):
 
 def test_recover_q_all_excluded(s1, s1_op, s1_qbump):
     geom, spec = s1
-    u = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "omega_w")
+    u = fl.make_grid_function(geom, np.zeros(spec.n_super), "omega_w")
     base = fl.ReconstructionResult(u_rec=u, q_rec=None, reg_param=0.0,
                                    discrepancy=0.0, excluded=None,
                                    u_error_l2=None, q_error_sup=None)
@@ -170,7 +172,7 @@ def test_recover_q_zero_outside_support(s1, s1_op, s1_qbump, s1_bump_problem):
                                    discrepancy=0.0, excluded=None,
                                    u_error_l2=None, q_error_sup=None)
     rec = fl.recover_q(s1_op, base, 1e-6, s1_qbump.holder_bound)
-    outside = ~fl.support_mask(geom, spec, "omega_prime")
+    outside = ~fl.support_mask(geom, "omega_prime")
     assert np.all(rec.q_rec.values[outside] == 0.0)
 
 

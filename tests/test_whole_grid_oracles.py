@@ -32,13 +32,13 @@ def sample_whole_grid(geom, spec, profile, support, mode):
             vals += np.asarray(profile(x + o), dtype=float)
         vals /= m
     if support != "box":
-        vals = np.where(fl.support_mask(geom, spec, support), vals, 0.0)
+        vals = np.where(fl.support_mask(geom, support), vals, 0.0)
     return vals
 
 
 def holder_norm_all_pairs(geom, spec, values, s):
     """The C^{0,s} norm from the full n x n matrix of node pairs."""
-    mask = fl.interval_mask(spec, geom.omega)
+    mask = fl.support_mask(geom, "omega")
     x = spec.nodes()[mask]
     q = np.asarray(values, dtype=float)[mask]
     supq = float(np.max(np.abs(q))) if q.size else 0.0
@@ -76,18 +76,19 @@ PROFILES = {
 def test_sample_profile_matches_whole_grid(s1, name, support, mode):
     geom, spec = s1
     prof = PROFILES[name]
-    got = fl.sample_profile(geom, spec, prof, support, mode=mode)
+    got = fl.sample_profile(geom, prof, support, mode=mode)
     ref = sample_whole_grid(geom, spec, prof, support, mode)
     assert got.values.tobytes() == ref.tobytes()
 
 
 def test_holder_norm_interval_shorter_than_cap():
     # omega spans less than the cap |x - y| <= 1: every pair is in the band
-    geom, spec = fl.build_geometry(omega=(-0.4, 0.4), w=(2.0, 3.0), s=0.3,
-                                   n_super=4096)
-    vals = np.where(fl.interval_mask(spec, geom.omega_prime),
+    geom = fl.build_geometry(omega=(-0.4, 0.4), w=(2.0, 3.0), s=0.3,
+                             n_super=4096)
+    spec = geom.spec
+    vals = np.where(fl.support_mask(geom, "omega_prime"),
                     np.sin(7.0 * spec.nodes()), 0.0)
-    assert fl.holder_norm(geom, spec, vals, 0.3) == \
+    assert fl.holder_norm(geom, vals) == \
         holder_norm_all_pairs(geom, spec, vals, 0.3)
 
 
@@ -96,8 +97,9 @@ def _potentials(draw):
     """s, a grid size and a sum of one to three bumps inside omega'."""
     s = draw(st.floats(0.01, 0.99))
     n_super = draw(st.sampled_from([1024, 4096, 16384]))
-    geom, spec = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=s,
-                                   n_super=n_super, omega_prime=(-0.75, 0.75))
+    geom = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=s,
+                             n_super=n_super, omega_prime=(-0.75, 0.75))
+    spec = geom.spec
     x = spec.nodes()
     vals = np.zeros(spec.n_super)
     for _ in range(draw(st.integers(1, 3))):
@@ -109,15 +111,17 @@ def _potentials(draw):
     return geom, spec, vals
 
 
+_HALF = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(_potentials(), st.booleans())
-@example((*fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5),
-          np.zeros(4096)), False)
+@example((_HALF, _HALF.spec, np.zeros(4096)), False)
 def test_holder_norm_matches_all_pairs(potential, zero):
     geom, spec, vals = potential
     if zero:
         vals = np.zeros_like(vals)
-    got = fl.holder_norm(geom, spec, vals, geom.s)
+    got = fl.holder_norm(geom, vals)
     assert got == holder_norm_all_pairs(geom, spec, vals, geom.s)
     if zero:
         assert got == 0.0
@@ -129,7 +133,7 @@ def random_field(s1):
     # and any change to a kept level's y difference would show
     geom, spec = s1
     y = fl.default_y_grid(0.25)
-    u = fl.make_grid_function(geom, spec, np.zeros(spec.n_super), "box")
+    u = fl.make_grid_function(geom, np.zeros(spec.n_super), "box")
     field = fl.extend(u, 0.25, y)
     vals = np.random.default_rng(7).standard_normal(field.values.shape)
     return replace(field, values=vals)

@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Run the CLI over the shipped configs and keep everything each run leaves.
+
+    python tools/cli_outputs.py [--src DIR] OUT_DIR
+
+runs ``forward``, ``ucp-scan``, ``stability`` and ``certify`` on every
+``configs/*.cfg`` at ``--resolution`` 1, 2 and 4 (60 runs).  Each run is
+a subprocess of ``python -m fraclab.cli`` with ``PYTHONPATH`` set to DIR
+(default: this checkout's ``src``) and one BLAS thread, and writes into
+``OUT_DIR/<cfg>.<cmd>.r<res>/`` the files the command wrote plus
+``stdout``, ``stderr`` and ``rc`` (its exit code).  ``--configs``,
+``--commands`` and ``--resolutions`` narrow the set.
+
+To check that a change leaves every CLI output byte-identical, run the
+tool on the parent's sources and on the change's, and compare the trees:
+
+    git clone -q . /tmp/parent && git -C /tmp/parent checkout -q HEAD~1
+    python tools/cli_outputs.py --src /tmp/parent/src /tmp/before
+    python tools/cli_outputs.py /tmp/after
+    diff -r /tmp/before /tmp/after
+
+Both sides read the config files of this checkout, so only the sources
+differ.  An empty ``diff`` means every file, stdout, stderr and exit code
+is the same.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ("forward", "ucp-scan", "stability", "certify")
+RESOLUTIONS = (1, 2, 4)
+
+
+def run_all(src: Path, out_dir: Path, configs, commands=COMMANDS,
+            resolutions=RESOLUTIONS) -> None:
+    """Run every (config, command, resolution) and write its outputs."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for cfg in configs:
+        for cmd in commands:
+            for res in resolutions:
+                run_dir = out_dir / f"{cfg.stem}.{cmd}.r{res}"
+                run_dir.mkdir(parents=True)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "fraclab.cli", cmd,
+                     "--config", str(cfg), "--out", str(run_dir),
+                     "--resolution", str(res)],
+                    cwd=run_dir, env=env, capture_output=True)
+                (run_dir / "stdout").write_bytes(proc.stdout)
+                (run_dir / "stderr").write_bytes(proc.stderr)
+                (run_dir / "rc").write_text(f"{proc.returncode}\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out_dir", metavar="OUT_DIR", type=Path,
+                        help="new or empty directory for the run trees")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        metavar="DIR", help="directory holding fraclab")
+    parser.add_argument("--configs", nargs="+", metavar="NAME",
+                        help="config file names in configs/ (default: all)")
+    parser.add_argument("--commands", nargs="+", choices=COMMANDS,
+                        default=COMMANDS)
+    parser.add_argument("--resolutions", nargs="+", type=int,
+                        default=RESOLUTIONS, metavar="MULT")
+    args = parser.parse_args(argv)
+    if args.out_dir.exists() and any(args.out_dir.iterdir()):
+        parser.error(f"{args.out_dir} is not empty")
+    if args.configs:
+        configs = [ROOT / "configs" / name for name in args.configs]
+    else:
+        configs = sorted((ROOT / "configs").glob("*.cfg"))
+    run_all(args.src.resolve(), args.out_dir.resolve(), configs,
+            args.commands, args.resolutions)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,14 +21,15 @@ EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
 def s1_objects(n_super=4096, n_levels=64):
-    geom, spec = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
-                                   box_halfwidth=32.0, n_super=n_super,
-                                   omega_prime=(-0.75, 0.75))
-    op = fl.assemble_dense(geom, spec)
-    f = fl.sample_profile(geom, spec, fl.bump_profile(2.5, 0.4), "w",
+    geom = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
+                             box_halfwidth=32.0, n_super=n_super,
+                             omega_prime=(-0.75, 0.75))
+    spec = geom.spec
+    op = fl.assemble_dense(geom)
+    f = fl.sample_profile(geom, fl.bump_profile(2.5, 0.4), "w",
                           mode="average")
     q0 = fl.make_potential(
-        geom, fl.make_grid_function(geom, spec, np.zeros(spec.n_super),
+        geom, fl.make_grid_function(geom, np.zeros(spec.n_super),
                                     "omega_prime"))
     sol = fl.solve_forward(op, q0, f)
     field = fl.extend(sol.u, geom.s, fl.default_y_grid(geom.s,
@@ -70,7 +71,7 @@ def main():
         stats = []
         for _ in range(10):
             gf = fl.sample_profile(
-                geom, spec,
+                geom,
                 fl.bump_profile(rng.uniform(-0.2, 0.2),
                                 rng.uniform(0.3, 0.5),
                                 rng.uniform(-0.5, 0.5)),
@@ -86,7 +87,7 @@ def main():
 
     # exact-data recovery error (fixed tiny regularization)
     qb = fl.make_potential(
-        geom, fl.sample_profile(geom, spec, fl.bump_profile(0.0, 0.5, 0.5),
+        geom, fl.sample_profile(geom, fl.bump_profile(0.0, 0.5, 0.5),
                                 "omega_prime", mode="average"))
     solq = fl.solve_forward(op, qb, f)
     lamq = fl.dtn_map(op, solq)
