@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -310,3 +313,22 @@ sweep.epsilons = 1e-3, 1e-5
     for cmd in ("ucp-scan", "stability"):
         out = tmp_path / cmd
         assert _run([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: with scipy made unimportable,
+    # every subcommand still exits 0
+    src = Path(fl.__file__).resolve().parents[1]
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from fraclab.cli import main\n"
+            "codes = [main([cmd, '--config', cfg, '--out', cmd])\n"
+            "         for cmd, cfg in zip(sys.argv[1::2], sys.argv[2::2])]\n"
+            "print(codes)\n")
+    runs = [("forward", "s1_forward"), ("ucp-scan", "s1_ucp_scan"),
+            ("stability", "s1_stability"), ("certify", "certify_example")]
+    args = [a for cmd, cfg in runs for a in (cmd, str(CONFIGS / f"{cfg}.cfg"))]
+    out = subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0]"

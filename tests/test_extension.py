@@ -105,8 +105,8 @@ def test_gradient_dx_matches_complex_fft(s1_field):
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # scipy.special is imported on the first multiplier call, never by
-    # `import fraclab`, so subcommands that never extend do not pay for it
+    # the multiplier is evaluated in numpy; scipy.special is a test oracle
+    # only, and `import fraclab` must not pay for it
     src = Path(fl.__file__).resolve().parents[1]
     code = ("import sys, fraclab; "
             "print('scipy.special' in sys.modules)")
@@ -140,7 +140,7 @@ def test_neumann_consistency(s1):
     geom, spec = s1
     u = fl.sample_profile(geom, lambda x: np.exp(-x * x), "box",
                           mode="point")
-    for s in (0.3, 0.5, 0.7):
+    for s in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
         field = fl.extend(u, s)
         fd = fl.neumann_trace_fd(field)
         ref = fl.apply_spectral(u, s).values
@@ -175,6 +175,42 @@ def test_y_weights_integrate_weight_exactly():
         clip = y_quadrature_weights(y, s, clip=(0.25, 1.0))
         exact = (1.0 ** (2 - 2 * s) - 0.25 ** (2 - 2 * s)) / (2 - 2 * s)
         assert np.sum(clip) == pytest.approx(exact, rel=1e-12)
+
+
+def _y_weights_per_hat(y, s, clip=None):
+    """The hat integrals one flank at a time, as a loop over the levels."""
+    lo, hi = (y[0], y[-1]) if clip is None else clip
+    wts = np.zeros(len(y))
+    for j in range(len(y)):
+        if j > 0:
+            a, b = max(y[j - 1], lo), min(y[j], hi)
+            if b > a:
+                p = (b ** (2 - 2 * s) - a ** (2 - 2 * s)) / (2 - 2 * s)
+                q = (b ** (3 - 2 * s) - a ** (3 - 2 * s)) / (3 - 2 * s)
+                wts[j] += (q - y[j - 1] * p) / (y[j] - y[j - 1])
+        if j < len(y) - 1:
+            a, b = max(y[j], lo), min(y[j + 1], hi)
+            if b > a:
+                p = (b ** (2 - 2 * s) - a ** (2 - 2 * s)) / (2 - 2 * s)
+                q = (b ** (3 - 2 * s) - a ** (3 - 2 * s)) / (3 - 2 * s)
+                wts[j] += (y[j + 1] * p - q) / (y[j + 1] - y[j])
+    return wts
+
+
+def test_y_weights_match_per_hat_loop():
+    # the vectorized flanks against the loop over levels; clips between
+    # levels, on levels, below the first and above the last.  Array and
+    # scalar powers may round apart, and each flank's q - y p cancels on
+    # thin cells, so the bound is the 1e-12 of the test above, taken of
+    # the rule's total weight
+    for s in (0.05, 0.25, 0.5, 0.75, 0.95):
+        y = fl.default_y_grid(s, height=8.5)
+        for clip in (None, (0.25, 1.0), (float(y[3]), float(y[40])),
+                     (0.0, 1e-30), (8.0, 8.5), (0.0, 8.5)):
+            got = y_quadrature_weights(y, s, clip=clip)
+            ref = _y_weights_per_hat(y, s, clip)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.sum(ref), (s, clip)
+            assert np.array_equal(got == 0, ref == 0), (s, clip)
 
 
 def test_weighted_norm_zero_and_monotone(s1, s1_field):

@@ -1,5 +1,6 @@
-"""Property tests of the geometry's node slices and of the dense operator
-and the forward map over s and the geometry."""
+"""Property tests of the geometry's node slices, of the dense operator
+and the forward map over s and the geometry, and of the extension
+multiplier over s and t."""
 
 import math
 
@@ -10,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import fraclab as fl
+from fraclab.extension import BESSEL_CLAMP, extension_multiplier
 from fraclab.fracop import stiffness_lags
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
@@ -59,7 +61,8 @@ def _placements(draw):
     # build_geometry needs two cells between them; the extra half cell
     # keeps rounding in the endpoints from taking the gap below that
     gap = draw(st.floats(2.5 * 16.0 / n_super, 3.9 - len_a - len_b))
-    left = draw(st.floats(-1.95, 1.95 - len_a - gap - len_b))
+    # at the largest gap the upper end rounds to just below -1.95
+    left = draw(st.floats(-1.95, max(-1.95, 1.95 - len_a - gap - len_b)))
     a = (left, left + len_a)
     b = (a[1] + gap, a[1] + gap + len_b)
     omega, w = (b, a) if draw(st.booleans()) else (a, b)
@@ -160,3 +163,26 @@ def test_node_slices_match_whole_grid_snap(case):
         mask[nodes] = True
         assert np.array_equal(mask, _snapped_mask(geom.spec, interval)), tag
         assert np.array_equal(fl.support_mask(geom, tag), mask)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(s=st.floats(1e-3, 1 - 1e-3),
+       log_t=st.lists(st.floats(-40.0, math.log10(BESSEL_CLAMP)),
+                      min_size=1, max_size=8))
+# the order split s = n + mu changes sides at s = 1/2
+@example(s=0.5 - 1e-9, log_t=[-36.0, 0.0, 2.5])
+@example(s=0.5 + 1e-9, log_t=[-36.0, 0.0, 2.5])
+def test_multiplier_against_mpmath_over_s_and_t(s, log_t):
+    # theta_s(t) = 2^(1-s)/Gamma(s) t^s K_s(t) at 40 digits; t runs down
+    # to the smallest graded heights times |xi| (~1e-36 at s = 0.95) and
+    # straddles the series / continued-fraction switch at t = 2
+    mpmath = pytest.importorskip("mpmath")
+    t = np.array([min(10.0 ** x, BESSEL_CLAMP) for x in log_t]
+                 + [2 - 1e-12, 2.0, 2 + 1e-12])
+    with mpmath.workdps(40):
+        ms = mpmath.mpf(s)
+        c = 2 ** (1 - ms) / mpmath.gamma(ms)
+        ref = np.array([float(c * mpmath.mpf(x) ** ms * mpmath.besselk(ms, x))
+                        for x in t])
+    rel = np.abs(extension_multiplier(t, s) - ref) / ref
+    assert np.max(rel) < 1e-13, (s, t[np.argmax(rel)], np.max(rel))
