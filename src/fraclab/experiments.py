@@ -158,8 +158,8 @@ def end_to_end(sc: Scenario, epsilons,
     data_gap = dual_norm_on_window(sc.geom, gap_gf)
     actual = float(np.max(np.abs(sc.q1.values.values - sc.q2.values.values)))
 
-    curve = noise_sweep(sc.op, sol2, epsilons, threshold=cfg["recon.theta"],
-                        seed=seed)
+    curve = noise_sweep(sc.op, sol2, lam2, epsilons,
+                        threshold=cfg["recon.theta"], seed=seed)
 
     radii = np.geomspace(dist / 40, dist / 4.5, 10)
     boundary = doubling_scan_boundary(sc.geom, sol1.u, x0, radii)

@@ -162,8 +162,10 @@ class ExtensionField:
 def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> ExtensionField:
     """Evaluate the extension at every height via the exact multiplier.
 
-    The multiplier table over (|xi| of the real half spectrum, y) is built
-    at once and one inverse real FFT along x gives every height level.
+    The multiplier table over (y, |xi| of the real half spectrum) is built
+    at once, one height level per row, and one inverse real FFT along its
+    contiguous rows gives every level.  ``values`` is the transpose of
+    that table, a view: each height column is contiguous in memory.
     """
     if y_grid is None:
         y_grid = default_y_grid(s)
@@ -172,9 +174,9 @@ def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> Exten
         raise GeometryError("y grid must be strictly increasing and nonnegative")
     n = u.spec.n_super
     xi = np.abs(frequencies(u.spec)[: n // 2 + 1])
-    mult = extension_multiplier(np.outer(xi, y), s)
-    cols = np.fft.irfft(np.fft.rfft(u.values)[:, None] * mult, n=n, axis=0)
-    return ExtensionField(spec=u.spec, y_grid=y, values=cols, s=s,
+    mult = extension_multiplier(np.outer(y, xi), s)
+    levels = np.fft.irfft(np.fft.rfft(u.values) * mult, n=n)
+    return ExtensionField(spec=u.spec, y_grid=y, values=levels.T, s=s,
                           d_s=trace_constant(s), boundary=u.values.copy())
 
 

@@ -13,7 +13,8 @@ window,
 
 The Schur-complement structure makes the measurement map self-adjoint on
 L2(w) for real potentials, which the tests exercise as reciprocity.
-The solve and the measurement take the operator alone; its blocks are views.
+The solve and the measurement take the operator alone; its blocks are
+views, copied contiguous before each product so that BLAS computes it.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def solve_forward(op: FracLapDense, q: Potential,
     if gap < GAP_TOL:
         raise EigenvalueError(
             f"relative spectral gap {gap:.3e} below tolerance {GAP_TOL:.0e}")
-    rhs = -op.matrix[op.omega_pos, op.w_pos] @ f.values[w]
+    rhs = -(np.ascontiguousarray(op.matrix[op.omega_pos, op.w_pos])
+            @ f.values[w])
     try:
         u_omega = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
@@ -114,9 +116,11 @@ def solve_forward(op: FracLapDense, q: Potential,
 
 def dtn_map(op: FracLapDense, sol: ForwardSolution) -> Measurement:
     """Measurement on the window: nodal fractional Laplacian of u."""
-    geom = op.geom
-    lam_w = (op.matrix[op.w_pos, op.omega_pos] @ sol.u.values[geom.omega_nodes]
-             + op.matrix[op.w_pos, op.w_pos] @ sol.f.values[geom.w_nodes])
+    geom, A = op.geom, op.matrix
+    lam_w = (np.ascontiguousarray(A[op.w_pos, op.omega_pos])
+             @ sol.u.values[geom.omega_nodes]
+             + np.ascontiguousarray(A[op.w_pos, op.w_pos])
+             @ sol.f.values[geom.w_nodes])
     vals = np.zeros(geom.spec.n_super)
     vals[geom.w_nodes] = lam_w / geom.spec.h
     lam = make_grid_function(geom, vals, "w")

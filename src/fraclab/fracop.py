@@ -16,7 +16,10 @@ constant matching the symbol |xi|^(2s).  On a uniform grid the entries are
 Toeplitz: the entry at lag m is the singular integral of the hat
 autocorrelation rho against |z|^(-1-2s), evaluated at m h.  Because rho is
 a scaled cubic B-spline, that integral is in closed form a fourth
-difference of |k|^(3-2s) (see stiffness_lags).
+difference of |k|^(3-2s) (see stiffness_lags).  The matrix is therefore
+never stored: it is a read-only strided view of its 2n-1 mirrored lags
+(see symmetric_toeplitz), and its product with a vector is a correlation
+with that lag row.
 """
 
 from __future__ import annotations
@@ -108,8 +111,12 @@ class FracLapDense:
 
     ``geom`` carries the grid, the exponent and the node slices.
     ``active`` is the slice of supergrid indices the matrix acts on, and
-    ``matrix`` holds the raw stiffness over them (dual/Galerkin scaling,
-    read-only); nodal application converts dual values to point values
+    ``matrix`` is the raw stiffness over them (dual/Galerkin scaling):
+    a read-only Toeplitz view of the 2n-1 mirrored lags, so it holds
+    O(n) bytes although ``matrix.nbytes`` reports n^2 * 8.  Its rows run
+    backwards in memory, which BLAS cannot take: copy a block with
+    np.ascontiguousarray before a product that must round as a dense
+    matrix does.  Nodal application converts dual values to point values
     through the consistent P1 mass matrix, which cancels the lumped-mass
     mid-band attenuation to fourth order in the frequency.  ``omega_pos``
     and ``w_pos`` are the positions of the omega and w nodes within
@@ -128,13 +135,15 @@ class FracLapDense:
 
 
 def symmetric_toeplitz(row: np.ndarray) -> np.ndarray:
-    """The symmetric Toeplitz matrix with first row ``row``, as a new array.
+    """The symmetric Toeplitz matrix with first row ``row``, as a view.
 
-    It is copied out of a strided view whose row i reads ``row`` mirrored
-    about position i, with no index gather.
+    The view is read-only and strided over the 2n-1 values of ``row``
+    mirrored about its first entry: row i reads them from position
+    n-1-i on, so its rows step backwards in memory and no n^2 buffer is
+    made.
     """
     mirrored = np.concatenate([row[:0:-1], row])
-    return sliding_window_view(mirrored, len(row))[::-1].copy()
+    return sliding_window_view(mirrored, len(row))[::-1]
 
 
 def assemble_dense(geom: Geometry) -> FracLapDense:
@@ -152,7 +161,6 @@ def assemble_dense(geom: Geometry) -> FracLapDense:
     first = int(np.searchsorted(x, lo - d - tol, side="left"))
     stop = int(np.searchsorted(x, hi + d + tol, side="right"))
     A = symmetric_toeplitz(stiffness_lags(geom.s, spec.h, stop - first - 1))
-    A.setflags(write=False)     # callers get views of its blocks
     om, w = geom.omega_nodes, geom.w_nodes
     return FracLapDense(geom=geom, active=slice(first, stop), matrix=A,
                         omega_pos=slice(om.start - first, om.stop - first),
@@ -186,12 +194,15 @@ def _nodal_from_dual(dual: np.ndarray, h: float) -> np.ndarray:
 def apply_dense(op: FracLapDense, u: GridFunction) -> np.ndarray:
     """Nodal values of the operator applied to u, on the active nodes.
 
-    The Galerkin product gives dual values; solving with the consistent
-    P1 mass matrix converts them to nodal samples with a symbol error of
-    only O((xi h)^4) in the mid band.
+    The Galerkin product gives dual values: the Toeplitz product is the
+    correlation of u with the mirrored lags, read from the matrix's last
+    and first rows.  Solving with the consistent P1 mass matrix converts
+    them to nodal samples with a symbol error of only O((xi h)^4) in the
+    mid band.
     """
-    a = op.active
+    a, A = op.active, op.matrix
     if np.any(u.values[:a.start] != 0.0) or np.any(u.values[a.stop:] != 0.0):
         raise SupportError("dense backend needs input supported on active nodes")
-    dual = op.matrix @ u.values[op.active]
+    mirrored = np.concatenate([A[-1], A[0, 1:]])
+    dual = np.correlate(mirrored, u.values[a], "valid")[::-1]
     return _nodal_from_dual(dual, op.geom.spec.h)

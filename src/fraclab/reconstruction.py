@@ -221,11 +221,14 @@ def recover_q(op: FracLapDense, result: ReconstructionResult,
         raise AllExcludedError("every omega node fell below the guard")
     q_omega = np.zeros_like(u_omega)
     q_omega[included] = -w_omega[included] / u_omega[included]
-    # nearest included neighbour fill for the excluded nodes
+    # nearest included neighbour fill for the excluded nodes; a tie
+    # goes to the left neighbour
     inc_pos, exc_pos = np.nonzero(included)[0], np.nonzero(~included)[0]
-    for i in exc_pos:
-        j = inc_pos[np.argmin(np.abs(inc_pos - i))]
-        q_omega[i] = q_omega[j]
+    right = np.minimum(np.searchsorted(inc_pos, exc_pos), len(inc_pos) - 1)
+    left = np.maximum(right - 1, 0)
+    nearer_right = (np.abs(inc_pos[right] - exc_pos)
+                    < np.abs(exc_pos - inc_pos[left]))
+    q_omega[exc_pos] = q_omega[inc_pos[np.where(nearer_right, right, left)]]
     cap = 10.0 * holder_bound
     q_omega = np.clip(q_omega, -cap, cap)
 
@@ -311,17 +314,16 @@ def potential_sweep(op: FracLapDense, q1: Potential, perturbation: Potential,
     return _finish_curve("potential_sweep", np.array(ts), np.array(errs))
 
 
-def noise_sweep(op: FracLapDense, sol: ForwardSolution, epsilons,
-                threshold: float, seed: int) -> StabilityCurve:
-    """Mode (b): recover sol.q from noisy data of sol over a noise ladder.
+def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: Measurement,
+                epsilons, threshold: float, seed: int) -> StabilityCurve:
+    """Mode (b): recover sol.q from noisy copies of meas over a noise ladder.
 
-    The same seed is used at every level, so the sweep moves along one
-    fixed noise direction with only the amplitude varying; the
-    discrepancy principle receives the actual L2(w) size of the injected
-    perturbation.
+    meas is the clean measurement dtn_map(op, sol).  The same seed is
+    used at every level, so the sweep moves along one fixed noise
+    direction with only the amplitude varying; the discrepancy principle
+    receives the actual L2(w) size of the injected perturbation.
     """
     geom = op.geom
-    meas = dtn_map(op, sol)
     sqrt_h = np.sqrt(geom.spec.h)
     u_ref = float(sqrt_h * np.linalg.norm(sol.u.values[geom.omega_nodes]))
     ts, errs, u_abs = [], [], []

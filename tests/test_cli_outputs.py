@@ -4,6 +4,8 @@ of the same sources must give identical trees."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -12,15 +14,21 @@ def _tree(root: Path) -> dict:
             for p in root.rglob("*") if p.is_file()}
 
 
-def test_two_runs_give_identical_trees(tmp_path):
+def _load_tool():
     spec = importlib.util.spec_from_file_location(
         "cli_outputs", ROOT / "tools" / "cli_outputs.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    subset = ["--configs", "certify_example.cfg", "s1_forward.cfg",
-              "--commands", "forward", "certify", "--resolutions", "1"]
-    for side in ("a", "b"):
-        assert tool.main([str(tmp_path / side)] + subset) == 0
+    return tool
+
+
+def test_two_runs_give_identical_trees(tmp_path):
+    tool = _load_tool()
+    subset = ["--configs", "certify_example.cfg,s1_forward.cfg",
+              "--commands", "forward,certify", "--resolutions", "1"]
+    # OUT_DIR may come before or after the list options
+    assert tool.main([str(tmp_path / "a")] + subset) == 0
+    assert tool.main(subset + [str(tmp_path / "b")]) == 0
     a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
     assert a == b
     rc = {p.parent.name: v for p, v in a.items() if p.name == "rc"}
@@ -31,3 +39,18 @@ def test_two_runs_give_identical_trees(tmp_path):
                   "s1_forward.forward.r1": b"0\n"}
     assert Path("s1_forward.forward.r1", "u.csv") in a
     assert Path("certify_example.certify.r1", "certificate.txt") in a
+
+
+@pytest.mark.parametrize("option, value, unknown", [
+    ("--configs", "certify_example.cfg,no_such.cfg", "no_such.cfg"),
+    ("--commands", "forward,no-such-command", "no-such-command"),
+])
+def test_unknown_name_exits_2_before_any_run(tmp_path, capsys, option,
+                                             value, unknown):
+    tool = _load_tool()
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        tool.main([option, value, "--resolutions", "1", str(out)])
+    assert exc.value.code == 2
+    assert unknown in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -163,6 +164,21 @@ def test_dense_matrix_invariants(s1_op):
     assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
     ev = np.linalg.eigvalsh(A)
     assert ev[0] >= -1e-10 * ev[-1]
+
+
+def test_assembly_allocates_no_square_buffer():
+    # S1 at 16384 nodes has 1536 active ones; an n^2 matrix is 18.9 MB
+    geom = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
+                             box_halfwidth=32.0, n_super=16384,
+                             omega_prime=(-0.75, 0.75))
+    tracemalloc.start()
+    try:
+        op = fl.assemble_dense(geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.n_active == 1536
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_dense_row_action_on_ones(s1):

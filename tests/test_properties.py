@@ -1,18 +1,20 @@
 """Property tests of the geometry's node slices, of the dense operator
-and the forward map over s and the geometry, and of the extension
-multiplier over s and t."""
+and the forward map over s and the geometry, of the extension multiplier
+over s and t, of the potential's nearest-neighbour fill, and of
+Parseval."""
 
 import math
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import fraclab as fl
 from fraclab.extension import BESSEL_CLAMP, extension_multiplier
-from fraclab.fracop import stiffness_lags
+from fraclab.fracop import _nodal_from_dual, stiffness_lags
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -69,25 +71,56 @@ def _placements(draw):
     return draw(st.floats(0.05, 0.95)), omega, w, n_super
 
 
+def _gathered_stiffness(op):
+    """Active indices and the stiffness gathered entry by entry from the
+    lags at |i - j|, as a new array."""
+    spec = op.geom.spec
+    i = np.arange(spec.n_super)[op.active]
+    lags = stiffness_lags(op.geom.s, spec.h, int(i[-1] - i[0]))
+    return i, lags[np.abs(i[:, None] - i[None, :])]
+
+
 @PROPERTY_SETTINGS
 @given(_placements())
-def test_assembly_is_contiguous_toeplitz(placement):
+def test_assembly_is_read_only_toeplitz_view(placement):
     s, omega, w, n_super = placement
     geom = fl.build_geometry(omega=omega, w=w, s=s, box_halfwidth=8.0,
                              n_super=n_super)
     spec = geom.spec
     op = fl.assemble_dense(geom)
-    i = np.arange(spec.n_super)[op.active]
+    i, gathered = _gathered_stiffness(op)
     assert np.array_equal(i, np.arange(i[0], i[-1] + 1))
     assert np.array_equal(i, _active_as_two_intervals(geom, spec))
     assert np.array_equal(i[op.omega_pos],
                           np.nonzero(fl.support_mask(geom, "omega"))[0])
     assert np.array_equal(i[op.w_pos],
                           np.nonzero(fl.support_mask(geom, "w"))[0])
-    lags = stiffness_lags(s, spec.h, int(i[-1] - i[0]))
-    gathered = lags[np.abs(i[:, None] - i[None, :])]
-    assert op.matrix.tobytes() == gathered.tobytes()
-    assert op.matrix.flags.c_contiguous and op.matrix.flags.owndata
+    A = op.matrix
+    assert A.tobytes() == gathered.tobytes()
+    for block in (A, A[op.w_pos, op.omega_pos], A[op.omega_pos, op.w_pos]):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+    # the view spans the 2n - 1 mirrored lags, not an n x n buffer
+    lo, hi = byte_bounds(A)
+    assert hi - lo <= (2 * len(i) - 1) * A.itemsize
+
+
+@PROPERTY_SETTINGS
+@given(_placements(), st.integers(0, 2 ** 32 - 1))
+def test_apply_dense_matches_gathered_product(placement, seed):
+    # the lag correlation against the dense product, each then taken
+    # through the same consistent-mass solve
+    s, omega, w, n_super = placement
+    geom = fl.build_geometry(omega=omega, w=w, s=s, box_halfwidth=8.0,
+                             n_super=n_super)
+    op = fl.assemble_dense(geom)
+    _, gathered = _gathered_stiffness(op)
+    vals = np.zeros(geom.spec.n_super)
+    vals[op.active] = np.random.default_rng(seed).standard_normal(op.n_active)
+    u = fl.GridFunction(spec=geom.spec, values=vals)
+    ref = _nodal_from_dual(gathered @ vals[op.active], geom.spec.h)
+    got = fl.apply_dense(op, u)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @PROPERTY_SETTINGS
@@ -186,3 +219,68 @@ def test_multiplier_against_mpmath_over_s_and_t(s, log_t):
                         for x in t])
     rel = np.abs(extension_multiplier(t, s) - ref) / ref
     assert np.max(rel) < 1e-13, (s, t[np.argmax(rel)], np.max(rel))
+
+
+def _fill_by_loop(q, included):
+    """Nearest included neighbour for each excluded node, one at a time;
+    np.argmin takes the first of two equally near, so ties go left."""
+    q = q.copy()
+    inc_pos, exc_pos = np.nonzero(included)[0], np.nonzero(~included)[0]
+    for i in exc_pos:
+        q[i] = q[inc_pos[np.argmin(np.abs(inc_pos - i))]]
+    return q
+
+
+# omega' covers all but the two end nodes of omega's 66, so the fill
+# shows at nearly every node
+_FILL_GEOM = fl.build_geometry(omega=(-1.0, 1.0), w=(1.5, 2.0), s=0.5,
+                               box_halfwidth=8.0, n_super=512,
+                               omega_prime=(-0.99, 0.99))
+_N_OMEGA = _FILL_GEOM.omega_nodes.stop - _FILL_GEOM.omega_nodes.start
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.booleans(), min_size=_N_OMEGA,
+                max_size=_N_OMEGA).filter(any),
+       st.integers(0, 2 ** 32 - 1))
+# ties between two included neighbours, and excluded runs at both ends
+@example(included=[False, True, False, True] + [False] * (_N_OMEGA - 6)
+         + [True, False], seed=0)
+def test_recover_q_fill_matches_loop(included, seed):
+    geom = _FILL_GEOM
+    om, prime = geom.omega_nodes, geom.prime_nodes
+    op = fl.assemble_dense(geom)
+    included = np.array(included)
+    rng = np.random.default_rng(seed)
+    u_omega = np.where(included, rng.choice([-1.0, 1.0], _N_OMEGA)
+                       * rng.uniform(0.5, 1.5, _N_OMEGA), 0.0)
+    vals = np.zeros(geom.spec.n_super)
+    vals[om] = u_omega
+    u = fl.make_grid_function(geom, vals, "omega")
+    base = fl.ReconstructionResult(u_rec=u, q_rec=None, reg_param=0.0,
+                                   discrepancy=0.0, excluded=None,
+                                   u_error_l2=None, q_error_sup=None)
+    holder = 1e6        # the cap stays out of the way
+    rec = fl.recover_q(op, base, 0.1, holder)
+    w_omega = fl.apply_dense(op, u)[op.omega_pos]
+    q = np.zeros(_N_OMEGA)
+    q[included] = -w_omega[included] / u_omega[included]
+    q = np.clip(_fill_by_loop(q, included), -10 * holder, 10 * holder)
+    p = slice(prime.start - om.start, prime.stop - om.start)
+    assert rec.q_rec.values[prime].tobytes() == q[p].tobytes()
+    assert np.array_equal(rec.excluded, om.start + np.nonzero(~included)[0])
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([2 ** k for k in range(2, 17)]),
+       st.floats(1.0, 64.0), st.integers(0, 2 ** 32 - 1),
+       st.floats(-30.0, 30.0))
+def test_parseval_over_grid_and_data(n_super, box_halfwidth, seed, log_scale):
+    # the t = 0 Sobolev norm is the discrete L2 norm sqrt(h) |g|_2
+    h = 2.0 * box_halfwidth / n_super
+    spec = fl.GridSpec(h=h, n_super=n_super, origin=-box_halfwidth + h / 2)
+    vals = (10.0 ** log_scale
+            * np.random.default_rng(seed).standard_normal(n_super))
+    l2 = math.sqrt(h) * np.linalg.norm(vals)
+    got = fl.sobolev_norm(fl.GridFunction(spec=spec, values=vals), 0.0)
+    assert abs(got - l2) <= 1e-12 * l2

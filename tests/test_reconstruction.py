@@ -74,8 +74,8 @@ def test_recover_u_discrepancy_unreachable(s1_op, s1_f, s1_bump_problem):
 
 def test_recover_u_error_monotone_in_noise(s1_op, s1_f, s1_qbump, s1_q0):
     sol = fl.solve_forward(s1_op, s1_qbump, s1_f)
-    curve = fl.noise_sweep(s1_op, sol, (1e-2, 1e-4, 1e-8),
-                           threshold=1e-3, seed=1234)
+    curve = fl.noise_sweep(s1_op, sol, fl.dtn_map(s1_op, sol),
+                           (1e-2, 1e-4, 1e-8), threshold=1e-3, seed=1234)
     # errors listed by increasing noise; must not decrease (10% slack)
     e = curve.errors
     assert e[1] >= e[0] * 0.9 and e[2] >= e[1] * 0.9
@@ -277,8 +277,8 @@ q2.amplitude = 0.5
     sc = fl.build_scenario(cfg)
     eps = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
     sol = fl.solve_forward(sc.op, sc.q2, sc.f)
-    curve = fl.noise_sweep(sc.op, sol, eps, threshold=1e-3,
-                           seed=1234)
+    curve = fl.noise_sweep(sc.op, sol, fl.dtn_map(sc.op, sol), eps,
+                           threshold=1e-3, seed=1234)
     assert np.allclose(curve.errors, golden["sweep_errors"], rtol=1e-8)
     assert curve.gamma_hat > 0
     assert curve.fit_residual < 0.2

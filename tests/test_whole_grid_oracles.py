@@ -1,9 +1,10 @@
 """The narrowed layers against the whole-grid code they replaced.
 
 sample_profile evaluates only on the declared support, holder_norm forms
-each pair once on the band |x - y| <= 1, and weighted_gradient_norm
-differentiates only the heights its region reaches.  Each must agree bit
-for bit with the whole-grid computation kept here as the oracle.
+each pair once on the band |x - y| <= 1, weighted_gradient_norm
+differentiates only the heights its region reaches, and extend transforms
+one height level per contiguous row.  Each must agree bit for bit with
+the whole-grid computation kept here as the oracle.
 """
 
 from dataclasses import replace
@@ -15,8 +16,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import fraclab as fl
-from fraclab.extension import _region_mass_sq, gradient_components
-from fraclab.geometry import CELL_AVERAGE_SUBSAMPLES
+from fraclab.extension import (_region_mass_sq, extension_multiplier,
+                               gradient_components)
+from fraclab.geometry import CELL_AVERAGE_SUBSAMPLES, frequencies
 
 
 def sample_whole_grid(geom, spec, profile, support, mode):
@@ -49,6 +51,15 @@ def holder_norm_all_pairs(geom, spec, values, s):
     near = (dx > 0) & (dx <= 1.0)
     semi = float(np.max(dq[near] / dx[near] ** s)) if np.any(near) else 0.0
     return max(semi, 2.0 * supq) + supq
+
+
+def extend_frequency_major(u, s, y):
+    """The extension with the multiplier table over (|xi|, y) and the
+    inverse FFT taken down its columns."""
+    n = u.spec.n_super
+    xi = np.abs(frequencies(u.spec)[: n // 2 + 1])
+    mult = extension_multiplier(np.outer(xi, y), s)
+    return np.fft.irfft(np.fft.rfft(u.values)[:, None] * mult, n=n, axis=0)
 
 
 def gradient_norm_whole_field(field, region):
@@ -167,3 +178,13 @@ def test_weighted_gradient_norm_matches_whole_field(request, which):
     for region in _regions(field.y_grid):
         got = fl.weighted_gradient_norm(field, region)
         assert got == gradient_norm_whole_field(field, region), region
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_extend_matches_frequency_major(s1_solution, s):
+    # the tall grid of ucp-scan, graded for s
+    y = fl.default_y_grid(s, height=8.5, n_levels=64)
+    field = fl.extend(s1_solution.u, s, y)
+    ref = extend_frequency_major(s1_solution.u, s, y)
+    assert field.values.shape == ref.shape
+    assert field.values.tobytes() == ref.tobytes()

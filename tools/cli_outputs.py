@@ -9,7 +9,9 @@ a subprocess of ``python -m fraclab.cli`` with ``PYTHONPATH`` set to DIR
 (default: this checkout's ``src``) and one BLAS thread, and writes into
 ``OUT_DIR/<cfg>.<cmd>.r<res>/`` the files the command wrote plus
 ``stdout``, ``stderr`` and ``rc`` (its exit code).  ``--configs``,
-``--commands`` and ``--resolutions`` narrow the set.
+``--commands`` and ``--resolutions`` narrow the set; each takes one
+comma-separated list, such as ``--commands forward,certify``.  A name
+that is not a file in ``configs/`` exits 2 before any run.
 
 To check that a change leaves every CLI output byte-identical, run the
 tool on the parent's sources and on the change's, and compare the trees:
@@ -55,23 +57,36 @@ def run_all(src: Path, out_dir: Path, configs, commands=COMMANDS,
                 (run_dir / "rc").write_text(f"{proc.returncode}\n")
 
 
+def _listed(kind):
+    """Argument type: a comma-separated list of values of ``kind``."""
+    def parse(text):
+        return [kind(item) for item in text.split(",")]
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out_dir", metavar="OUT_DIR", type=Path,
                         help="new or empty directory for the run trees")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         metavar="DIR", help="directory holding fraclab")
-    parser.add_argument("--configs", nargs="+", metavar="NAME",
+    parser.add_argument("--configs", type=_listed(str), metavar="NAME,...",
                         help="config file names in configs/ (default: all)")
-    parser.add_argument("--commands", nargs="+", choices=COMMANDS,
-                        default=COMMANDS)
-    parser.add_argument("--resolutions", nargs="+", type=int,
-                        default=RESOLUTIONS, metavar="MULT")
+    parser.add_argument("--commands", type=_listed(str), default=COMMANDS,
+                        metavar="CMD,...", help=f"of {','.join(COMMANDS)}")
+    parser.add_argument("--resolutions", type=_listed(int),
+                        default=RESOLUTIONS, metavar="MULT,...")
     args = parser.parse_args(argv)
     if args.out_dir.exists() and any(args.out_dir.iterdir()):
         parser.error(f"{args.out_dir} is not empty")
+    unknown = sorted(set(args.commands) - set(COMMANDS))
+    if unknown:
+        parser.error(f"unknown commands: {', '.join(unknown)}")
     if args.configs:
         configs = [ROOT / "configs" / name for name in args.configs]
+        missing = [p.name for p in configs if not p.is_file()]
+        if missing:
+            parser.error(f"not in configs/: {', '.join(missing)}")
     else:
         configs = sorted((ROOT / "configs").glob("*.cfg"))
     run_all(args.src.resolve(), args.out_dir.resolve(), configs,

@@ -107,7 +107,7 @@ def main():
     cfg = fl.parse_config_text(SWEEP_CONFIG)
     sc = fl.build_scenario(cfg)
     sol = fl.solve_forward(sc.op, sc.q2, sc.f)
-    curve = fl.noise_sweep(sc.op, sol, EPSILONS,
+    curve = fl.noise_sweep(sc.op, sol, fl.dtn_map(sc.op, sol), EPSILONS,
                            threshold=1e-3, seed=1234)
     golden["sweep_errors"] = [float(v) for v in curve.errors]
     golden["sweep_gamma_hat"] = curve.gamma_hat
