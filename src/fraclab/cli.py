@@ -10,6 +10,7 @@ config and seed (every file carries the config hash, never a timestamp).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .errors import ConfigError, FraclabError
 from .experiments import end_to_end, run_forward, run_ucp_scan
 from .forward import export_measurement_csv
 from .geometry import support_mask
-from .reconstruction import (StabilityCertificate, certify_bound,
+from .reconstruction import (CERT_INPUTS, StabilityCertificate, certify_bound,
                              potential_sweep)
 
 EXIT_OK = 0
@@ -44,11 +45,8 @@ def _write_lines(path: Path, lines) -> None:
 
 def _certificate_lines(c: StabilityCertificate) -> list:
     """key=value lines of a certificate's constants and its bound."""
-    return [f"E={_fmt(c.holder_bound)}", f"alpha={_fmt(c.alpha)}",
-            f"beta={_fmt(c.beta)}", f"c_low={_fmt(c.c_low)}",
-            f"c_stab={_fmt(c.c_stab)}", f"mu={_fmt(c.mu)}",
-            f"e_tilde={_fmt(c.e_tilde)}", f"epsilon={_fmt(c.epsilon)}",
-            f"r_opt={_fmt(c.r_opt)}", f"bound={_fmt(c.bound)}"]
+    return [f"{f.name}={_fmt(getattr(c, f.name))}"
+            for f in dataclasses.fields(c)]
 
 
 def cmd_forward(sc: Scenario, out: Path) -> None:
@@ -89,8 +87,9 @@ def cmd_ucp_scan(sc: Scenario, out: Path) -> None:
     _write_lines(out / "lemma_checks.csv", rows)
     rows = [f"# {_header(sc)}", "r,psi,gap"]
     rows += [f"{_fmt(r)},{_fmt(p)},{_fmt(g)}" for r, p, g in art.carleman_rows]
-    lo, hi = art.carleman_extrema
-    rows.append(f"# summary: {{\"gap_min\": {_fmt(lo)}, \"gap_max\": {_fmt(hi)}}}")
+    gaps = art.carleman_rows[:, 2]
+    rows.append(f"# summary: {{\"gap_min\": {_fmt(gaps.min())}, "
+                f"\"gap_max\": {_fmt(gaps.max())}}}")
     _write_lines(out / "carleman.csv", rows)
 
 
@@ -142,18 +141,10 @@ def cmd_stability(sc: Scenario, out: Path) -> None:
 
 
 def cmd_certify(cfg: ScenarioConfig, out: Path) -> None:
-    needed = ["cert.E", "cert.alpha", "cert.beta", "cert.c_low",
-              "cert.c_stab", "cert.mu", "cert.e_tilde", "cert.epsilon",
-              "cert.r0"]
-    missing = [k for k in needed if cfg.get(k) is None]
+    missing = [f"cert.{k}" for k in CERT_INPUTS if cfg.get(f"cert.{k}") is None]
     if missing:
         raise ConfigError(f"certify needs keys: {', '.join(missing)}")
-    cert = certify_bound(
-        holder_bound=cfg["cert.E"], alpha=cfg["cert.alpha"],
-        beta=cfg["cert.beta"], c_low=cfg["cert.c_low"],
-        c_stab=cfg["cert.c_stab"], mu=cfg["cert.mu"],
-        e_tilde=cfg["cert.e_tilde"], epsilon=cfg["cert.epsilon"],
-        r0=cfg["cert.r0"])
+    cert = certify_bound(**{k: cfg[f"cert.{k}"] for k in CERT_INPUTS})
     _write_lines(out / "certificate.txt",
                  [f"# {_header(cfg)}"] + _certificate_lines(cert))
 

@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .fracop import FracLapDense, assemble_dense
 from .geometry import (Geometry, GridFunction, Potential, build_geometry,
                        bump_profile, make_grid_function, sample_profile)
+from .reconstruction import CERT_INPUTS
 from .spaces import make_potential
 
 _FLOAT_KEYS = {
@@ -35,9 +36,7 @@ _FLOAT_KEYS = {
     "q2.center", "q2.width", "q2.amplitude", "q2.smoothness",
     "noise.epsilon", "recon.theta",
     "scan.x0", "scan.r_min", "scan.r_max",
-    "cert.E", "cert.alpha", "cert.beta", "cert.c_low", "cert.c_stab",
-    "cert.mu", "cert.e_tilde", "cert.epsilon", "cert.r0",
-}
+} | {f"cert.{k}" for k in CERT_INPUTS}
 _INT_KEYS = {"grid.n_super", "seed", "noise.seed", "scan.n_radii",
              "extension.n_levels"}
 _PAIR_KEYS = {"geometry.omega", "geometry.w", "geometry.omega_prime"}

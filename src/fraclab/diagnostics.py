@@ -44,7 +44,6 @@ class LemmaCheck:
 class DoublingReport:
     """Mass-vs-radius scan with doubling ratios and a power-law fit."""
 
-    center: float
     radii: np.ndarray
     masses: np.ndarray
     ratios: np.ndarray          # N(2r) / N(r), one per radius
@@ -53,7 +52,6 @@ class DoublingReport:
     fit_residual: float | None  # sup |log N - fit| over the scan
     r0: float
     mode: str                   # "bulk" or "boundary"
-    zero_mass: bool
 
 
 def carleman_weight(r: float) -> float:
@@ -152,8 +150,7 @@ def annulus_ratio(geom: Geometry, field: ExtensionField, f: GridFunction,
     lhs = ball / ann
     F = oscillation_ratio(geom, f)
     gamma_hat = float(np.log(lhs) / np.log(F)) if F > 1 else float("nan")
-    return LemmaCheck("annulus", lhs, F, gamma_hat,
-                      {"R": R, "center": 0.0, "gamma_hat": gamma_hat})
+    return LemmaCheck("annulus", lhs, F, gamma_hat, {"R": R})
 
 
 def three_balls_exponent(field: ExtensionField, center: tuple[float, float],
@@ -203,17 +200,16 @@ def doubling_scan_bulk(geom: Geometry, field: ExtensionField, x0: float,
                        for r in radii])
     doubled = np.array([weighted_norm(field, Region("half_ball", (x0, 0.0), 2 * r))
                         for r in radii])
-    zero_mass = bool(np.any(masses <= 0))
     ratios = np.where(masses > 0, doubled / np.where(masses > 0, masses, 1.0),
                       np.inf)
-    if zero_mass:
+    if np.any(masses <= 0):
         beta = c = resid = None
     else:
         beta, log_c, resid = fit_loglog(radii, masses)
         c = float(np.exp(log_c))
-    return DoublingReport(center=x0, radii=radii, masses=masses, ratios=ratios,
+    return DoublingReport(radii=radii, masses=masses, ratios=ratios,
                           beta_hat=beta, c_hat=c, fit_residual=resid,
-                          r0=r0, mode="bulk", zero_mass=zero_mass)
+                          r0=r0, mode="bulk")
 
 
 def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,
@@ -236,10 +232,9 @@ def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,
     doubled = np.array([mass(2 * r) for r in radii])
     ratios = doubled / masses
     beta, log_c, resid = fit_loglog(radii, masses)
-    return DoublingReport(center=x0, radii=radii, masses=masses, ratios=ratios,
+    return DoublingReport(radii=radii, masses=masses, ratios=ratios,
                           beta_hat=beta, c_hat=float(np.exp(log_c)),
-                          fit_residual=resid, r0=r0, mode="boundary",
-                          zero_mass=False)
+                          fit_residual=resid, r0=r0, mode="boundary")
 
 
 def boundary_bulk_check(geom: Geometry, field: ExtensionField,

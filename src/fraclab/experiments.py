@@ -12,14 +12,14 @@ import numpy as np
 
 from .diagnostics import (DoublingReport, annulus_ratio, caccioppoli_check,
                           carleman_weight, check_scan, doubling_scan_boundary,
-                          doubling_scan_bulk, fit_loglog, persistence_check)
-from .errors import ConfigError
+                          doubling_scan_bulk, persistence_check)
+from .errors import ConfigError, GeometryError
 from .extension import default_y_grid, extend
 from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
                       solve_forward)
 from .geometry import make_grid_function
 from .reconstruction import (StabilityCertificate, StabilityCurve,
-                             certify_bound, noise_sweep)
+                             certify_bound, fit_log_modulus, noise_sweep)
 from .spaces import dual_norm_on_window, sobolev_norm
 from .config import Scenario
 
@@ -57,10 +57,11 @@ class UcpScanArtifacts:
     boundary: DoublingReport
     checks: list
     carleman_rows: np.ndarray    # columns r, psi(r), |psi(r)-psi(4r)|
-    carleman_extrema: tuple
 
 
 def scan_radii(sc: Scenario) -> np.ndarray:
+    """The scan block's radii; scan.x0 must lie in omega and scan.r_max
+    within the bulk scan's r0 = dist(scan.x0, boundary)/10, the tightest."""
     cfg = sc.config
     r_min = cfg.get("scan.r_min")
     r_max = cfg.get("scan.r_max")
@@ -69,7 +70,13 @@ def scan_radii(sc: Scenario) -> np.ndarray:
     n = int(cfg["scan.n_radii"])
     if not (0 < r_min <= r_max) or n < 2:
         raise ConfigError("scan radii must satisfy 0 < r_min <= r_max, n >= 2")
-    return np.geomspace(r_min, r_max, n)
+    x0, radii = cfg["scan.x0"], np.geomspace(r_min, r_max, n)
+    try:
+        check_scan(sc.geom, x0, radii, 10.0)
+    except GeometryError as exc:
+        raise ConfigError(f"scan.x0 = {x0}, scan.r_max = {r_max}: {exc}") \
+            from exc
+    return radii
 
 
 def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
@@ -95,38 +102,34 @@ def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
     rows = np.array([[r, carleman_weight(r),
                       abs(carleman_weight(r) - carleman_weight(4 * r))]
                      for r in rs])
-    extrema = (float(np.min(rows[:, 2])), float(np.max(rows[:, 2])))
     return UcpScanArtifacts(bulk=bulk, boundary=boundary, checks=checks,
-                            carleman_rows=rows, carleman_extrema=extrema)
+                            carleman_rows=rows)
 
 
 @dataclass(frozen=True, eq=False)
 class EndToEndReport:
-    """Certificate versus actual sup-norm gap for one scenario."""
+    """Noise-sweep curve and certificate (it holds the measured constants;
+    None, with the reason in note, if nothing was certified) vs the gap."""
 
     data_gap: float              # dual norm of the measurement difference
     actual_sup_gap: float        # sup |q1 - q2|
     curve: StabilityCurve
-    boundary_fit: DoublingReport
     certificate: StabilityCertificate | None
     certified_dominates: bool | None
     fudge: float | None
-    c_stab: float | None
-    mu_hat: float | None
-    e_tilde: float
     note: str = ""
 
 
 def _fit_smallness(epsilons, u_errors_abs, e_tilde):
-    """Fit err = C_stab e_tilde / |log(eps/e_tilde)|^mu by least squares."""
+    """(C_stab, mu) of err = C_stab e_tilde |log(eps/e_tilde)|^-mu, from
+    fit_log_modulus on eps/e_tilde; (None, None) below two usable points."""
     eps = np.asarray(epsilons, dtype=float)
     err = np.asarray(u_errors_abs, dtype=float)
     ok = (eps > 0) & (err > 0) & (eps < e_tilde)
     if np.count_nonzero(ok) < 2:
         return None, None
-    slope, intercept, _ = fit_loglog(np.abs(np.log(eps[ok] / e_tilde)),
-                                     err[ok])
-    return float(np.exp(intercept) / e_tilde), -slope
+    mu, c, _ = fit_log_modulus(eps[ok] / e_tilde, err[ok])
+    return c / e_tilde, mu
 
 
 def end_to_end(sc: Scenario, epsilons,
@@ -146,7 +149,10 @@ def end_to_end(sc: Scenario, epsilons,
     if seed is None:
         seed = int(cfg["seed"]) + 1234
     x0 = cfg["scan.x0"]
-    _, dist = check_scan(sc.geom, x0)
+    try:
+        _, dist = check_scan(sc.geom, x0)
+    except GeometryError as exc:
+        raise ConfigError(f"scan.x0 = {x0}: {exc}") from exc
 
     s = sc.geom.s
     sol1 = solve_forward(sc.op, sc.q1, sc.f)
@@ -181,15 +187,13 @@ def end_to_end(sc: Scenario, epsilons,
     else:
         eps_cert = min(data_gap, 0.499)
         certificate = certify_bound(
-            holder_bound=max(sc.q1.holder_bound, sc.q2.holder_bound),
+            E=max(sc.q1.holder_bound, sc.q2.holder_bound),
             alpha=s, beta=boundary.beta_hat, c_low=boundary.c_hat,
             c_stab=c_stab, mu=mu_hat, e_tilde=e_tilde, epsilon=eps_cert,
             r0=boundary.r0)
         dominates = bool(certificate.bound >= actual)
         fudge = float(certificate.bound / actual)
     return EndToEndReport(data_gap=data_gap, actual_sup_gap=actual,
-                          curve=curve, boundary_fit=boundary,
-                          certificate=certificate,
+                          curve=curve, certificate=certificate,
                           certified_dominates=dominates, fudge=fudge,
-                          c_stab=c_stab, mu_hat=mu_hat, e_tilde=e_tilde,
                           note=note)

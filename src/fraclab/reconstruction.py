@@ -57,7 +57,8 @@ class ReconstructionResult:
 
 @dataclass(frozen=True, eq=False)
 class StabilityCurve:
-    """(t, error) samples with the log-modulus fit err ~ C |log t|^-gamma."""
+    """(t, error) samples sorted by t, and fit_log_modulus over those with
+    0 < t < 1 and error > 0: err ~ c_hat |log t|^-gamma_hat, or None."""
 
     mode: str
     t_values: np.ndarray
@@ -69,21 +70,28 @@ class StabilityCurve:
     u_errors_abs: np.ndarray | None = None   # noise mode: L2(omega) u errors
 
     def model(self, t: np.ndarray) -> np.ndarray:
-        """Fitted modulus, defined where c_hat * t < 1."""
+        """c_hat |log t|^-gamma_hat on 0 < t < 1; nan elsewhere or unfitted."""
         t = np.asarray(t, dtype=float)
         out = np.full_like(t, np.nan)
         if self.gamma_hat is None:
             return out
-        ok = (t > 0) & (self.c_hat * t < 1)
-        out[ok] = self.c_hat * np.abs(np.log(self.c_hat * t[ok])) ** (-self.gamma_hat)
+        ok = (t > 0) & (t < 1)
+        out[ok] = self.c_hat * np.abs(np.log(t[ok])) ** (-self.gamma_hat)
         return out
+
+
+#: the inputs of certify_bound, in order: the names of its parameters, the
+#: suffixes of the cert.* config keys and the lead keys of certificate.txt
+CERT_INPUTS = ("E", "alpha", "beta", "c_low", "c_stab", "mu", "e_tilde",
+               "epsilon", "r0")
 
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Measured constants and the sup-norm bound they certify."""
+    """Measured constants and the sup-norm bound they certify; the field
+    names, in order, are the keys of certificate.txt."""
 
-    holder_bound: float      # E
+    E: float                 # a priori Hoelder bound of the potentials
     alpha: float             # Hoelder exponent, = s
     beta: float              # fitted vanishing order
     c_low: float             # fitted vanishing prefactor
@@ -261,31 +269,28 @@ def fit_power_law_exponent(t: np.ndarray, err: np.ndarray) -> float:
     return fit_loglog(t, err)[0]
 
 
-def certify_bound(holder_bound: float, alpha: float, beta: float,
-                  c_low: float, c_stab: float, mu: float, e_tilde: float,
-                  epsilon: float, r0: float) -> StabilityCertificate:
-    """Evaluate the optimized interpolation bound at measured constants."""
+def certify_bound(E: float, alpha: float, beta: float, c_low: float,
+                  c_stab: float, mu: float, e_tilde: float, epsilon: float,
+                  r0: float) -> StabilityCertificate:
+    """The optimized interpolation bound at the measured CERT_INPUTS."""
     if not 0 < epsilon < 0.5:
         raise DomainError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     if epsilon >= e_tilde:
         raise DomainError("epsilon must stay below the a priori bound e_tilde")
-    for name, val in (("holder_bound", holder_bound), ("alpha", alpha),
-                      ("beta", beta), ("c_low", c_low), ("c_stab", c_stab),
-                      ("mu", mu), ("e_tilde", e_tilde), ("r0", r0)):
+    for name, val in zip(CERT_INPUTS, (E, alpha, beta, c_low, c_stab, mu,
+                                       e_tilde, epsilon, r0)):
         if val <= 0:
             raise DomainError(f"{name} must be positive, got {val}")
     log_term = abs(np.log(epsilon / e_tilde))
-    r_cand = (c_stab * e_tilde / (c_low * holder_bound * log_term ** mu)) \
+    r_cand = (c_stab * e_tilde / (c_low * E * log_term ** mu)) \
         ** (1.0 / (alpha + beta))
     r_opt = min(r_cand, r0)
     bound = float(np.sqrt(
         c_stab ** 2 / c_low ** 2 * r_opt ** (-2 * beta)
         * e_tilde ** 2 / log_term ** (2 * mu)
-        + holder_bound ** 2 * r_opt ** (2 * alpha)))
-    return StabilityCertificate(holder_bound=holder_bound, alpha=alpha,
-                                beta=beta, c_low=c_low, c_stab=c_stab, mu=mu,
-                                e_tilde=e_tilde, epsilon=epsilon,
-                                r_opt=float(r_opt), bound=bound)
+        + E ** 2 * r_opt ** (2 * alpha)))
+    return StabilityCertificate(E, alpha, beta, c_low, c_stab, mu, e_tilde,
+                                epsilon, float(r_opt), bound)
 
 
 def potential_sweep(op: FracLapDense, q1: Potential, perturbation: Potential,

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 import fraclab as fl
 from fraclab.cli import main
 from fraclab.errors import ConfigError
+from fraclab.reconstruction import CERT_INPUTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -97,14 +100,21 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, line, flags):
     assert (flags[0] if flags else line.split(" =")[0]) in err
 
 
-def test_stability_centre_on_boundary_exit_3(tmp_path, capsys):
-    # the boundary scan's radii are fractions of dist(x0, boundary) = 0
-    cfg = tmp_path / "edge.cfg"
-    cfg.write_text((CONFIGS / "s1_stability.cfg").read_text().replace(
-        "scan.x0 = 0.0", "scan.x0 = 1.0"))
-    rc = _run(["stability", "--config", str(cfg), "--out", str(tmp_path)])
-    assert rc == 3
-    assert "GeometryError: center 1.0 outside omega" in capsys.readouterr().err
+@pytest.mark.parametrize("command, line", [
+    ("ucp-scan", "scan.x0 = 5"), ("ucp-scan", "scan.x0 = 0.95"),
+    ("ucp-scan", "scan.r_max = 0.5"), ("ucp-scan", "scan.r_max = 0.3"),
+    ("stability", "scan.x0 = 3"), ("stability", "scan.x0 = 1.0")])
+def test_out_of_range_scan_keys_exit_2(tmp_path, capsys, command, line):
+    # a centre outside the open omega, or a radius above the bulk scan's
+    # r0 = dist(x0, boundary)/10, is a config error that names the key
+    name = {"ucp-scan": "s1_ucp_scan.cfg", "stability": "s1_stability.cfg"}
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((CONFIGS / name[command]).read_text() + line + "\n")
+    rc = _run([command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and err.count("Error") == 1
+    assert line.split(" =")[0] in err
 
 
 @pytest.mark.parametrize("line, command", [
@@ -172,17 +182,6 @@ def test_cmd_ucp_scan_files(tmp_path):
     assert 1.25 <= gap_min <= gap_max <= 1.65
 
 
-def test_cmd_ucp_scan_radius_beyond_r0_exit_3(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text((CONFIGS / "s1_ucp_scan.cfg").read_text().replace(
-        "scan.r_max = 0.099", "scan.r_max = 0.3"))
-    rc = _run(["ucp-scan", "--config", str(bad), "--out", str(tmp_path)])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "GeometryError" in err
-    assert err.count("GeometryError") == 1
-
-
 def test_cmd_ucp_scan_missing_block_exit_2(tmp_path):
     rc = _run(["ucp-scan", "--config", str(CONFIGS / "s1_forward.cfg"),
                "--out", str(tmp_path)])
@@ -202,6 +201,20 @@ def test_cmd_stability_files(tmp_path):
     assert curve[1] == "t,error,model_value"
     assert len(curve) == 2 + 7
     assert (tmp_path / "certificate.txt").exists()
+
+
+def test_curve_model_value_is_the_fit(tmp_path):
+    # model_value is the fitted modulus, so its sup log deviation from the
+    # errors is the fit residual that fit.txt reports
+    rc = _run(["stability", "--config", str(CONFIGS / "s1_stability.cfg"),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    rows = np.loadtxt(tmp_path / "curve.csv", delimiter=",", skiprows=2)
+    fit = dict(ln.split("=", 1) for ln in
+               (tmp_path / "fit.txt").read_text().splitlines()[1:])
+    assert np.all(np.isfinite(rows)) and len(rows) == 7
+    sup = np.max(np.abs(np.log(rows[:, 1]) - np.log(rows[:, 2])))
+    assert sup == pytest.approx(float(fit["fit_residual"]), rel=1e-9)
 
 
 def test_cmd_stability_empty_sweep_exit_2(tmp_path):
@@ -252,6 +265,29 @@ def test_cmd_certify(tmp_path):
                    if ln.startswith("bound=")][0].split("=")[1])
     assert r_opt == pytest.approx(0.1, abs=1e-10)
     assert bound == pytest.approx(np.sqrt(0.2), abs=1e-10)
+
+
+def test_certificate_fields_are_the_file_keys(tmp_path):
+    rc = _run(["certify", "--config", str(CONFIGS / "certify_example.cfg"),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    keys = [ln.split("=")[0] for ln in
+            (tmp_path / "certificate.txt").read_text().splitlines()[1:]]
+    assert keys == [f.name for f in dataclasses.fields(fl.StabilityCertificate)]
+
+
+def test_certify_inputs_are_the_cert_keys(tmp_path, capsys):
+    params = inspect.signature(fl.certify_bound).parameters
+    assert tuple(params) == CERT_INPUTS
+    cfg = tmp_path / "partial.cfg"
+    cfg.write_text("".join(
+        ln + "\n" for ln in
+        (CONFIGS / "certify_example.cfg").read_text().splitlines()
+        if not ln.startswith(("cert.mu", "cert.r0"))))
+    rc = _run(["certify", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "ConfigError: certify needs keys: cert.mu, cert.r0\n"
 
 
 def test_cmd_certify_bad_epsilon_exit_2(tmp_path):

@@ -284,3 +284,19 @@ def test_parseval_over_grid_and_data(n_super, box_halfwidth, seed, log_scale):
     l2 = math.sqrt(h) * np.linalg.norm(vals)
     got = fl.sobolev_norm(fl.GridFunction(spec=spec, values=vals), 0.0)
     assert abs(got - l2) <= 1e-12 * l2
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(gamma=st.floats(0.05, 8.0), c=st.floats(1e-3, 1e3),
+       top=st.integers(1, 6), n=st.integers(2, 12))
+def test_stability_model_returns_the_planted_modulus(gamma, c, top, n):
+    # err = c |log eps|^-gamma on an eps ladder 10^-top, ..., 10^-(top+n-1):
+    # fit_log_modulus recovers (gamma, c) and the curve's model, built on
+    # that fit, gives the planted errors back
+    eps = 10.0 ** -np.arange(top, top + n, dtype=float)
+    err = c * np.abs(np.log(eps)) ** -gamma
+    g_hat, c_hat, resid = fl.fit_log_modulus(eps, err)
+    curve = fl.StabilityCurve(mode="noise_sweep", t_values=eps, errors=err,
+                              gamma_hat=g_hat, c_hat=c_hat,
+                              fit_residual=resid)
+    np.testing.assert_allclose(curve.model(eps), err, rtol=1e-12, atol=0)

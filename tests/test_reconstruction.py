@@ -189,7 +189,7 @@ def test_q_zero_reconstruction_floor(s1_op, s1_f, s1_q0, golden):
 # ------------------------------------------------------------------ certificate
 
 def test_certify_hand_example():
-    cert = fl.certify_bound(holder_bound=1.0, alpha=0.5, beta=0.5,
+    cert = fl.certify_bound(E=1.0, alpha=0.5, beta=0.5,
                             c_low=1.0, c_stab=1.0, mu=1.0, e_tilde=1.0,
                             epsilon=np.exp(-10.0), r0=0.5)
     assert cert.r_opt == pytest.approx(0.1, abs=1e-10)
@@ -204,7 +204,7 @@ def test_certify_monotone_in_epsilon():
 
 def test_certify_r0_clamp():
     # tiny Hoelder bound pushes the interior candidate beyond r0
-    cert = fl.certify_bound(holder_bound=1e-8, alpha=0.5, beta=0.5,
+    cert = fl.certify_bound(E=1e-8, alpha=0.5, beta=0.5,
                             c_low=1.0, c_stab=1.0, mu=1.0, e_tilde=1.0,
                             epsilon=1e-3, r0=0.5)
     assert cert.r_opt == 0.5
@@ -221,10 +221,10 @@ def test_certify_domain_errors():
 
 def test_certificate_directional_derivatives():
     # increasing E raises the bound; increasing c_low lowers it
-    base = dict(holder_bound=1.0, alpha=0.5, beta=0.5, c_low=1.0,
+    base = dict(E=1.0, alpha=0.5, beta=0.5, c_low=1.0,
                 c_stab=1.0, mu=1.0, e_tilde=1.0, epsilon=1e-4, r0=0.5)
     b0 = fl.certify_bound(**base).bound
-    up = dict(base, holder_bound=1.3)
+    up = dict(base, E=1.3)
     assert fl.certify_bound(**up).bound > b0
     dn = dict(base, c_low=2.0)
     assert fl.certify_bound(**dn).bound < b0
@@ -341,5 +341,4 @@ q2.amplitude = 0.3
     assert rep.certificate is None
     assert "zero" in rep.note
     assert rep.curve.gamma_hat is None
-    assert rep.c_stab is None and rep.mu_hat is None
     assert rep.curve.note == rep.note
