@@ -5,25 +5,24 @@ scenario config file.  Exit codes: 0 success, 2 configuration error,
 3 runtime/solver error; error messages name the failing invariant class.
 Outputs are plain CSV and key=value text, byte-reproducible for a fixed
 config and seed (every file carries the config hash, never a timestamp).
+
+``certify`` evaluates the certificate from the constants in its config
+and needs only the standard library.  The other subcommands load numpy
+and the numeric modules in ``build_scenario``, before they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from .certificate import CERT_INPUTS, StabilityCertificate, certify_bound
 from .config import Scenario, ScenarioConfig, build_scenario, load_config
 from .errors import ConfigError, FraclabError
-from .experiments import end_to_end, run_forward, run_ucp_scan
-from .forward import export_measurement_csv
-from .geometry import support_mask
-from .reconstruction import (CERT_INPUTS, StabilityCertificate, certify_bound,
-                             potential_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,7 +30,7 @@ EXIT_RUNTIME = 3
 
 
 def _fmt(x) -> str:
-    return f"{x:.17g}" if isinstance(x, (int, float, np.floating)) else str(x)
+    return f"{x:.17g}" if isinstance(x, (int, float)) else str(x)
 
 
 def _header(sc_or_cfg) -> str:
@@ -50,6 +49,10 @@ def _certificate_lines(c: StabilityCertificate) -> list:
 
 
 def cmd_forward(sc: Scenario, out: Path) -> None:
+    from .experiments import run_forward
+    from .forward import export_measurement_csv
+    from .geometry import support_mask
+
     art = run_forward(sc)
     x = sc.geom.spec.nodes()
     mask = support_mask(sc.geom, "omega_w")
@@ -76,6 +79,8 @@ def _doubling_rows(report) -> list:
 
 
 def cmd_ucp_scan(sc: Scenario, out: Path) -> None:
+    from .experiments import run_ucp_scan
+
     art = run_ucp_scan(sc)
     _write_lines(out / "doubling_bulk.csv",
                  [f"# {_header(sc)}"] + _doubling_rows(art.bulk))
@@ -94,6 +99,9 @@ def cmd_ucp_scan(sc: Scenario, out: Path) -> None:
 
 
 def cmd_stability(sc: Scenario, out: Path) -> None:
+    from .experiments import end_to_end
+    from .reconstruction import potential_sweep
+
     cfg = sc.config
     mode = cfg["sweep.mode"]
     if mode == "potential":
@@ -111,9 +119,10 @@ def cmd_stability(sc: Scenario, out: Path) -> None:
     else:
         raise ConfigError(f"unknown sweep.mode {mode!r}")
 
+    # model_value is left empty where the curve has none (nan: no fit)
     model = curve.model(curve.t_values)
     rows = [f"# {_header(sc)}", "t,error,model_value"]
-    rows += [f"{_fmt(t)},{_fmt(e)},{_fmt(m)}"
+    rows += [f"{_fmt(t)},{_fmt(e)},{'' if math.isnan(m) else _fmt(m)}"
              for t, e, m in zip(curve.t_values, curve.errors, model)]
     _write_lines(out / "curve.csv", rows)
 

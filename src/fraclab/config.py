@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .certificate import CERT_INPUTS
 from .errors import ConfigError
-from .fracop import FracLapDense, assemble_dense
-from .geometry import (Geometry, GridFunction, Potential, build_geometry,
-                       bump_profile, make_grid_function, sample_profile)
-from .reconstruction import CERT_INPUTS
-from .spaces import make_potential
+
+if TYPE_CHECKING:
+    from .fracop import FracLapDense
+    from .geometry import Geometry, GridFunction, Potential
 
 _FLOAT_KEYS = {
     "geometry.s", "grid.L",
@@ -151,6 +150,9 @@ class Scenario:
 
 
 def _bump_from_block(cfg: ScenarioConfig, block: str, geom, support):
+    import numpy as np
+    from .geometry import bump_profile, make_grid_function, sample_profile
+
     amp = cfg[f"{block}.amplitude"]
     if amp == 0.0:
         return make_grid_function(geom, np.zeros(geom.spec.n_super), support)
@@ -171,8 +173,16 @@ def build_scenario(cfg: ScenarioConfig, resolution_multiplier: int = 1) -> Scena
     """Instantiate geometry, operator and data from a parsed config.
 
     The resolution multiplier scales n_super (for refinement studies)
-    without touching the configured physical parameters.
+    without touching the configured physical parameters.  The call
+    loads the numeric stack (importing this module loads no numpy), the
+    experiment drivers included, so a command that runs the scenario has
+    finished its imports when the scenario is built.
     """
+    from . import experiments  # noqa: F401
+    from .fracop import assemble_dense
+    from .geometry import build_geometry
+    from .spaces import make_potential
+
     try:
         n_super = int(cfg["grid.n_super"]) * int(resolution_multiplier)
         geom = build_geometry(
@@ -184,7 +194,7 @@ def build_scenario(cfg: ScenarioConfig, resolution_multiplier: int = 1) -> Scena
     if cfg.get("f.center") is None:
         raise ConfigError("missing required block 'f' (exterior data bump)")
     f = _bump_from_block(cfg, "f", geom, "w")
-    if not np.any(f.values):
+    if not f.values.any():
         raise ConfigError("exterior data f must be nonzero")
     q1 = make_potential(geom, _bump_from_block(cfg, "q1", geom, "omega_prime"))
     q2 = make_potential(geom, _bump_from_block(cfg, "q2", geom, "omega_prime"))

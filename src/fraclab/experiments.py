@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .certificate import StabilityCertificate, certify_bound
 from .diagnostics import (DoublingReport, annulus_ratio, caccioppoli_check,
                           carleman_weight, check_scan, doubling_scan_boundary,
                           doubling_scan_bulk, persistence_check)
@@ -18,8 +19,7 @@ from .extension import default_y_grid, extend
 from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
                       solve_forward)
 from .geometry import make_grid_function
-from .reconstruction import (StabilityCertificate, StabilityCurve,
-                             certify_bound, fit_log_modulus, noise_sweep)
+from .reconstruction import StabilityCurve, fit_log_modulus, noise_sweep
 from .spaces import dual_norm_on_window, sobolev_norm
 from .config import Scenario
 

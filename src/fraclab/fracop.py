@@ -100,8 +100,8 @@ def stiffness_lags(s: float, h: float, max_lag: int) -> np.ndarray:
     g[near] = F @ np.array([1.0, -4.0, 6.0, -4.0, 1.0])
     if max_lag >= 4:
         m = np.arange(4, max_lag + 1, dtype=float)
-        g[4:] = m ** (p - 4) * np.polynomial.polynomial.polyval(
-            1.0 / (m * m), _far_series_coefficients(p))
+        g[4:] = m ** (p - 4) * np.polyval(
+            _far_series_coefficients(p)[::-1], 1.0 / (m * m))
     return scale * g
 
 

@@ -1,5 +1,5 @@
-"""Regularized recovery of the solution and the potential, and the
-certificate arithmetic that turns measured constants into a sup-norm bound.
+"""Regularized recovery of the solution and the potential, and the noise
+and potential sweeps that sample the stability curve.
 
 Step one recovers the interior solution from window data by Tikhonov
 least squares: the continuation operator v -> (A_WO v)/h is independent
@@ -13,16 +13,6 @@ Step two divides: q = -(-Lap)^s u / u on nodes where |u| clears a
 relative threshold, with nearest-neighbour fill on the excluded set, a
 cap at ten times the a priori Hoelder bound, and hard zero outside the
 potential support.
-
-The certificate evaluates, at the optimizing radius
-
-    r* = min{ (C_stab Ẽ / (C_low E |log(eps/Ẽ)|^mu))^(1/(alpha+beta)), r0 },
-
-the pre-optimization bound
-
-    ( C_stab^2 C_low^-2 r*^-2beta Ẽ^2 |log(eps/Ẽ)|^-2mu + E^2 r*^2alpha )^(1/2),
-
-which dominates the closed-form product bound it is usually quoted as.
 """
 
 from __future__ import annotations
@@ -33,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diagnostics import fit_loglog
-from .errors import (AllExcludedError, DiscrepancyError, DomainError)
+from .errors import AllExcludedError, DiscrepancyError
 from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
                       solve_forward)
 from .fracop import FracLapDense, apply_dense, symmetric_toeplitz
@@ -78,29 +68,6 @@ class StabilityCurve:
         ok = (t > 0) & (t < 1)
         out[ok] = self.c_hat * np.abs(np.log(t[ok])) ** (-self.gamma_hat)
         return out
-
-
-#: the inputs of certify_bound, in order: the names of its parameters, the
-#: suffixes of the cert.* config keys and the lead keys of certificate.txt
-CERT_INPUTS = ("E", "alpha", "beta", "c_low", "c_stab", "mu", "e_tilde",
-               "epsilon", "r0")
-
-
-@dataclass(frozen=True)
-class StabilityCertificate:
-    """Measured constants and the sup-norm bound they certify; the field
-    names, in order, are the keys of certificate.txt."""
-
-    E: float                 # a priori Hoelder bound of the potentials
-    alpha: float             # Hoelder exponent, = s
-    beta: float              # fitted vanishing order
-    c_low: float             # fitted vanishing prefactor
-    c_stab: float            # fitted smallness constant
-    mu: float                # fitted log exponent
-    e_tilde: float           # a priori solution-size bound
-    epsilon: float           # data error
-    r_opt: float
-    bound: float
 
 
 def hs_gram_row(spec: GridSpec, s: float) -> np.ndarray:
@@ -267,30 +234,6 @@ def fit_log_modulus(t: np.ndarray, err: np.ndarray):
 def fit_power_law_exponent(t: np.ndarray, err: np.ndarray) -> float:
     """Slope of log err against log t (Hoelder-type alternative fit)."""
     return fit_loglog(t, err)[0]
-
-
-def certify_bound(E: float, alpha: float, beta: float, c_low: float,
-                  c_stab: float, mu: float, e_tilde: float, epsilon: float,
-                  r0: float) -> StabilityCertificate:
-    """The optimized interpolation bound at the measured CERT_INPUTS."""
-    if not 0 < epsilon < 0.5:
-        raise DomainError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if epsilon >= e_tilde:
-        raise DomainError("epsilon must stay below the a priori bound e_tilde")
-    for name, val in zip(CERT_INPUTS, (E, alpha, beta, c_low, c_stab, mu,
-                                       e_tilde, epsilon, r0)):
-        if val <= 0:
-            raise DomainError(f"{name} must be positive, got {val}")
-    log_term = abs(np.log(epsilon / e_tilde))
-    r_cand = (c_stab * e_tilde / (c_low * E * log_term ** mu)) \
-        ** (1.0 / (alpha + beta))
-    r_opt = min(r_cand, r0)
-    bound = float(np.sqrt(
-        c_stab ** 2 / c_low ** 2 * r_opt ** (-2 * beta)
-        * e_tilde ** 2 / log_term ** (2 * mu)
-        + E ** 2 * r_opt ** (2 * alpha)))
-    return StabilityCertificate(E, alpha, beta, c_low, c_stab, mu, e_tilde,
-                                epsilon, float(r_opt), bound)
 
 
 def potential_sweep(op: FracLapDense, q1: Potential, perturbation: Potential,

@@ -12,7 +12,7 @@ from pathlib import Path
 import fraclab as fl
 from fraclab.cli import main
 from fraclab.errors import ConfigError
-from fraclab.reconstruction import CERT_INPUTS
+from fraclab.certificate import CERT_INPUTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -252,6 +252,10 @@ sweep.epsilons = 1e-3, 1e-5
     rows = [ln for ln in (tmp_path / "curve.csv").read_text().splitlines()
             if ln and not ln.startswith("#") and not ln.startswith("t,")]
     assert len(rows) == 2
+    # no model without a fit: model_value is empty, never nan
+    fields = [v.strip().lower() for row in rows for v in row.split(",")]
+    assert not [v for v in fields if v.lstrip("+-") in ("nan", "inf")]
+    assert all(row.endswith(",") for row in rows)
 
 
 def test_cmd_certify(tmp_path):

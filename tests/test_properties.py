@@ -1,5 +1,6 @@
 """Property tests of the geometry's node slices, of the dense operator
-and the forward map over s and the geometry, of the extension multiplier
+(against its Fourier symbol too) and the forward map over s and the
+geometry, of the extension multiplier
 over s and t, of the potential's nearest-neighbour fill, and of
 Parseval."""
 
@@ -14,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import fraclab as fl
 from fraclab.extension import BESSEL_CLAMP, extension_multiplier
-from fraclab.fracop import _nodal_from_dual, stiffness_lags
+from fraclab.fracop import (_far_series_coefficients, _nodal_from_dual,
+                            stiffness_lags)
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -41,6 +43,41 @@ def test_lags_continuous_through_half(offset):
     ref = stiffness_lags(0.5, h, 1535)
     near = stiffness_lags(0.5 + offset, h, 1535)
     assert np.max(np.abs(near - ref) / np.abs(ref)) < 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(s=st.floats(1e-3, 1 - 1e-3))
+@example(s=0.5)
+def test_far_lags_match_the_polynomial_module(s):
+    # np.polyval on the reversed coefficients runs the Horner sequence of
+    # numpy.polynomial's polyval, which the lags used before, bit for bit
+    h, max_lag = 0.01, 20000
+    p = 3.0 - 2.0 * s
+    m = np.arange(4, max_lag + 1, dtype=float)
+    scale = fl.symbol_constant(s) * h ** (1 - 2 * s) / (2 * s * (2 - 2 * s) * p)
+    before = scale * (m ** (p - 4) * np.polynomial.polynomial.polyval(
+        1.0 / (m * m), _far_series_coefficients(p)))
+    assert np.array_equal(stiffness_lags(s, h, max_lag)[4:], before)
+
+
+def _lag_from_symbol(s, h, m):
+    """(1/2pi) int |xi|^2s |hat phi(xi)|^2 cos(m h xi) dxi for the hat phi
+    of width 2h, folded onto [0, pi] in theta = h xi: the images
+    theta + 2 pi k, k != 0, share sin^4(theta/2) and sum to Hurwitz zetas."""
+    from scipy import integrate, special
+
+    a = 4.0 - 2.0 * s
+
+    def symbol(theta):
+        x = theta / (2 * math.pi)
+        images = (special.zeta(a, 1.0 + x) + special.zeta(a, 1.0 - x)) \
+            * (2 * math.pi) ** -a
+        return (theta ** (2 * s) * np.sinc(x) ** 4
+                + 16.0 * math.sin(theta / 2) ** 4 * images)
+
+    val, _ = integrate.quad(symbol, 0.0, math.pi, weight="cos", wvar=m,
+                            epsabs=0.0, epsrel=1e-10, limit=200)
+    return h ** (1 - 2 * s) * val / math.pi
 
 
 def _active_as_two_intervals(geom, spec):
@@ -121,6 +158,22 @@ def test_apply_dense_matches_gathered_product(placement, seed):
     ref = _nodal_from_dual(gathered @ vals[op.active], geom.spec.h)
     got = fl.apply_dense(op, u)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@PROPERTY_SETTINGS
+@given(_placements(), st.integers(4, 63))
+@example((0.5, (-1.0, 0.5), (1.0, 1.9), 2048), 63)
+def test_toeplitz_lags_against_the_symbol(placement, far):
+    # the first row of the assembled operator is the Galerkin form of
+    # |xi|^2s on the hats: every near lag (m <= 3) and one of the far
+    # series; from lag 64 on, the symbol's quadrature cancels too far
+    s, omega, w, n_super = placement
+    geom = fl.build_geometry(omega=omega, w=w, s=s, box_halfwidth=8.0,
+                             n_super=n_super)
+    row = fl.assemble_dense(geom).matrix[0]
+    lags = [0, 1, 2, 3, min(far, len(row) - 1)]
+    ref = np.array([_lag_from_symbol(s, geom.spec.h, m) for m in lags])
+    assert np.max(np.abs(row[lags] - ref) / np.abs(ref)) < 1e-8
 
 
 @PROPERTY_SETTINGS
