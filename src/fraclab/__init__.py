@@ -25,8 +25,8 @@ _EXPORTS = {
                "oscillation_ratio", "sobolev_norm"),
     "fracop": ("FracLapDense", "apply_dense", "apply_spectral",
                "assemble_dense", "symbol_constant"),
-    "forward": ("ForwardSolution", "Measurement", "add_noise", "dtn_map",
-                "eigen_gap", "export_measurement_csv", "solve_forward"),
+    "forward": ("ForwardSolution", "add_noise", "dtn_map", "eigen_gap",
+                "export_measurement_csv", "solve_forward"),
     "extension": ("ExtensionField", "Region", "default_y_grid", "extend",
                   "extension_multiplier", "neumann_trace", "neumann_trace_fd",
                   "trace_constant", "trace_mass_sq", "weighted_gradient_norm",

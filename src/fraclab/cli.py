@@ -60,8 +60,10 @@ def cmd_forward(sc: Scenario, out: Path) -> None:
     rows += [f"{_fmt(xx)},{_fmt(vv)}"
              for xx, vv in zip(x[mask], art.solution.u.values[mask])]
     _write_lines(out / "u.csv", rows)
+    eps = sc.config["noise.epsilon"]
+    seed = sc.config["noise.seed"] if eps > 0 else None
     export_measurement_csv(sc.geom, art.measurement, out / "measurement.csv",
-                           header_comment=_header(sc))
+                           eps, seed, header_comment=_header(sc))
     _write_lines(out / "apriori_report.txt",
                  [f"# {_header(sc)}"] + art.report_lines)
 
@@ -79,6 +81,7 @@ def _doubling_rows(report) -> list:
 
 
 def cmd_ucp_scan(sc: Scenario, out: Path) -> None:
+    from .diagnostics import LemmaCheck
     from .experiments import run_ucp_scan
 
     art = run_ucp_scan(sc)
@@ -86,9 +89,9 @@ def cmd_ucp_scan(sc: Scenario, out: Path) -> None:
                  [f"# {_header(sc)}"] + _doubling_rows(art.bulk))
     _write_lines(out / "doubling_boundary.csv",
                  [f"# {_header(sc)}"] + _doubling_rows(art.boundary))
-    rows = [f"# {_header(sc)}", "name,lhs,rhs_core,implied_constant"]
-    rows += [f"{c.name},{_fmt(c.lhs)},{_fmt(c.rhs_core)},{_fmt(c.implied_constant)}"
-             for c in art.checks]
+    names = [f.name for f in dataclasses.fields(LemmaCheck)]
+    rows = [f"# {_header(sc)}", ",".join(names)]
+    rows += [",".join(_fmt(getattr(c, n)) for n in names) for c in art.checks]
     _write_lines(out / "lemma_checks.csv", rows)
     rows = [f"# {_header(sc)}", "r,psi,gap"]
     rows += [f"{_fmt(r)},{_fmt(p)},{_fmt(g)}" for r, p, g in art.carleman_rows]
@@ -141,10 +144,11 @@ def cmd_stability(sc: Scenario, out: Path) -> None:
     elif report.certificate is None:
         cert_lines.append(f"note={report.note}")
     else:
+        bound, actual = report.certificate.bound, report.actual_sup_gap
         cert_lines += _certificate_lines(report.certificate) + [
-            f"actual_sup_gap={_fmt(report.actual_sup_gap)}",
-            f"certified_dominates={report.certified_dominates}",
-            f"fudge={_fmt(report.fudge)}",
+            f"actual_sup_gap={_fmt(actual)}",
+            f"certified_dominates={bound >= actual}",
+            f"fudge={_fmt(bound / actual)}",
         ]
     _write_lines(out / "certificate.txt", cert_lines)
 
@@ -174,6 +178,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         cfg = load_config(args.config)
+        if args.resolution < 1 or args.resolution & (args.resolution - 1):
+            raise ConfigError("--resolution must be a positive power of two")
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be nonnegative")

@@ -126,6 +126,9 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: {key} must be positive")
         if key in _NONNEGATIVE_KEYS and not all(v >= 0 for v in vals):
             raise ConfigError(f"line {lineno}: {key} must be nonnegative")
+        # the guard theta * max |u| then always keeps the maximizer
+        if key == "recon.theta" and not value <= 1:
+            raise ConfigError(f"line {lineno}: {key} must be at most 1")
     for required in ("geometry.omega", "geometry.w", "geometry.s"):
         if required not in entries:
             raise ConfigError(f"missing required key {required!r}")

@@ -17,7 +17,7 @@ whose increment |psi(r) - psi(4r)| stays inside a fixed positive band on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,13 @@ from .spaces import oscillation_ratio, sobolev_norm
 
 @dataclass(frozen=True)
 class LemmaCheck:
-    """Both sides of one inequality plus the implied constant."""
+    """Both sides of one inequality plus the implied constant; the fields,
+    in order, are the columns of lemma_checks.csv."""
 
     name: str
     lhs: float
     rhs_core: float
     implied_constant: float
-    params: dict = dataclass_field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,24 +93,17 @@ def caccioppoli_check(geom: Geometry, field: ExtensionField, q_sup: float,
     n2r = weighted_norm(field, Region("half_ball", (x0, 0.0), 2 * r))
     rhs_core = (1.0 + q_sup ** (1.0 / (2 * s))) / r * n2r
     implied = lhs / rhs_core if rhs_core > 0 else 0.0
-    return LemmaCheck("caccioppoli", lhs, rhs_core, implied,
-                      {"x0": x0, "r": r, "q_sup": q_sup})
-
-
-#: proof-side constant of the flat-slab lower bound; recorded, not asserted
-PERSISTENCE_CALIBRATION = 1.0
+    return LemmaCheck("caccioppoli", lhs, rhs_core, implied)
 
 
 def persistence_check(geom: Geometry, field: ExtensionField, f: GridFunction,
                       h: float) -> LemmaCheck:
     """Mass of the extension on the slab w x [h, 1] against the data norms.
 
-    rhs = (F^(-1/s)/C - h) |f|_{H^s} - h^(1-s)/sqrt(2s) |f|_{L2} with
-    C = PERSISTENCE_CALIBRATION recorded in the params; the crossover h0 is
-    the largest slab height keeping the mass above half of
-    F^(-1/s)/(2C) |f|_{H^s}.
+    rhs = (F^(-1/s) - h) |f|_{H^s} - h^(1-s)/sqrt(2s) |f|_{L2}, with F the
+    oscillation ratio of f; the implied constant is lhs / rhs, or inf
+    where rhs is not positive.
     """
-    calibration = PERSISTENCE_CALIBRATION
     if not 0 < h < 1:
         raise DomainError(f"slab height must lie in (0,1), got {h}")
     if not np.any(f.values):
@@ -122,19 +115,9 @@ def persistence_check(geom: Geometry, field: ExtensionField, f: GridFunction,
     c_s = 1.0 / np.sqrt(2 * s)
     lhs = weighted_norm(field, Region("slab", x_interval=geom.w,
                                       y_interval=(h, 1.0)))
-    rhs = (F ** (-1.0 / s) / calibration - h) * fhs - c_s * h ** (1 - s) * fl2
-    # crossover height: threshold from the proof's choice 2 C0 = F^(-1/s)/C
-    threshold = 0.25 * F ** (-1.0 / s) / calibration * fhs
-    h0 = None
-    for hh in np.geomspace(0.999, 1e-3, 60):
-        mass = weighted_norm(field, Region("slab", x_interval=geom.w,
-                                           y_interval=(hh, 1.0)))
-        if mass >= threshold:
-            h0 = float(hh)
-            break
+    rhs = (F ** (-1.0 / s) - h) * fhs - c_s * h ** (1 - s) * fl2
     implied = lhs / rhs if rhs > 0 else float("inf")
-    return LemmaCheck("persistence", lhs, rhs, implied,
-                      {"h": h, "F": F, "calibration": calibration, "h0": h0})
+    return LemmaCheck("persistence", lhs, rhs, implied)
 
 
 def annulus_ratio(geom: Geometry, field: ExtensionField, f: GridFunction,
@@ -150,7 +133,7 @@ def annulus_ratio(geom: Geometry, field: ExtensionField, f: GridFunction,
     lhs = ball / ann
     F = oscillation_ratio(geom, f)
     gamma_hat = float(np.log(lhs) / np.log(F)) if F > 1 else float("nan")
-    return LemmaCheck("annulus", lhs, F, gamma_hat, {"R": R})
+    return LemmaCheck("annulus", lhs, F, gamma_hat)
 
 
 def three_balls_exponent(field: ExtensionField, center: tuple[float, float],
@@ -173,8 +156,7 @@ def three_balls_exponent(field: ExtensionField, center: tuple[float, float],
         raise DegenerateError("equal inner and outer masses")
     alpha = float(np.log(n_mid / n_two) / np.log(n_half / n_two))
     return LemmaCheck("three_balls", n_mid, n_half ** alpha * n_two ** (1 - alpha),
-                      alpha, {"center": center, "r": r, "alpha": alpha,
-                              "masses": (n_half, n_mid, n_two)})
+                      alpha)
 
 
 def fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -255,5 +237,4 @@ def boundary_bulk_check(geom: Geometry, field: ExtensionField,
     b = float(np.sqrt(trace_mass_sq(u.spec, u.values, x0, 1.5 * r)))
     rhs_core = (n2r + b) ** alpha * b ** (1 - alpha)
     implied = lhs / rhs_core if rhs_core > 0 else 0.0
-    return LemmaCheck("boundary_bulk", lhs, rhs_core, implied,
-                      {"x0": x0, "r": r, "c0": c0, "alpha": alpha})
+    return LemmaCheck("boundary_bulk", lhs, rhs_core, implied)

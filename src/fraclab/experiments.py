@@ -16,9 +16,8 @@ from .diagnostics import (DoublingReport, annulus_ratio, caccioppoli_check,
                           doubling_scan_bulk, persistence_check)
 from .errors import ConfigError, GeometryError
 from .extension import default_y_grid, extend
-from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
-                      solve_forward)
-from .geometry import make_grid_function
+from .forward import ForwardSolution, add_noise, dtn_map, solve_forward
+from .geometry import GridFunction, make_grid_function
 from .reconstruction import StabilityCurve, fit_log_modulus, noise_sweep
 from .spaces import dual_norm_on_window, sobolev_norm
 from .config import Scenario
@@ -27,7 +26,7 @@ from .config import Scenario
 @dataclass(frozen=True, eq=False)
 class ForwardArtifacts:
     solution: ForwardSolution
-    measurement: Measurement
+    measurement: GridFunction    # Lambda f on the window, noisy if configured
     report_lines: list
 
 
@@ -39,14 +38,15 @@ def run_forward(sc: Scenario) -> ForwardArtifacts:
     if eps > 0:
         meas = add_noise(sc.geom, meas, eps, sc.config["noise.seed"])
     s = sc.geom.s
+    f_hs, u_hs = sobolev_norm(sc.f, s), sobolev_norm(sol.u, s)
     lines = [
         f"residual={sol.residual:.17g}",
         f"eigen_gap={sol.eigen_gap:.17g}",
-        f"apriori_ratio={sol.apriori_ratio:.17g}",
-        f"f_hs_norm={sobolev_norm(sc.f, s):.17g}",
+        f"apriori_ratio={u_hs / f_hs if f_hs > 0 else 0.0:.17g}",
+        f"f_hs_norm={f_hs:.17g}",
         f"f_l2_norm={sobolev_norm(sc.f, 0.0):.17g}",
-        f"u_hs_norm={sobolev_norm(sol.u, s):.17g}",
-        f"lambda_dual_norm={dual_norm_on_window(sc.geom, meas.lambda_f):.17g}",
+        f"u_hs_norm={u_hs:.17g}",
+        f"lambda_dual_norm={dual_norm_on_window(sc.geom, meas):.17g}",
     ]
     return ForwardArtifacts(solution=sol, measurement=meas, report_lines=lines)
 
@@ -109,14 +109,14 @@ def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
 @dataclass(frozen=True, eq=False)
 class EndToEndReport:
     """Noise-sweep curve and certificate (it holds the measured constants;
-    None, with the reason in note, if nothing was certified) vs the gap."""
+    None, with the reason in note, if nothing was certified) vs the gap.
+    Whether the bound dominates the gap, and by what factor, is read off
+    certificate.bound and actual_sup_gap."""
 
     data_gap: float              # dual norm of the measurement difference
     actual_sup_gap: float        # sup |q1 - q2|
     curve: StabilityCurve
     certificate: StabilityCertificate | None
-    certified_dominates: bool | None
-    fudge: float | None
     note: str = ""
 
 
@@ -159,8 +159,7 @@ def end_to_end(sc: Scenario, epsilons,
     sol2 = solve_forward(sc.op, sc.q2, sc.f)
     lam1 = dtn_map(sc.op, sol1)
     lam2 = dtn_map(sc.op, sol2)
-    gap_gf = make_grid_function(
-        sc.geom, lam1.lambda_f.values - lam2.lambda_f.values, "w")
+    gap_gf = make_grid_function(sc.geom, lam1.values - lam2.values, "w")
     data_gap = dual_norm_on_window(sc.geom, gap_gf)
     actual = float(np.max(np.abs(sc.q1.values.values - sc.q2.values.values)))
 
@@ -176,8 +175,6 @@ def end_to_end(sc: Scenario, epsilons,
         curve.t_values, curve.u_errors_abs, e_tilde)
     note = ""
     certificate = None
-    dominates = None
-    fudge = None
     if zero_gap:
         note = "identical measurements: actual gap is zero, nothing to certify"
         curve = replace(curve, gamma_hat=None, c_hat=None, fit_residual=None,
@@ -191,9 +188,5 @@ def end_to_end(sc: Scenario, epsilons,
             alpha=s, beta=boundary.beta_hat, c_low=boundary.c_hat,
             c_stab=c_stab, mu=mu_hat, e_tilde=e_tilde, epsilon=eps_cert,
             r0=boundary.r0)
-        dominates = bool(certificate.bound >= actual)
-        fudge = float(certificate.bound / actual)
     return EndToEndReport(data_gap=data_gap, actual_sup_gap=actual,
-                          curve=curve, certificate=certificate,
-                          certified_dominates=dominates, fudge=fudge,
-                          note=note)
+                          curve=curve, certificate=certificate, note=note)

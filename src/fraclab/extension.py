@@ -149,13 +149,13 @@ def default_y_grid(s: float, height: float = 4.0, n_levels: int = 64) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class ExtensionField:
-    """v(x_i, y_j) on the tensor grid, plus the data defining it."""
+    """v(x_i, y_j) on the tensor grid, plus the data defining it; the
+    trace constant d_s is trace_constant(s)."""
 
     spec: GridSpec
     y_grid: np.ndarray
     values: np.ndarray          # shape (n_super, len(y_grid))
     s: float
-    d_s: float
     boundary: np.ndarray        # trace values u(x_i)
 
 
@@ -177,7 +177,7 @@ def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> Exten
     mult = extension_multiplier(np.outer(y, xi), s)
     levels = np.fft.irfft(np.fft.rfft(u.values) * mult, n=n)
     return ExtensionField(spec=u.spec, y_grid=y, values=levels.T, s=s,
-                          d_s=trace_constant(s), boundary=u.values.copy())
+                          boundary=u.values.copy())
 
 
 def neumann_trace_fd(field: ExtensionField) -> np.ndarray:
@@ -202,7 +202,7 @@ def neumann_trace_fd(field: ExtensionField) -> np.ndarray:
     p1 = (0.5 * (ys[0] + ys[1])) ** (2 - 2 * s)
     p2 = (0.5 * (ys[1] + ys[2])) ** (2 - 2 * s)
     d0 = d1 - (d2 - d1) * p1 / (p2 - p1)
-    return -d0 / field.d_s
+    return -d0 / trace_constant(s)
 
 
 def neumann_trace(field: ExtensionField, max_rel_gap: float = 0.05) -> GridFunction:

@@ -15,6 +15,8 @@ The Schur-complement structure makes the measurement map self-adjoint on
 L2(w) for real potentials, which the tests exercise as reciprocity.
 The solve and the measurement take the operator alone; its blocks are
 views, copied contiguous before each product so that BLAS computes it.
+A measurement, clean or noisy, is the GridFunction Lambda f on the
+window; its noise level and seed stay with the caller that chose them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import EigenvalueError, SingularSolveError, SupportError
 from .fracop import FracLapDense
 from .geometry import (Geometry, GridFunction, Potential, make_grid_function,
                        support_mask)
-from .spaces import dual_norm_on_window, sobolev_norm
+from .spaces import dual_norm_on_window
 
 #: relative spectral gap below which the restricted operator is rejected
 GAP_TOL = 1e-8
@@ -35,23 +37,14 @@ GAP_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ForwardSolution:
-    """Solution of the exterior-value problem with its diagnostics."""
+    """Solution of the exterior-value problem with the residual and the
+    spectral gap of the solve; the H^s norms are taken by the caller."""
 
     u: GridFunction             # support omega_w: u_O on omega, f on w
     q: Potential
     f: GridFunction
     residual: float             # |A u + h q u|_2(omega) / |A_OW f|_2
     eigen_gap: float
-    apriori_ratio: float        # |u|_{H^s} / |f|_{H^s-surrogate on w}
-
-
-@dataclass(frozen=True, eq=False)
-class Measurement:
-    """Nodal measurement on the window plus its noise bookkeeping."""
-
-    lambda_f: GridFunction
-    noise_level: float
-    seed: int | None
 
 
 def _q_values(q) -> np.ndarray:
@@ -108,13 +101,10 @@ def solve_forward(op: FracLapDense, q: Potential,
     rhs_norm = float(np.linalg.norm(rhs))
     res = float(np.linalg.norm(M @ u_omega - rhs))
     residual = res / rhs_norm if rhs_norm > 0 else res
-    f_norm = sobolev_norm(f, geom.s)
-    ratio = sobolev_norm(u, geom.s) / f_norm if f_norm > 0 else 0.0
-    return ForwardSolution(u=u, q=q, f=f, residual=residual, eigen_gap=gap,
-                           apriori_ratio=ratio)
+    return ForwardSolution(u=u, q=q, f=f, residual=residual, eigen_gap=gap)
 
 
-def dtn_map(op: FracLapDense, sol: ForwardSolution) -> Measurement:
+def dtn_map(op: FracLapDense, sol: ForwardSolution) -> GridFunction:
     """Measurement on the window: nodal fractional Laplacian of u."""
     geom, A = op.geom, op.matrix
     lam_w = (np.ascontiguousarray(A[op.w_pos, op.omega_pos])
@@ -123,15 +113,15 @@ def dtn_map(op: FracLapDense, sol: ForwardSolution) -> Measurement:
              @ sol.f.values[geom.w_nodes])
     vals = np.zeros(geom.spec.n_super)
     vals[geom.w_nodes] = lam_w / geom.spec.h
-    lam = make_grid_function(geom, vals, "w")
-    return Measurement(lambda_f=lam, noise_level=0.0, seed=None)
+    return make_grid_function(geom, vals, "w")
 
 
 #: number of window modes carrying the noise draw
 NOISE_MODES = 8
 
 
-def add_noise(geom: Geometry, m: Measurement, eps: float, seed: int) -> Measurement:
+def add_noise(geom: Geometry, lam: GridFunction, eps: float,
+              seed: int) -> GridFunction:
     """Perturb a measurement to a relative dual-norm noise level eps.
 
     The perturbation is a Gaussian draw over the first NOISE_MODES sine
@@ -141,11 +131,12 @@ def add_noise(geom: Geometry, m: Measurement, eps: float, seed: int) -> Measurem
     rough node noise is mostly orthogonal to the range of the smoothing
     continuation operator, which flattens the residual as a function of
     the regularization parameter and makes the bracket unattainable.
+    At eps = 0 the measurement itself is returned.
     """
     if eps < 0:
         raise ValueError("noise level must be nonnegative")
     if eps == 0:
-        return Measurement(lambda_f=m.lambda_f, noise_level=0.0, seed=seed)
+        return lam
     spec = geom.spec
     xw = spec.nodes()[geom.w_nodes]
     lo, hi = xw[0], xw[-1]
@@ -156,23 +147,26 @@ def add_noise(geom: Geometry, m: Measurement, eps: float, seed: int) -> Measurem
     pert[geom.w_nodes] = sum(c * np.sin((k + 1) * np.pi * z)
                              for k, c in enumerate(coeff))
     pert_gf = GridFunction(spec=spec, values=pert)
-    scale = (eps * dual_norm_on_window(geom, m.lambda_f)
+    scale = (eps * dual_norm_on_window(geom, lam)
              / dual_norm_on_window(geom, pert_gf))
-    vals = m.lambda_f.values + scale * pert
-    noisy = make_grid_function(geom, vals, "w")
-    return Measurement(lambda_f=noisy, noise_level=float(eps), seed=seed)
+    return make_grid_function(geom, lam.values + scale * pert, "w")
 
 
-def export_measurement_csv(geom: Geometry, m: Measurement, path,
+def export_measurement_csv(geom: Geometry, lam: GridFunction, path,
+                           epsilon: float = 0.0, seed: int | None = None,
                            header_comment: str = "") -> None:
-    """CSV with one row per window node: node_x, lambda_value."""
+    """CSV with one row per window node: node_x, lambda_value.
+
+    A comment line records s and the noise level epsilon and seed that
+    produced lam; the seed is left empty when it is None (no noise drawn).
+    """
     x = geom.spec.nodes()[geom.w_nodes]
-    vals = m.lambda_f.values[geom.w_nodes]
-    seed = "" if m.seed is None else str(m.seed)
+    vals = lam.values[geom.w_nodes]
+    seed = "" if seed is None else str(seed)
     with open(path, "w", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        fh.write(f"# s={geom.s:.17g} epsilon={m.noise_level:.17g} seed={seed}\n")
+        fh.write(f"# s={geom.s:.17g} epsilon={epsilon:.17g} seed={seed}\n")
         fh.write("node_x,lambda_value\n")
         for xx, vv in zip(x, vals):
             fh.write(f"{xx:.17g},{vv:.17g}\n")

@@ -24,8 +24,7 @@ import numpy as np
 
 from .diagnostics import fit_loglog
 from .errors import AllExcludedError, DiscrepancyError
-from .forward import (ForwardSolution, Measurement, add_noise, dtn_map,
-                      solve_forward)
+from .forward import ForwardSolution, add_noise, dtn_map, solve_forward
 from .fracop import FracLapDense, apply_dense, symmetric_toeplitz
 from .geometry import (GridFunction, GridSpec, Potential, frequencies,
                        make_grid_function)
@@ -101,10 +100,11 @@ def _continuation(op: FracLapDense):
     return U, sv, C
 
 
-def recover_u(op: FracLapDense, f: GridFunction, m: Measurement,
+def recover_u(op: FracLapDense, f: GridFunction, lam_f: GridFunction,
               strategy: tuple[str, float] = ("fixed", 1e-14),
               u_true: GridFunction | None = None) -> ReconstructionResult:
-    """Tikhonov recovery of the interior solution from window data.
+    """Tikhonov recovery of the interior solution from the data f and
+    the measurement lam_f on the window.
 
     strategy is ("fixed", lambda) or ("discrepancy", delta); with the
     discrepancy principle the parameter is bisected until the L2(w)
@@ -115,7 +115,7 @@ def recover_u(op: FracLapDense, f: GridFunction, m: Measurement,
     spec, om, w = op.geom.spec, op.geom.omega_nodes, op.geom.w_nodes
     U, sv, C = _continuation(op)
     A_ww = op.matrix[op.w_pos, op.w_pos] / spec.h
-    b = m.lambda_f.values[w] - A_ww @ f.values[w]
+    b = lam_f.values[w] - A_ww @ f.values[w]
     bb = np.sqrt(spec.h) * b
     Utb = U.T @ bb
     ortho_sq = float(bb @ bb - Utb @ Utb)   # residual outside the range
@@ -254,15 +254,14 @@ def potential_sweep(op: FracLapDense, q1: Potential, perturbation: Potential,
         q2 = make_potential(geom, q2_vals)
         sol2 = solve_forward(op, q2, f)
         lam2 = dtn_map(op, sol2)
-        gap_gf = make_grid_function(
-            geom, lam1.lambda_f.values - lam2.lambda_f.values, "w")
+        gap_gf = make_grid_function(geom, lam1.values - lam2.values, "w")
         delta = dual_norm_on_window(geom, gap_gf)
         ts.append(delta)
         errs.append(float(np.max(np.abs(t * perturbation.values.values))))
     return _finish_curve("potential_sweep", np.array(ts), np.array(errs))
 
 
-def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: Measurement,
+def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
                 epsilons, threshold: float, seed: int) -> StabilityCurve:
     """Mode (b): recover sol.q from noisy copies of meas over a noise ladder.
 
@@ -278,7 +277,7 @@ def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: Measurement,
     for eps in epsilons:
         noisy = add_noise(geom, meas, eps, seed)
         delta = float(sqrt_h * np.linalg.norm(
-            (noisy.lambda_f.values - meas.lambda_f.values)[geom.w_nodes]))
+            (noisy.values - meas.values)[geom.w_nodes]))
         try:
             rec = recover_u(op, sol.f, noisy,
                             strategy=("discrepancy", delta), u_true=sol.u)

@@ -84,7 +84,9 @@ def _run(args):
     ("noise.seed = -1", []), ("recon.theta = -1", []),
     ("noise.epsilon = 1e-3", ["--seed", "-1"]),
     ("extension.n_levels = 0", []), ("f.smoothness = -1", []),
-    ("q1.smoothness = -1", []), ("q2.smoothness = -1", [])])
+    ("q1.smoothness = -1", []), ("q2.smoothness = -1", []),
+    ("recon.theta = 1.5", []), ("seed = 0", ["--resolution", "3"]),
+    ("seed = 0", ["--resolution", "0"])])
 def test_out_of_range_values_exit_2(tmp_path, capsys, line, flags):
     text = (CONFIGS / "s1_forward.cfg").read_text() + line + "\n"
     if not flags:
@@ -163,6 +165,25 @@ def test_cmd_forward_deterministic(tmp_path):
         assert rc == 0
     for name in ("u.csv", "measurement.csv", "apriori_report.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cmd_forward_noisy(tmp_path):
+    # no shipped config draws noise: switch it on and fix the seed
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text((CONFIGS / "s1_forward.cfg").read_text().replace(
+        "noise.epsilon = 0\n", "noise.epsilon = 1e-3\n"))
+    clean, noisy = tmp_path / "clean", tmp_path / "noisy"
+    assert _run(["forward", "--config", str(CONFIGS / "s1_forward.cfg"),
+                 "--out", str(clean)]) == 0
+    assert _run(["forward", "--config", str(cfg), "--out", str(noisy),
+                 "--seed", "7"]) == 0
+    lines = (noisy / "measurement.csv").read_text().splitlines()
+    assert lines[1] == "# s=0.5 epsilon=0.001 seed=7"
+    ref = (clean / "measurement.csv").read_text().splitlines()
+    assert ref[1] == "# s=0.5 epsilon=0 seed="
+    lam = [float(ln.split(",")[1]) for ln in lines[3:]]
+    lam_ref = [float(ln.split(",")[1]) for ln in ref[3:]]
+    assert len(lam) == len(lam_ref) and lam != lam_ref
 
 
 def test_cmd_ucp_scan_files(tmp_path):
@@ -278,6 +299,15 @@ def test_certificate_fields_are_the_file_keys(tmp_path):
     keys = [ln.split("=")[0] for ln in
             (tmp_path / "certificate.txt").read_text().splitlines()[1:]]
     assert keys == [f.name for f in dataclasses.fields(fl.StabilityCertificate)]
+
+
+def test_lemma_check_fields_are_the_csv_columns(tmp_path):
+    rc = _run(["ucp-scan", "--config", str(CONFIGS / "s1_ucp_scan.cfg"),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    header = (tmp_path / "lemma_checks.csv").read_text().splitlines()[1]
+    assert header.split(",") == [f.name for f in
+                                 dataclasses.fields(fl.LemmaCheck)]
 
 
 def test_certify_inputs_are_the_cert_keys(tmp_path, capsys):

@@ -216,7 +216,7 @@ def test_y_weights_match_per_hat_loop():
 def test_weighted_norm_zero_and_monotone(s1, s1_field):
     zero = fl.ExtensionField(spec=s1_field.spec, y_grid=s1_field.y_grid,
                              values=np.zeros_like(s1_field.values), s=0.5,
-                             d_s=1.0, boundary=np.zeros(s1_field.spec.n_super))
+                             boundary=np.zeros(s1_field.spec.n_super))
     assert fl.weighted_norm(zero, fl.Region("half_ball", (0.0, 0.0), 0.05)) == 0.0
     n1 = fl.weighted_norm(s1_field, fl.Region("half_ball", (0.0, 0.0), 0.05))
     n2 = fl.weighted_norm(s1_field, fl.Region("half_ball", (0.0, 0.0), 0.1))
@@ -226,7 +226,7 @@ def test_weighted_norm_zero_and_monotone(s1, s1_field):
 def test_weighted_norm_constant_slab(s1, s1_field):
     ones = fl.ExtensionField(spec=s1_field.spec, y_grid=s1_field.y_grid,
                              values=np.ones_like(s1_field.values), s=0.5,
-                             d_s=1.0, boundary=np.ones(s1_field.spec.n_super))
+                             boundary=np.ones(s1_field.spec.n_super))
     val = fl.weighted_norm(ones, fl.Region("slab", x_interval=(2.0, 3.0),
                                            y_interval=(0.25, 1.0)))
     assert val == pytest.approx(np.sqrt(0.75), abs=1e-6)

@@ -191,7 +191,7 @@ def test_reciprocity_and_residual(placement, amp):
     sols = [fl.solve_forward(op, q, fl.sample_profile(
         geom, fl.bump_profile(c + t * (d - c), 0.3 * (d - c)), "w",
         mode="average")) for t in (0.4, 0.6)]
-    m1, m2 = (fl.dtn_map(op, sol).lambda_f.values[geom.w_nodes]
+    m1, m2 = (fl.dtn_map(op, sol).values[geom.w_nodes]
               for sol in sols)
     f1, f2 = (sol.f.values[geom.w_nodes] for sol in sols)
     assert np.dot(m1, f2) == pytest.approx(np.dot(f1, m2), rel=1e-9)

@@ -31,8 +31,7 @@ def test_gram_row_matches_sobolev_norm(s1):
 def test_recover_u_zero_data(s1, s1_op, s1_q0):
     geom, spec = s1
     zero = fl.make_grid_function(geom, np.zeros(spec.n_super), "w")
-    m = fl.Measurement(lambda_f=zero, noise_level=0.0, seed=None)
-    rec = fl.recover_u(s1_op, zero, m, strategy=("fixed", 1e-10))
+    rec = fl.recover_u(s1_op, zero, zero, strategy=("fixed", 1e-10))
     assert np.all(rec.u_rec.values == 0.0)
 
 
@@ -59,7 +58,7 @@ def test_recover_u_discrepancy_bracket(s1, s1_op, s1_f, s1_bump_problem):
     noisy = fl.add_noise(geom, lam, 1e-4, seed=3)
     w_idx = np.nonzero(fl.support_mask(geom, "w"))[0]
     delta = float(np.sqrt(spec.h) * np.linalg.norm(
-        (noisy.lambda_f.values - lam.lambda_f.values)[w_idx]))
+        (noisy.values - lam.values)[w_idx]))
     rec = fl.recover_u(s1_op, s1_f, noisy,
                        strategy=("discrepancy", delta))
     assert delta <= rec.discrepancy <= 2 * delta
@@ -91,7 +90,7 @@ def test_recover_u_normal_equations(s1, s1_op, s1_f, s1_bump_problem, lam):
     A_ww = op.matrix[op.w_pos, op.w_pos] / h
     w_idx = np.nonzero(fl.support_mask(geom, "w"))[0]
     omega_idx = np.nonzero(fl.support_mask(geom, "omega"))[0]
-    b = meas.lambda_f.values[w_idx] - A_ww @ s1_f.values[w_idx]
+    b = meas.values[w_idx] - A_ww @ s1_f.values[w_idx]
     G = hs_gram_row(spec, geom.s)[
         np.abs(omega_idx[:, None] - omega_idx[None, :])]
     # the system has condition ~2.5e7 at lam = 1e-10: one refinement step
@@ -312,7 +311,7 @@ scan.x0 = 0.0
     rep = fl.end_to_end(sc, epsilons=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8),
                         seed=1234)
     assert rep.certificate is not None
-    assert rep.certified_dominates
+    assert rep.certificate.bound >= rep.actual_sup_gap
     assert rep.certificate.bound == pytest.approx(golden["e2e_bound"], rel=0.1)
     assert rep.actual_sup_gap == pytest.approx(golden["e2e_actual"], rel=1e-6)
 
