@@ -36,9 +36,9 @@ _EXPORTS = {
                     "carleman_weight", "doubling_scan_boundary",
                     "doubling_scan_bulk", "persistence_check",
                     "three_balls_exponent"),
-    "reconstruction": ("ReconstructionResult", "StabilityCurve",
-                       "fit_log_modulus", "fit_power_law_exponent",
-                       "noise_sweep", "potential_sweep", "recover_q",
+    "reconstruction": ("PotentialRecovery", "ReconstructionResult",
+                       "StabilityCurve", "fit_log_modulus",
+                       "fit_power_law_exponent", "noise_sweep", "recover_q",
                        "recover_u"),
     "certificate": ("StabilityCertificate", "certify_bound"),
     "config": ("Scenario", "ScenarioConfig", "build_scenario", "load_config",

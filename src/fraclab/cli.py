@@ -102,46 +102,37 @@ def cmd_ucp_scan(sc: Scenario, out: Path) -> None:
 
 
 def cmd_stability(sc: Scenario, out: Path) -> None:
-    from .experiments import end_to_end
-    from .reconstruction import potential_sweep
+    import numpy as np
+    from .experiments import NOTHING_TO_CERTIFY, end_to_end
 
-    cfg = sc.config
-    mode = cfg["sweep.mode"]
-    if mode == "potential":
-        ts = cfg.get("sweep.t_values")
-        if not ts:
-            raise ConfigError("potential sweep needs nonempty sweep.t_values")
-        curve = potential_sweep(sc.op, sc.q1, sc.q2, sc.f, ts)
-        report = None
-    elif mode == "noise":
-        eps = cfg.get("sweep.epsilons")
-        if not eps:
-            raise ConfigError("noise sweep needs nonempty sweep.epsilons")
-        report = end_to_end(sc, epsilons=eps)
-        curve = report.curve
+    eps = sc.config.get("sweep.epsilons")
+    if not eps:
+        raise ConfigError("noise sweep needs nonempty sweep.epsilons")
+    report = end_to_end(sc, epsilons=eps)
+    t = report.curve.t_values
+
+    # model_value is the fitted modulus on 0 < t < 1, left empty elsewhere
+    # and without a fit
+    model = np.full_like(t, np.nan)
+    fit_lines = [f"# {_header(sc)}", "mode=noise_sweep"]
+    if report.fit is None:
+        why = (report.note if report.note == NOTHING_TO_CERTIFY
+               else "fit skipped: fewer than two usable points")
+        fit_lines.append(f"fit_skipped={why}")
     else:
-        raise ConfigError(f"unknown sweep.mode {mode!r}")
-
-    # model_value is left empty where the curve has none (nan: no fit)
-    model = curve.model(curve.t_values)
+        gamma, c, resid = report.fit
+        ok = (t > 0) & (t < 1)
+        model[ok] = c * np.abs(np.log(t[ok])) ** (-gamma)
+        fit_lines += [f"gamma_hat={_fmt(gamma)}", f"c_hat={_fmt(c)}",
+                      f"fit_residual={_fmt(resid)}"]
     rows = [f"# {_header(sc)}", "t,error,model_value"]
-    rows += [f"{_fmt(t)},{_fmt(e)},{'' if math.isnan(m) else _fmt(m)}"
-             for t, e, m in zip(curve.t_values, curve.errors, model)]
+    rows += [f"{_fmt(tt)},{_fmt(e)},{'' if math.isnan(m) else _fmt(m)}"
+             for tt, e, m in zip(t, report.curve.errors, model)]
     _write_lines(out / "curve.csv", rows)
-
-    fit_lines = [f"# {_header(sc)}", f"mode={curve.mode}"]
-    if curve.gamma_hat is None:
-        fit_lines.append(f"fit_skipped={curve.note}")
-    else:
-        fit_lines += [f"gamma_hat={_fmt(curve.gamma_hat)}",
-                      f"c_hat={_fmt(curve.c_hat)}",
-                      f"fit_residual={_fmt(curve.fit_residual)}"]
     _write_lines(out / "fit.txt", fit_lines)
 
     cert_lines = [f"# {_header(sc)}"]
-    if report is None:
-        cert_lines.append("note=certificate requires sweep.mode = noise")
-    elif report.certificate is None:
+    if report.certificate is None:
         cert_lines.append(f"note={report.note}")
     else:
         bound, actual = report.certificate.bound, report.actual_sup_gap

@@ -12,7 +12,8 @@ block.  The geometry and grid keys are fixed for reproducibility:
 
 Potentials and the exterior data are parametric bumps (center, width,
 amplitude, smoothness); experiment blocks add noise, reconstruction,
-scan, sweep and certificate parameters.  Unknown keys are rejected.
+scan and certificate parameters, and ``sweep.epsilons``, the noise ladder
+of the ``stability`` sweep.  Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ _FLOAT_KEYS = {
 _INT_KEYS = {"grid.n_super", "seed", "noise.seed", "scan.n_radii",
              "extension.n_levels"}
 _PAIR_KEYS = {"geometry.omega", "geometry.w", "geometry.omega_prime"}
-_LIST_KEYS = {"sweep.epsilons", "sweep.t_values"}
-_STR_KEYS = {"sweep.mode"}
+_LIST_KEYS = {"sweep.epsilons"}
 
-_KNOWN = _FLOAT_KEYS | _INT_KEYS | _PAIR_KEYS | _LIST_KEYS | _STR_KEYS
+_KNOWN = _FLOAT_KEYS | _INT_KEYS | _PAIR_KEYS | _LIST_KEYS
 
 # keys whose value, or each entry of a list, must be > 0 or >= 0
 _POSITIVE_KEYS = {"f.width", "q1.width", "q2.width", "extension.n_levels"}
@@ -66,7 +66,6 @@ _DEFAULTS = {
     "scan.x0": 0.0,
     "scan.n_radii": 8,
     "extension.n_levels": 64,
-    "sweep.mode": "noise",
     "seed": 0,
 }
 
@@ -101,9 +100,7 @@ def _parse_value(key: str, raw: str):
             if len(parts) != 2:
                 raise ValueError("expected two comma-separated numbers")
             return (parts[0], parts[1])
-        if key in _LIST_KEYS:
-            return tuple(float(p) for p in raw.split(","))
-        return raw
+        return tuple(float(p) for p in raw.split(","))    # _LIST_KEYS
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
 

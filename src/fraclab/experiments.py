@@ -6,7 +6,7 @@ runs are reproducible given the configuration text and the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,30 +106,24 @@ def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
                             carleman_rows=rows)
 
 
+NOTHING_TO_CERTIFY = ("identical measurements: actual gap is zero, "
+                      "nothing to certify")
+
+
 @dataclass(frozen=True, eq=False)
 class EndToEndReport:
-    """Noise-sweep curve and certificate (it holds the measured constants;
-    None, with the reason in note, if nothing was certified) vs the gap.
-    Whether the bound dominates the gap, and by what factor, is read off
-    certificate.bound and actual_sup_gap."""
+    """Noise-sweep samples, fit_log_modulus of their q errors, and the
+    certificate (it holds the measured constants; None, with the reason in
+    note, if nothing was certified) vs the gap.  Whether the bound
+    dominates the gap, and by what factor, is read off certificate.bound
+    and actual_sup_gap."""
 
     data_gap: float              # dual norm of the measurement difference
     actual_sup_gap: float        # sup |q1 - q2|
     curve: StabilityCurve
+    fit: tuple | None            # (gamma_hat, c_hat, fit_residual)
     certificate: StabilityCertificate | None
     note: str = ""
-
-
-def _fit_smallness(epsilons, u_errors_abs, e_tilde):
-    """(C_stab, mu) of err = C_stab e_tilde |log(eps/e_tilde)|^-mu, from
-    fit_log_modulus on eps/e_tilde; (None, None) below two usable points."""
-    eps = np.asarray(epsilons, dtype=float)
-    err = np.asarray(u_errors_abs, dtype=float)
-    ok = (eps > 0) & (err > 0) & (eps < e_tilde)
-    if np.count_nonzero(ok) < 2:
-        return None, None
-    mu, c, _ = fit_log_modulus(eps[ok] / e_tilde, err[ok])
-    return c / e_tilde, mu
 
 
 def end_to_end(sc: Scenario, epsilons,
@@ -138,12 +132,13 @@ def end_to_end(sc: Scenario, epsilons,
 
     The certificate constants are all measured on the scenario itself:
     the vanishing order from the boundary doubling scan of u1, the
-    smallness constants from the reconstruction-error noise sweep, and
-    the data error from the measured dual-norm gap. When that gap is
-    zero there is nothing to certify: the sweep samples are returned
-    without any modulus or smallness fit, and the note says why.  The
-    boundary scan is centred at scan.x0; seed defaults to the config
-    seed + 1234.
+    smallness constants (C_stab, mu) of err = C_stab e_tilde
+    |log(eps/e_tilde)|^-mu from fit_log_modulus on the sweep's u errors
+    against eps/e_tilde, and the data error from the measured dual-norm
+    gap.  When that gap is zero there is nothing to certify: the sweep
+    samples are returned without either fit, and note is
+    NOTHING_TO_CERTIFY.  The boundary scan is centred at scan.x0; seed
+    defaults to the config seed + 1234.
     """
     cfg = sc.config
     if seed is None:
@@ -170,23 +165,23 @@ def end_to_end(sc: Scenario, epsilons,
     boundary = doubling_scan_boundary(sc.geom, sol1.u, x0, radii)
 
     e_tilde = sobolev_norm(sol1.u, s) + sobolev_norm(sol2.u, s)
-    zero_gap = data_gap <= 0 or actual == 0
-    c_stab, mu_hat = (None, None) if zero_gap else _fit_smallness(
-        curve.t_values, curve.u_errors_abs, e_tilde)
-    note = ""
-    certificate = None
-    if zero_gap:
-        note = "identical measurements: actual gap is zero, nothing to certify"
-        curve = replace(curve, gamma_hat=None, c_hat=None, fit_residual=None,
-                        note=note)
-    elif c_stab is None:
-        note = "smallness fit failed: too few usable sweep points"
+    fit = certificate = None
+    if data_gap <= 0 or actual == 0:
+        note = NOTHING_TO_CERTIFY
     else:
-        eps_cert = min(data_gap, 0.499)
-        certificate = certify_bound(
-            E=max(sc.q1.holder_bound, sc.q2.holder_bound),
-            alpha=s, beta=boundary.beta_hat, c_low=boundary.c_hat,
-            c_stab=c_stab, mu=mu_hat, e_tilde=e_tilde, epsilon=eps_cert,
-            r0=boundary.r0)
+        fit = fit_log_modulus(curve.t_values, curve.errors)
+        smallness = fit_log_modulus(curve.t_values / e_tilde,
+                                    curve.u_errors_abs)
+        if smallness is None:
+            note = "smallness fit failed: too few usable sweep points"
+        else:
+            note = ""
+            mu_hat, c, _ = smallness
+            certificate = certify_bound(
+                E=max(sc.q1.holder_bound, sc.q2.holder_bound),
+                alpha=s, beta=boundary.beta_hat, c_low=boundary.c_hat,
+                c_stab=c / e_tilde, mu=mu_hat, e_tilde=e_tilde,
+                epsilon=min(data_gap, 0.499), r0=boundary.r0)
     return EndToEndReport(data_gap=data_gap, actual_sup_gap=actual,
-                          curve=curve, certificate=certificate, note=note)
+                          curve=curve, fit=fit, certificate=certificate,
+                          note=note)

@@ -1,5 +1,5 @@
 """Regularized recovery of the solution and the potential, and the noise
-and potential sweeps that sample the stability curve.
+sweep that samples the stability curve.
 
 Step one recovers the interior solution from window data by Tikhonov
 least squares: the continuation operator v -> (A_WO v)/h is independent
@@ -17,56 +17,47 @@ potential support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .diagnostics import fit_loglog
 from .errors import AllExcludedError, DiscrepancyError
-from .forward import ForwardSolution, add_noise, dtn_map, solve_forward
+from .forward import ForwardSolution, add_noise
 from .fracop import FracLapDense, apply_dense, symmetric_toeplitz
 from .geometry import (GridFunction, GridSpec, Potential, frequencies,
                        make_grid_function)
-from .spaces import dual_norm_on_window, make_potential
 
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Recovered solution/potential with the knobs that produced them."""
+    """Recovered solution with the knobs that produced it."""
 
     u_rec: GridFunction
-    q_rec: GridFunction | None
     reg_param: float
     discrepancy: float
-    excluded: np.ndarray | None      # supergrid indices below the guard
     u_error_l2: float | None         # vs ground truth when available
-    q_error_sup: float | None
+
+
+@dataclass(frozen=True, eq=False)
+class PotentialRecovery:
+    """Recovered potential and the nodes the division step excluded."""
+
+    q_rec: GridFunction
+    excluded: np.ndarray             # supergrid indices below the guard
+    q_error_sup: float | None        # vs q_true, relative, on included nodes
 
 
 @dataclass(frozen=True, eq=False)
 class StabilityCurve:
-    """(t, error) samples sorted by t, and fit_log_modulus over those with
-    0 < t < 1 and error > 0: err ~ c_hat |log t|^-gamma_hat, or None."""
+    """Noise-sweep samples sorted by the noise level t: the relative sup
+    error of the recovered q and the absolute L2(omega) error of the
+    recovered u at each level."""
 
-    mode: str
     t_values: np.ndarray
     errors: np.ndarray
-    gamma_hat: float | None
-    c_hat: float | None
-    fit_residual: float | None
-    note: str = ""
-    u_errors_abs: np.ndarray | None = None   # noise mode: L2(omega) u errors
-
-    def model(self, t: np.ndarray) -> np.ndarray:
-        """c_hat |log t|^-gamma_hat on 0 < t < 1; nan elsewhere or unfitted."""
-        t = np.asarray(t, dtype=float)
-        out = np.full_like(t, np.nan)
-        if self.gamma_hat is None:
-            return out
-        ok = (t > 0) & (t < 1)
-        out[ok] = self.c_hat * np.abs(np.log(t[ok])) ** (-self.gamma_hat)
-        return out
+    u_errors_abs: np.ndarray
 
 
 def hs_gram_row(spec: GridSpec, s: float) -> np.ndarray:
@@ -166,15 +157,14 @@ def recover_u(op: FracLapDense, f: GridFunction, lam_f: GridFunction,
         diff = (u_rec.values - u_true.values)[om]
         ref = np.linalg.norm(u_true.values[om])
         err_l2 = float(np.linalg.norm(diff) / ref) if ref > 0 else None
-    return ReconstructionResult(u_rec=u_rec, q_rec=None, reg_param=lam,
-                                discrepancy=res, excluded=None,
-                                u_error_l2=err_l2, q_error_sup=None)
+    return ReconstructionResult(u_rec=u_rec, reg_param=lam, discrepancy=res,
+                                u_error_l2=err_l2)
 
 
-def recover_q(op: FracLapDense, result: ReconstructionResult,
-              threshold: float, holder_bound: float,
-              q_true: Potential | None = None) -> ReconstructionResult:
-    """Division step with zero-set guarding.
+def recover_q(op: FracLapDense, u_rec: GridFunction, threshold: float,
+              holder_bound: float,
+              q_true: Potential | None = None) -> PotentialRecovery:
+    """Division step with zero-set guarding on the recovered solution u_rec.
 
     Nodes where |u_rec| falls below threshold * max |u_rec| are excluded
     and filled with the nearest included value; the result is capped at
@@ -184,8 +174,8 @@ def recover_q(op: FracLapDense, result: ReconstructionResult,
     geom, om, prime = op.geom, op.geom.omega_nodes, op.geom.prime_nodes
     # the omega_prime nodes as positions among the omega nodes
     p = slice(prime.start - om.start, prime.stop - om.start)
-    w_omega = apply_dense(op, result.u_rec)[op.omega_pos]
-    u_omega = result.u_rec.values[om]
+    w_omega = apply_dense(op, u_rec)[op.omega_pos]
+    u_omega = u_rec.values[om]
 
     umax = float(np.max(np.abs(u_omega)))
     if umax == 0.0:
@@ -217,17 +207,22 @@ def recover_q(op: FracLapDense, result: ReconstructionResult,
         if ref > 0 and np.any(sel):
             dev = q_omega[p][sel] - q_true.values.values[prime][sel]
             q_err = float(np.max(np.abs(dev)) / ref)
-    return replace(result, q_rec=q_rec, excluded=om.start + exc_pos,
-                   q_error_sup=q_err)
+    return PotentialRecovery(q_rec=q_rec, excluded=om.start + exc_pos,
+                             q_error_sup=q_err)
 
 
-def fit_log_modulus(t: np.ndarray, err: np.ndarray):
-    """Least squares of log err against log |log t|.
+def fit_log_modulus(t, err) -> tuple[float, float, float] | None:
+    """Least squares of log err against log |log t| over the usable
+    samples, those with 0 < t < 1 and err > 0.
 
-    Returns (gamma_hat, c_hat, sup residual); callers must pass positive
-    t below 1 and positive errors.
+    Returns (gamma_hat, c_hat, sup residual) of err ~ c_hat |log t|^-gamma_hat,
+    or None when fewer than two distinct t are usable.
     """
-    slope, intercept, resid = fit_loglog(np.abs(np.log(t)), err)
+    t, err = np.asarray(t, dtype=float), np.asarray(err, dtype=float)
+    ok = (t > 0) & (t < 1) & (err > 0)
+    if len(set(t[ok])) < 2:
+        return None
+    slope, intercept, resid = fit_loglog(np.abs(np.log(t[ok])), err[ok])
     return -slope, float(np.exp(intercept)), resid
 
 
@@ -236,46 +231,24 @@ def fit_power_law_exponent(t: np.ndarray, err: np.ndarray) -> float:
     return fit_loglog(t, err)[0]
 
 
-def potential_sweep(op: FracLapDense, q1: Potential, perturbation: Potential,
-                    f: GridFunction, t_values) -> StabilityCurve:
-    """Mode (a): sweep q2 = q1 + t p and record (data gap, sup gap) pairs."""
-    geom = op.geom
-    sol1 = solve_forward(op, q1, f)
-    lam1 = dtn_map(op, sol1)
-    ts, errs = [], []
-    for t in t_values:
-        if t == 0:
-            ts.append(0.0)
-            errs.append(0.0)
-            continue
-        q2_vals = make_grid_function(
-            geom, q1.values.values + t * perturbation.values.values,
-            "omega_prime")
-        q2 = make_potential(geom, q2_vals)
-        sol2 = solve_forward(op, q2, f)
-        lam2 = dtn_map(op, sol2)
-        gap_gf = make_grid_function(geom, lam1.values - lam2.values, "w")
-        delta = dual_norm_on_window(geom, gap_gf)
-        ts.append(delta)
-        errs.append(float(np.max(np.abs(t * perturbation.values.values))))
-    return _finish_curve("potential_sweep", np.array(ts), np.array(errs))
-
-
 def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
                 epsilons, threshold: float, seed: int) -> StabilityCurve:
-    """Mode (b): recover sol.q from noisy copies of meas over a noise ladder.
+    """Recover sol.q from noisy copies of meas over the noise ladder
+    epsilons, taken in ascending order.
 
     meas is the clean measurement dtn_map(op, sol).  The same seed is
     used at every level, so the sweep moves along one fixed noise
     direction with only the amplitude varying; the discrepancy principle
-    receives the actual L2(w) size of the injected perturbation.
+    receives the actual L2(w) size of the injected perturbation.  A level
+    whose q or u error is undefined records 0.
     """
     geom = op.geom
     sqrt_h = np.sqrt(geom.spec.h)
     u_ref = float(sqrt_h * np.linalg.norm(sol.u.values[geom.omega_nodes]))
-    ts, errs, u_abs = [], [], []
-    for eps in epsilons:
-        noisy = add_noise(geom, meas, eps, seed)
+    ts = np.sort(np.asarray(epsilons, dtype=float))
+    errs, u_abs = [], []
+    for eps in ts:
+        noisy = add_noise(geom, meas, float(eps), seed)
         delta = float(sqrt_h * np.linalg.norm(
             (noisy.values - meas.values)[geom.w_nodes]))
         try:
@@ -284,25 +257,9 @@ def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
         except DiscrepancyError:
             rec = recover_u(op, sol.f, noisy,
                             strategy=("fixed", 1e-14), u_true=sol.u)
-        rec = recover_q(op, rec, threshold, sol.q.holder_bound, q_true=sol.q)
-        ts.append(float(eps))
-        errs.append(rec.q_error_sup if rec.q_error_sup is not None else 0.0)
+        q_err = recover_q(op, rec.u_rec, threshold, sol.q.holder_bound,
+                          q_true=sol.q).q_error_sup
+        errs.append(q_err if q_err is not None else 0.0)
         u_abs.append(rec.u_error_l2 * u_ref if rec.u_error_l2 is not None else 0.0)
-    curve = _finish_curve("noise_sweep", np.array(ts), np.array(errs))
-    order = np.argsort(np.array(ts))
-    return replace(curve, u_errors_abs=np.array(u_abs)[order])
-
-
-def _finish_curve(mode: str, ts: np.ndarray, errs: np.ndarray) -> StabilityCurve:
-    order = np.argsort(ts)
-    ts, errs = ts[order], errs[order]
-    usable = (ts > 0) & (ts < 1) & (errs > 0)
-    if np.count_nonzero(usable) >= 2:
-        gamma, c, resid = fit_log_modulus(ts[usable], errs[usable])
-        note = ""
-    else:
-        gamma = c = resid = None
-        note = "fit skipped: fewer than two usable points"
-    return StabilityCurve(mode=mode, t_values=ts, errors=errs,
-                          gamma_hat=gamma, c_hat=c, fit_residual=resid,
-                          note=note)
+    return StabilityCurve(t_values=ts, errors=np.array(errs),
+                          u_errors_abs=np.array(u_abs))

@@ -32,7 +32,8 @@ def test_unknown_key_rejected():
 
 @pytest.mark.parametrize("line", [
     "recon.strategy = fixed", "recon.lambda = 1e-10", "output.dir = out",
-    "sweep.t_min = 0.1", "sweep.t_max = 1", "sweep.n_points = 5"])
+    "sweep.t_min = 0.1", "sweep.t_max = 1", "sweep.n_points = 5",
+    "sweep.mode = noise", "sweep.t_values = 0.1"])
 def test_unread_keys_rejected(tmp_path, line):
     key = line.split(" =")[0]
     text = (CONFIGS / "certify_example.cfg").read_text() + line + "\n"
@@ -246,6 +247,25 @@ def test_cmd_stability_empty_sweep_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_cmd_stability_repeated_noise_level_fits_nothing(tmp_path):
+    # two copies of one level are one sample: neither the modulus nor the
+    # smallness constants can be fitted, so nothing is certified
+    ladder = "sweep.epsilons = 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8\n"
+    text = (CONFIGS / "s1_stability.cfg").read_text()
+    assert ladder in text
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text(text.replace(ladder, "sweep.epsilons = 1e-3, 1e-3\n"))
+    rc = _run(["stability", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    fit = (tmp_path / "fit.txt").read_text().splitlines()[1:]
+    assert fit == ["mode=noise_sweep",
+                   "fit_skipped=fit skipped: fewer than two usable points"]
+    cert = (tmp_path / "certificate.txt").read_text().splitlines()[1:]
+    assert cert == ["note=smallness fit failed: too few usable sweep points"]
+    rows = (tmp_path / "curve.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2 and rows[0] == rows[1] and rows[0].endswith(",")
+
+
 def test_cmd_stability_identical_potentials_notice(tmp_path):
     cfg = tmp_path / "same.cfg"
     cfg.write_text("""
@@ -261,7 +281,6 @@ q1.amplitude = 0.3
 q2.center = 0.0
 q2.width = 0.5
 q2.amplitude = 0.3
-sweep.mode = noise
 sweep.epsilons = 1e-3, 1e-5
 """)
     rc = _run(["stability", "--config", str(cfg), "--out", str(tmp_path)])

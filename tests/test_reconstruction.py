@@ -3,6 +3,7 @@ import pytest
 
 import fraclab as fl
 from fraclab.errors import (AllExcludedError, DiscrepancyError, DomainError)
+from fraclab.experiments import NOTHING_TO_CERTIFY
 from fraclab.reconstruction import _continuation, hs_gram_row
 
 
@@ -128,10 +129,7 @@ def test_recover_u_cache_keyed_by_operator(s1_op, s1_f, s1_bump_problem):
 
 def test_recover_q_round_trip(s1_op, s1_qbump, s1_bump_problem):
     sol, _ = s1_bump_problem
-    base = fl.ReconstructionResult(u_rec=sol.u, q_rec=None, reg_param=0.0,
-                                   discrepancy=0.0, excluded=None,
-                                   u_error_l2=None, q_error_sup=None)
-    rec = fl.recover_q(s1_op, base, 1e-6,
+    rec = fl.recover_q(s1_op, sol.u, 1e-6,
                        s1_qbump.holder_bound, q_true=s1_qbump)
     assert rec.q_error_sup < 0.05
 
@@ -141,10 +139,7 @@ def test_recover_q_guard_on_sign_change(s1, s1_op, s1_qbump):
     x = spec.nodes()
     vals = np.where(fl.support_mask(geom, "omega_w"), np.sin(3 * x), 0.0)
     u = fl.make_grid_function(geom, vals, "omega_w")
-    base = fl.ReconstructionResult(u_rec=u, q_rec=None, reg_param=0.0,
-                                   discrepancy=0.0, excluded=None,
-                                   u_error_l2=None, q_error_sup=None)
-    rec = fl.recover_q(s1_op, base, 0.05, s1_qbump.holder_bound)
+    rec = fl.recover_q(s1_op, u, 0.05, s1_qbump.holder_bound)
     cap = 10.0 * s1_qbump.holder_bound
     assert np.all(np.abs(rec.q_rec.values) <= cap)
     assert np.all(np.isfinite(rec.q_rec.values))
@@ -157,20 +152,14 @@ def test_recover_q_guard_on_sign_change(s1, s1_op, s1_qbump):
 def test_recover_q_all_excluded(s1, s1_op, s1_qbump):
     geom, spec = s1
     u = fl.make_grid_function(geom, np.zeros(spec.n_super), "omega_w")
-    base = fl.ReconstructionResult(u_rec=u, q_rec=None, reg_param=0.0,
-                                   discrepancy=0.0, excluded=None,
-                                   u_error_l2=None, q_error_sup=None)
     with pytest.raises(AllExcludedError):
-        fl.recover_q(s1_op, base, 1e-3, 1.0)
+        fl.recover_q(s1_op, u, 1e-3, 1.0)
 
 
 def test_recover_q_zero_outside_support(s1, s1_op, s1_qbump, s1_bump_problem):
     geom, spec = s1
     sol, _ = s1_bump_problem
-    base = fl.ReconstructionResult(u_rec=sol.u, q_rec=None, reg_param=0.0,
-                                   discrepancy=0.0, excluded=None,
-                                   u_error_l2=None, q_error_sup=None)
-    rec = fl.recover_q(s1_op, base, 1e-6, s1_qbump.holder_bound)
+    rec = fl.recover_q(s1_op, sol.u, 1e-6, s1_qbump.holder_bound)
     outside = ~fl.support_mask(geom, "omega_prime")
     assert np.all(rec.q_rec.values[outside] == 0.0)
 
@@ -180,7 +169,7 @@ def test_q_zero_reconstruction_floor(s1_op, s1_f, s1_q0, golden):
     lam = fl.dtn_map(s1_op, sol)
     rec = fl.recover_u(s1_op, s1_f, lam,
                        strategy=("fixed", 1e-14), u_true=sol.u)
-    rec = fl.recover_q(s1_op, rec, 1e-6, 1.0)
+    rec = fl.recover_q(s1_op, rec.u_rec, 1e-6, 1.0)
     floor = float(np.max(np.abs(rec.q_rec.values)))
     assert floor <= golden["q_zero_floor"] * 1.5
 
@@ -231,21 +220,6 @@ def test_certificate_directional_derivatives():
 
 # ------------------------------------------------------------------- sweeps
 
-def test_potential_sweep_zero_t(s1_op, s1_q0, s1_qbump, s1_f):
-    curve = fl.potential_sweep(s1_op, s1_q0, s1_qbump, s1_f,
-                               [0.0])
-    assert curve.t_values[0] == 0.0 and curve.errors[0] == 0.0
-    assert curve.gamma_hat is None and "skipped" in curve.note
-
-
-def test_potential_sweep_monotone_data_gap(s1_op, s1_q0, s1_qbump, s1_f):
-    ts = np.geomspace(1e-3, 1e-1, 7)
-    curve = fl.potential_sweep(s1_op, s1_q0, s1_qbump, s1_f, ts)
-    assert np.all(np.diff(curve.t_values) > 0)
-    assert np.all(np.diff(curve.errors) > 0)
-    assert curve.gamma_hat is not None and curve.gamma_hat > 0
-
-
 def test_fit_log_modulus_recovers_planted_model():
     # synthetic data from the model itself round-trips the exponents
     t = np.geomspace(1e-8, 1e-2, 9)
@@ -255,6 +229,31 @@ def test_fit_log_modulus_recovers_planted_model():
     assert g == pytest.approx(gamma, rel=1e-9)
     assert ch == pytest.approx(c, rel=1e-9)
     assert resid < 1e-9
+
+
+def test_fit_log_modulus_needs_two_distinct_usable_points():
+    # a repeated level is one point: lstsq would return its minimum-norm
+    # answer and fit a modulus to nothing
+    t, e = 1e-3, 0.2
+    assert fl.fit_log_modulus([t, t], [e, e]) is None
+    assert fl.fit_log_modulus([t, t, 1.0, 0.0], [e, e, e, e]) is None
+    assert fl.fit_log_modulus([t, 1e-5], [e, 0.0]) is None
+    assert fl.fit_log_modulus([t, 1e-5], [e, e]) is not None
+
+
+def test_noise_sweep_ignores_ladder_order(s1_op, s1_bump_problem):
+    # the ladder is sorted before the sweep, so every order of the same
+    # levels gives the same samples, ascending in the noise level
+    sol, lam = s1_bump_problem
+    ladder = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+    orders = [ladder, ladder[::-1], [1e-4, 1e-2, 1e-6, 1e-3, 1e-5]]
+    curves = [fl.noise_sweep(s1_op, sol, lam, eps, threshold=1e-3, seed=3)
+              for eps in orders]
+    for field in ("t_values", "errors", "u_errors_abs"):
+        got = [getattr(c, field).tobytes() for c in curves]
+        assert got[1:] == got[:1] * 2, field
+    assert np.array_equal(curves[0].t_values, sorted(ladder))
+    assert np.all(curves[0].errors > 0) and np.all(curves[0].u_errors_abs > 0)
 
 
 def test_noise_sweep_benchmark(golden):
@@ -279,8 +278,9 @@ q2.amplitude = 0.5
     curve = fl.noise_sweep(sc.op, sol, fl.dtn_map(sc.op, sol), eps,
                            threshold=1e-3, seed=1234)
     assert np.allclose(curve.errors, golden["sweep_errors"], rtol=1e-8)
-    assert curve.gamma_hat > 0
-    assert curve.fit_residual < 0.2
+    gamma, _, resid = fl.fit_log_modulus(curve.t_values, curve.errors)
+    assert gamma > 0
+    assert resid < 0.2
     p = fl.fit_power_law_exponent(curve.t_values, curve.errors)
     assert p < 0.2
     # non-increasing in the noise level within 10% slack
@@ -339,5 +339,5 @@ q2.amplitude = 0.3
     assert rep.actual_sup_gap == 0.0
     assert rep.certificate is None
     assert "zero" in rep.note
-    assert rep.curve.gamma_hat is None
-    assert rep.curve.note == rep.note
+    assert rep.fit is None
+    assert rep.note == NOTHING_TO_CERTIFY
