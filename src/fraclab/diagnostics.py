@@ -109,9 +109,9 @@ def persistence_check(geom: Geometry, field: ExtensionField, f: GridFunction,
     if not np.any(f.values):
         raise ZeroDataError("persistence bound needs f != 0")
     s = field.s
-    F = oscillation_ratio(geom, f)
     fhs = sobolev_norm(f, s)
     fl2 = sobolev_norm(f, 0.0)
+    F = fhs / fl2               # the oscillation ratio of f
     c_s = 1.0 / np.sqrt(2 * s)
     lhs = weighted_norm(field, Region("slab", x_interval=geom.w,
                                       y_interval=(h, 1.0)))
@@ -202,17 +202,12 @@ def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,
     gives the empirical vanishing order of u at x0.
     """
     radii, r0 = check_scan(geom, x0, radii, 4.0)
-
-    def mass(r):
-        return float(np.sqrt(trace_mass_sq(u.spec, u.values, x0, r)))
-
-    masses = np.array([mass(r) for r in radii])
+    masses = np.sqrt(trace_mass_sq(u.spec, u.values, x0, radii))
     u_omega = u.values[geom.omega_nodes]
     total = float(np.sqrt(u.spec.h * np.sum(u_omega ** 2)))
     if total == 0.0 or masses[0] < 1e-14 * total:
         raise ZeroMassError("smallest-radius trace mass is numerically zero")
-    doubled = np.array([mass(2 * r) for r in radii])
-    ratios = doubled / masses
+    ratios = np.sqrt(trace_mass_sq(u.spec, u.values, x0, 2 * radii)) / masses
     beta, log_c, resid = fit_loglog(radii, masses)
     return DoublingReport(radii=radii, masses=masses, ratios=ratios,
                           beta_hat=beta, c_hat=float(np.exp(log_c)),

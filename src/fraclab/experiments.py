@@ -36,7 +36,7 @@ def run_forward(sc: Scenario) -> ForwardArtifacts:
     meas = dtn_map(sc.op, sol)
     eps = sc.config["noise.epsilon"]
     if eps > 0:
-        meas = add_noise(sc.geom, meas, eps, sc.config["noise.seed"])
+        (meas,) = add_noise(sc.geom, meas, [eps], sc.config["noise.seed"])
     s = sc.geom.s
     f_hs, u_hs = sobolev_norm(sc.f, s), sobolev_norm(sol.u, s)
     lines = [

@@ -267,20 +267,19 @@ def y_quadrature_weights(y: np.ndarray, s: float,
     return wts
 
 
-def trace_mass_sq(spec: GridSpec, values: np.ndarray, x0: float,
-                  r: float) -> float:
+def trace_mass_sq(spec: GridSpec, values: np.ndarray, x0: float, r):
     """integral of |u|^2 over (x0-r, x0+r), piecewise-linear in u^2.
 
     The cumulative trapezoid of the squared trace is interpolated at the
     interval endpoints, so the mass is exactly smooth in r; boundary
-    scans rely on this to keep power-law fits free of mask jitter.
+    scans rely on this to keep power-law fits free of mask jitter.  An
+    array of radii r shares one trapezoid and gives an array of masses.
     """
     x = spec.nodes()
     v2 = np.asarray(values, dtype=float) ** 2
     cum = np.concatenate([[0.0], np.cumsum((v2[1:] + v2[:-1]) * spec.h / 2)])
-    lo = float(np.interp(x0 - r, x, cum))
-    hi = float(np.interp(x0 + r, x, cum))
-    return max(hi - lo, 0.0)
+    return np.maximum(np.interp(x0 + r, x, cum) - np.interp(x0 - r, x, cum),
+                      0.0)
 
 
 def _region_mass_sq(field_values: np.ndarray, spec: GridSpec, y: np.ndarray,

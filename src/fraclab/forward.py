@@ -47,16 +47,12 @@ class ForwardSolution:
     eigen_gap: float
 
 
-def _q_values(q) -> np.ndarray:
-    """Nodal values of a potential given as Potential or GridFunction."""
-    return q.values.values if isinstance(q, Potential) else q.values
-
-
 def system_matrix(op: FracLapDense, q) -> np.ndarray:
     """A_OO + h diag(q) over the omega nodes, as a fresh array."""
     geom = op.geom
     M = op.matrix[op.omega_pos, op.omega_pos].copy()
-    M[np.diag_indices_from(M)] += geom.spec.h * _q_values(q)[geom.omega_nodes]
+    qv = q.values.values if isinstance(q, Potential) else q.values
+    M[np.diag_indices_from(M)] += geom.spec.h * qv[geom.omega_nodes]
     return M
 
 
@@ -120,36 +116,33 @@ def dtn_map(op: FracLapDense, sol: ForwardSolution) -> GridFunction:
 NOISE_MODES = 8
 
 
-def add_noise(geom: Geometry, lam: GridFunction, eps: float,
-              seed: int) -> GridFunction:
-    """Perturb a measurement to a relative dual-norm noise level eps.
+def add_noise(geom: Geometry, lam: GridFunction, epsilons, seed: int):
+    """Perturb a measurement to each relative dual-norm noise level in
+    epsilons: a generator yielding one noisy copy per level, in order.
 
     The perturbation is a Gaussian draw over the first NOISE_MODES sine
     modes of the window, rescaled so that its dual norm equals eps times
     the dual norm of the clean measurement; deterministic given the seed.
-    A band-limited draw keeps the discrepancy principle operative: fully
-    rough node noise is mostly orthogonal to the range of the smoothing
-    continuation operator, which flattens the residual as a function of
-    the regularization parameter and makes the bracket unattainable.
-    At eps = 0 the measurement itself is returned.
+    The draw and both dual norms are taken once for all levels, so they
+    move along one direction.  A band-limited draw keeps the discrepancy
+    principle operative: fully rough node noise is mostly orthogonal to
+    the range of the smoothing continuation operator, which flattens the
+    residual as a function of the regularization parameter and makes the
+    bracket unattainable.  At eps = 0 the measurement itself is yielded.
     """
-    if eps < 0:
-        raise ValueError("noise level must be nonnegative")
-    if eps == 0:
-        return lam
-    spec = geom.spec
-    xw = spec.nodes()[geom.w_nodes]
-    lo, hi = xw[0], xw[-1]
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(NOISE_MODES)
-    z = (xw - lo) / (hi - lo)
+    spec, w = geom.spec, geom.w_nodes
+    xw = spec.nodes()[w]
+    z = (xw - xw[0]) / (xw[-1] - xw[0])
+    coeff = np.random.default_rng(seed).standard_normal(NOISE_MODES)
     pert = np.zeros(spec.n_super)
-    pert[geom.w_nodes] = sum(c * np.sin((k + 1) * np.pi * z)
-                             for k, c in enumerate(coeff))
-    pert_gf = GridFunction(spec=spec, values=pert)
-    scale = (eps * dual_norm_on_window(geom, lam)
-             / dual_norm_on_window(geom, pert_gf))
-    return make_grid_function(geom, lam.values + scale * pert, "w")
+    pert[w] = sum(c * np.sin((k + 1) * np.pi * z) for k, c in enumerate(coeff))
+    a = dual_norm_on_window(geom, lam)
+    b = dual_norm_on_window(geom, GridFunction(spec=spec, values=pert))
+    for eps in epsilons:
+        if eps < 0:
+            raise ValueError("noise level must be nonnegative")
+        yield lam if eps == 0 else make_grid_function(
+            geom, lam.values + (eps * a / b) * pert, "w")
 
 
 def export_measurement_csv(geom: Geometry, lam: GridFunction, path,

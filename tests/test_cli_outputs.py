@@ -54,3 +54,26 @@ def test_unknown_name_exits_2_before_any_run(tmp_path, capsys, option,
     assert exc.value.code == 2
     assert unknown in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_reports_numeric_deviation_and_other_differences(tmp_path,
+                                                                  capsys):
+    tool = _load_tool()
+    before, after = tmp_path / "before", tmp_path / "after"
+    for root, gamma in ((before, "0.5"), (after, "0.50000000001")):
+        (root / "s1.stability.r4").mkdir(parents=True)
+        (root / "s1.stability.r4" / "fit.txt").write_text(
+            f"# s1 r4\ngamma_hat={gamma}\nc_hat=-1.5e-3\nnote=nan\n")
+    assert tool.main(["--compare", str(before), str(after)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["s1.stability.r4/fit.txt 2e-11", "max_rel_dev 2e-11"]
+    # a name, a field count or a file on one side only is not rounding
+    (after / "s1.stability.r4" / "fit.txt").write_text(
+        "# s1 r2\ngamma_hat=0.5\nc_hat=-1.5e-3\nnote=nan\n")
+    (after / "extra.txt").write_text("1\n")
+    assert tool.main(["--compare", str(before), str(after)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["max_rel_dev 0",
+                   "DIFFERS extra.txt: only in after",
+                   "DIFFERS s1.stability.r4/fit.txt: text or number of "
+                   "fields differs"]

@@ -208,6 +208,19 @@ def test_boundary_doubling_s1(s1, s1_solution, golden):
     assert rep.beta_hat == pytest.approx(golden["boundary_beta_s1"], abs=0.1)
 
 
+def test_trace_mass_sq_over_radii_matches_scalar_loop(s1, s1_solution):
+    # the array form shares one trapezoid; every entry is the scalar call's
+    geom, spec = s1
+    u = s1_solution.u.values
+    for radii in (np.geomspace(0.02, 0.24, 8), np.array([0.0, 0.5, 40.0])):
+        for x0 in (0.0, 0.3):
+            vec = fl.trace_mass_sq(spec, u, x0, radii)
+            loop = np.array([fl.trace_mass_sq(spec, u, x0, float(r))
+                             for r in radii])
+            assert vec.shape == radii.shape
+            assert vec.tobytes() == loop.tobytes()
+
+
 def test_boundary_doubling_zero_mass(s1):
     geom, spec = s1
     vals = np.where(np.abs(spec.nodes() - 0.9) <= 0.05, 1.0, 0.0)

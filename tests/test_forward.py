@@ -166,10 +166,10 @@ def test_eigen_gap_monotone_under_nonnegative_shift(s1, s1_op, s1_q0):
 def test_add_noise_deterministic_and_calibrated(s1, s1_op, s1_q0, s1_f):
     geom, spec = s1
     m = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_q0, s1_f))
-    n1 = fl.add_noise(geom, m, 1e-3, seed=5)
-    n2 = fl.add_noise(geom, m, 1e-3, seed=5)
+    (n1,) = fl.add_noise(geom, m, [1e-3], seed=5)
+    (n2,) = fl.add_noise(geom, m, [1e-3], seed=5)
     assert np.array_equal(n1.values, n2.values)
-    n3 = fl.add_noise(geom, m, 1e-3, seed=6)
+    (n3,) = fl.add_noise(geom, m, [1e-3], seed=6)
     assert not np.array_equal(n1.values, n3.values)
     pert = fl.make_grid_function(
         geom, n1.values - m.values, "w")
@@ -181,7 +181,7 @@ def test_add_noise_deterministic_and_calibrated(s1, s1_op, s1_q0, s1_f):
 def test_add_noise_zero_is_identity(s1, s1_op, s1_q0, s1_f):
     geom, spec = s1
     m = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_q0, s1_f))
-    n = fl.add_noise(geom, m, 0.0, seed=5)
+    (n,) = fl.add_noise(geom, m, [0.0], seed=5)
     assert np.array_equal(n.values, m.values)
 
 

@@ -1,8 +1,8 @@
 """Property tests of the geometry's node slices, of the dense operator
 (against its Fourier symbol too) and the forward map over s and the
 geometry, of the extension multiplier
-over s and t, of the potential's nearest-neighbour fill, and of
-Parseval."""
+over s and t, of the potential's nearest-neighbour fill, of the
+recovery's triangular substitution, and of Parseval."""
 
 import math
 
@@ -17,6 +17,7 @@ import fraclab as fl
 from fraclab.extension import BESSEL_CLAMP, extension_multiplier
 from fraclab.fracop import (_far_series_coefficients, _nodal_from_dual,
                             stiffness_lags)
+from fraclab.reconstruction import _BLOCK, _solve_lower
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -319,6 +320,25 @@ def test_recover_q_fill_matches_loop(included, seed):
     p = slice(prime.start - om.start, prime.stop - om.start)
     assert rec.q_rec.values[prime].tobytes() == q[p].tobytes()
     assert np.array_equal(rec.excluded, om.start + np.nonzero(~included)[0])
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 200), k=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=_BLOCK, k=1, seed=0)
+@example(n=_BLOCK + 1, k=3, seed=1)
+@example(n=3 * _BLOCK - 1, k=2, seed=2)
+def test_solve_lower_matches_dense_solve(n, k, seed):
+    # L^-1 B directly, and L^-T B as the system reversed in both axes
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+    B = rng.standard_normal((n, k))
+    for got, ref in ((_solve_lower(L, B), np.linalg.solve(L, B)),
+                     (_solve_lower(L[::-1, ::-1].T, B[::-1])[::-1],
+                      np.linalg.solve(L.T, B))):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @PROPERTY_SETTINGS

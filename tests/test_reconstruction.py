@@ -4,6 +4,7 @@ import pytest
 import fraclab as fl
 from fraclab.errors import (AllExcludedError, DiscrepancyError, DomainError)
 from fraclab.experiments import NOTHING_TO_CERTIFY
+from fraclab.fracop import symmetric_toeplitz
 from fraclab.reconstruction import _continuation, hs_gram_row
 
 
@@ -56,7 +57,7 @@ def test_recover_u_window_values_kept(s1, s1_op, s1_f, s1_bump_problem):
 def test_recover_u_discrepancy_bracket(s1, s1_op, s1_f, s1_bump_problem):
     geom, spec = s1
     sol, lam = s1_bump_problem
-    noisy = fl.add_noise(geom, lam, 1e-4, seed=3)
+    (noisy,) = fl.add_noise(geom, lam, [1e-4], seed=3)
     w_idx = np.nonzero(fl.support_mask(geom, "w"))[0]
     delta = float(np.sqrt(spec.h) * np.linalg.norm(
         (noisy.values - lam.values)[w_idx]))
@@ -104,6 +105,16 @@ def test_recover_u_normal_equations(s1, s1_op, s1_f, s1_bump_problem, lam):
     rec = fl.recover_u(op, s1_f, meas, strategy=("fixed", lam))
     v = rec.u_rec.values[omega_idx]
     assert np.linalg.norm(v - ref) < 1e-9 * np.linalg.norm(ref)
+
+
+def test_continuation_factors_identities(s1_op):
+    # C^T G C = I and sqrt(h) M C = U diag(sv), with M = A_WO / h
+    geom, op = s1_op.geom, s1_op
+    U, sv, C = _continuation(op)
+    G = symmetric_toeplitz(hs_gram_row(geom.spec, geom.s)[:C.shape[0]])
+    M = op.matrix[op.w_pos, op.omega_pos] / geom.spec.h
+    assert np.max(np.abs(C.T @ G @ C - np.eye(C.shape[1]))) < 1e-10
+    assert np.max(np.abs(np.sqrt(geom.spec.h) * M @ C - U * sv)) < 1e-10
 
 
 def test_recover_u_cache_keyed_by_operator(s1_op, s1_f, s1_bump_problem):
@@ -254,6 +265,43 @@ def test_noise_sweep_ignores_ladder_order(s1_op, s1_bump_problem):
         assert got[1:] == got[:1] * 2, field
     assert np.array_equal(curves[0].t_values, sorted(ladder))
     assert np.all(curves[0].errors > 0) and np.all(curves[0].u_errors_abs > 0)
+
+
+def test_noise_sweep_solves_a_repeated_level_once(s1_op, s1_bump_problem,
+                                                  monkeypatch):
+    sol, lam = s1_bump_problem
+    once = fl.noise_sweep(s1_op, sol, lam, [1e-3], threshold=1e-3, seed=3)
+    calls = []
+    real = fl.recover_u
+    monkeypatch.setattr("fraclab.reconstruction.recover_u",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    twice = fl.noise_sweep(s1_op, sol, lam, [1e-3, 1e-3], threshold=1e-3,
+                           seed=3)
+    assert len(calls) == 1
+    assert twice.t_values.tolist() == [1e-3, 1e-3]
+    for field in ("errors", "u_errors_abs"):
+        assert getattr(twice, field).tobytes() == \
+            np.repeat(getattr(once, field), 2).tobytes(), field
+
+
+def test_noise_sweep_draws_one_direction(s1, s1_op, s1_bump_problem,
+                                         monkeypatch):
+    # one generator per sweep; each level of the ladder is the copy that a
+    # one-level call gives
+    geom, _ = s1
+    sol, lam = s1_bump_problem
+    ladder = [1e-2, 0.0, 1e-4, 1e-3]
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: made.append(a) or real(*a))
+    fl.noise_sweep(s1_op, sol, lam, ladder, threshold=1e-3, seed=3)
+    assert made == [(3,)]
+    noisy = list(fl.add_noise(geom, lam, ladder, seed=3))
+    assert noisy[1] is lam
+    for eps, got in zip(ladder, noisy):
+        (one,) = fl.add_noise(geom, lam, [eps], seed=3)
+        assert got.values.tobytes() == one.values.tobytes()
 
 
 def test_noise_sweep_benchmark(golden):
