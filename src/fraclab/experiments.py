@@ -16,7 +16,8 @@ from .diagnostics import (DoublingReport, annulus_ratio, caccioppoli_check,
                           doubling_scan_bulk, persistence_check)
 from .errors import ConfigError, GeometryError
 from .extension import default_y_grid, extend
-from .forward import ForwardSolution, add_noise, dtn_map, solve_forward
+from .forward import (ForwardSolution, add_noise, dtn_map, eigen_gap,
+                      solve_forward, system_matrix)
 from .geometry import GridFunction, make_grid_function
 from .reconstruction import StabilityCurve, fit_log_modulus, noise_sweep
 from .spaces import dual_norm_on_window, sobolev_norm
@@ -41,7 +42,7 @@ def run_forward(sc: Scenario) -> ForwardArtifacts:
     f_hs, u_hs = sobolev_norm(sc.f, s), sobolev_norm(sol.u, s)
     lines = [
         f"residual={sol.residual:.17g}",
-        f"eigen_gap={sol.eigen_gap:.17g}",
+        f"eigen_gap={eigen_gap(system_matrix(sc.op, sc.q1)):.17g}",
         f"apriori_ratio={u_hs / f_hs if f_hs > 0 else 0.0:.17g}",
         f"f_hs_norm={f_hs:.17g}",
         f"f_l2_norm={sobolev_norm(sc.f, 0.0):.17g}",
@@ -137,7 +138,8 @@ def end_to_end(sc: Scenario, epsilons,
     against eps/e_tilde, and the data error from the measured dual-norm
     gap.  When that gap is zero there is nothing to certify: the sweep
     samples are returned without either fit, and note is
-    NOTHING_TO_CERTIFY.  The boundary scan is centred at scan.x0; seed
+    NOTHING_TO_CERTIFY.  A fitted gamma_hat or mu <= 0 certifies nothing
+    and note names it.  The boundary scan is centred at scan.x0; seed
     defaults to the config seed + 1234.
     """
     cfg = sc.config
@@ -172,8 +174,13 @@ def end_to_end(sc: Scenario, epsilons,
         fit = fit_log_modulus(curve.t_values, curve.errors)
         smallness = fit_log_modulus(curve.t_values / e_tilde,
                                     curve.u_errors_abs)
+        nonpositive = [f"{k} = {v[0]:.17g}"
+                       for k, v in (("gamma_hat", fit), ("mu", smallness))
+                       if v is not None and v[0] <= 0]
         if smallness is None:
             note = "smallness fit failed: too few usable sweep points"
+        elif nonpositive:
+            note = f"fitted {' and '.join(nonpositive)}: not positive"
         else:
             note = ""
             mu_hat, c, _ = smallness

@@ -163,9 +163,9 @@ def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> Exten
     """Evaluate the extension at every height via the exact multiplier.
 
     The multiplier table over (y, |xi| of the real half spectrum) is built
-    at once, one height level per row, and one inverse real FFT along its
-    contiguous rows gives every level.  ``values`` is the transpose of
-    that table, a view: each height column is contiguous in memory.
+    at once, one height level per row; inverse real FFTs of 8 rows at a
+    time fill one (levels, n) table.  ``values`` is its transpose, a
+    view: each height column is contiguous in memory.
     """
     if y_grid is None:
         y_grid = default_y_grid(s)
@@ -175,7 +175,9 @@ def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> Exten
     n = u.spec.n_super
     xi = np.abs(frequencies(u.spec)[: n // 2 + 1])
     mult = extension_multiplier(np.outer(y, xi), s)
-    levels = np.fft.irfft(np.fft.rfft(u.values) * mult, n=n)
+    u_hat, levels = np.fft.rfft(u.values), np.empty((len(y), n))
+    for k in range(0, len(y), 8):
+        levels[k:k + 8] = np.fft.irfft(u_hat * mult[k:k + 8], n=n)
     return ExtensionField(spec=u.spec, y_grid=y, values=levels.T, s=s,
                           boundary=u.values.copy())
 

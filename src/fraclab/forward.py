@@ -17,6 +17,9 @@ The solve and the measurement take the operator alone; its blocks are
 views, copied contiguous before each product so that BLAS computes it.
 A measurement, clean or noisy, is the GridFunction Lambda f on the
 window; its noise level and seed stay with the caller that chose them.
+solve_forward certifies that 0 is no Dirichlet eigenvalue by one shifted
+Cholesky (_gap_certified); the exact eigen_gap runs only where that
+fails, and in the forward command's report.
 """
 
 from __future__ import annotations
@@ -37,14 +40,13 @@ GAP_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ForwardSolution:
-    """Solution of the exterior-value problem with the residual and the
-    spectral gap of the solve; the H^s norms are taken by the caller."""
+    """Solution of the exterior-value problem with its residual; the gap,
+    only certified by the solve, and the H^s norms are the caller's."""
 
     u: GridFunction             # support omega_w: u_O on omega, f on w
     q: Potential
     f: GridFunction
     residual: float             # |A u + h q u|_2(omega) / |A_OW f|_2
-    eigen_gap: float
 
 
 def system_matrix(op: FracLapDense, q) -> np.ndarray:
@@ -57,13 +59,25 @@ def system_matrix(op: FracLapDense, q) -> np.ndarray:
 
 
 def eigen_gap(M: np.ndarray) -> float:
-    """Smallest singular value of a symmetric system over its largest.
-
-    The system is symmetric, so its singular values are the moduli of its
-    eigenvalues.
-    """
+    """|lambda|_min / |lambda|_max: smallest over largest singular value."""
     ev = np.abs(np.linalg.eigvalsh(M))
     return float(ev.min() / ev.max())
+
+
+def _gap_certified(M: np.ndarray) -> bool:
+    """Whether Cholesky of M - tau I, tau = 2 GAP_TOL |M|_1, completes,
+    which proves eigen_gap(M) >= GAP_TOL: |M|_1 >= rho(M), and the
+    factorization is exact for a perturbation of 2-norm at most
+    n gamma_(n+1) rho(M) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3), so eigen_gap(M) >= 2 GAP_TOL -
+    n gamma_(n+1) >= GAP_TOL for n <= 9000: the factor 2 is that margin."""
+    shifted = M.copy()
+    shifted.flat[::len(M) + 1] -= 2 * GAP_TOL * np.linalg.norm(M, 1)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def solve_forward(op: FracLapDense, q: Potential,
@@ -73,15 +87,15 @@ def solve_forward(op: FracLapDense, q: Potential,
     q is a Potential or any GridFunction of nodal values (the latter
     allows probing resonant shifts that are not admissible potentials).
     Raises EigenvalueError when the relative spectral gap of the
-    restricted operator falls below GAP_TOL (zero too close to an
-    eigenvalue), and SingularSolveError on factorization failure.
+    restricted operator, certified by _gap_certified or else computed by
+    eigen_gap, falls below GAP_TOL (zero too close to an eigenvalue), and
+    SingularSolveError on factorization failure.
     """
     geom, om, w = op.geom, op.geom.omega_nodes, op.geom.w_nodes
     if np.any(f.values[~support_mask(geom, "w")] != 0.0):
         raise SupportError("exterior data must be supported in w")
     M = system_matrix(op, q)
-    gap = eigen_gap(M)
-    if gap < GAP_TOL:
+    if not _gap_certified(M) and (gap := eigen_gap(M)) < GAP_TOL:
         raise EigenvalueError(
             f"relative spectral gap {gap:.3e} below tolerance {GAP_TOL:.0e}")
     rhs = -(np.ascontiguousarray(op.matrix[op.omega_pos, op.w_pos])
@@ -97,7 +111,7 @@ def solve_forward(op: FracLapDense, q: Potential,
     rhs_norm = float(np.linalg.norm(rhs))
     res = float(np.linalg.norm(M @ u_omega - rhs))
     residual = res / rhs_norm if rhs_norm > 0 else res
-    return ForwardSolution(u=u, q=q, f=f, residual=residual, eigen_gap=gap)
+    return ForwardSolution(u=u, q=q, f=f, residual=residual)
 
 
 def dtn_map(op: FracLapDense, sol: ForwardSolution) -> GridFunction:

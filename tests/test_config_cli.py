@@ -266,6 +266,50 @@ def test_cmd_stability_repeated_noise_level_fits_nothing(tmp_path):
     assert len(rows) == 2 and rows[0] == rows[1] and rows[0].endswith(",")
 
 
+@pytest.mark.parametrize("levels", ["5e-2, 1e-2", "1e-1, 5e-2, 2e-2, 1e-2, 1e-3"])
+def test_cmd_stability_nonpositive_fit_certifies_nothing(tmp_path, levels):
+    # on these noisy ladders the q and u errors fall as eps grows, so both
+    # fitted exponents are negative: the run writes its curve and fit and
+    # a note in place of a certificate
+    ladder = "sweep.epsilons = 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8\n"
+    text = (CONFIGS / "s1_stability.cfg").read_text()
+    assert ladder in text
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text(text.replace(ladder, f"sweep.epsilons = {levels}\n"))
+    rc = _run(["stability", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    fit = dict(line.split("=", 1) for line in
+               (tmp_path / "fit.txt").read_text().splitlines()[1:])
+    assert float(fit["gamma_hat"]) < 0
+    (note,) = (tmp_path / "certificate.txt").read_text().splitlines()[1:]
+    assert re.fullmatch(r"note=fitted gamma_hat = -[\d.]+ and mu = -[\d.]+: "
+                        r"not positive", note), note
+    rows = (tmp_path / "curve.csv").read_text().splitlines()[2:]
+    assert len(rows) == len(levels.split(","))
+
+
+@pytest.mark.parametrize("command, config, calls", [
+    ("stability", "s1_stability.cfg", 0), ("ucp-scan", "s1_ucp_scan.cfg", 0),
+    ("forward", "s1_forward.cfg", 1)])
+def test_exact_eigen_gap_only_where_reported(tmp_path, monkeypatch, command,
+                                             config, calls):
+    # the solves certify their gap by Cholesky; only the forward report
+    # computes the exact gap, once
+    import fraclab.experiments
+    import fraclab.forward
+    real, counted = fraclab.forward.eigen_gap, []
+
+    def counting(M):
+        counted.append(M.shape)
+        return real(M)
+
+    for mod in (fraclab.forward, fraclab.experiments):
+        monkeypatch.setattr(mod, "eigen_gap", counting)
+    rc = _run([command, "--config", str(CONFIGS / config),
+               "--out", str(tmp_path)])
+    assert rc == 0 and len(counted) == calls
+
+
 def test_cmd_stability_identical_potentials_notice(tmp_path):
     cfg = tmp_path / "same.cfg"
     cfg.write_text("""

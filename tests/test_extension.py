@@ -96,6 +96,20 @@ def test_extend_matches_per_column_complex_fft(s1, s1_solution):
         assert dev <= 1e-12 * np.max(np.abs(ref)), (s, dev)
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n_levels", [12, 15, 64])
+def test_extend_blocked_matches_one_shot_irfft(s1_solution, s, n_levels):
+    # 13, 16 and 65 heights: the last block of levels is partial or full;
+    # each level's inverse FFT is that of the one-shot batched transform
+    u = s1_solution.u
+    n = u.spec.n_super
+    y = fl.default_y_grid(s, height=8.5, n_levels=n_levels)
+    xi = np.abs(frequencies(u.spec)[: n // 2 + 1])
+    ref = np.fft.irfft(np.fft.rfft(u.values)
+                       * extension_multiplier(np.outer(y, xi), s), n=n)
+    assert fl.extend(u, s, y).values.T.tobytes() == ref.tobytes()
+
+
 def test_gradient_dx_matches_complex_fft(s1_field):
     xi = frequencies(s1_field.spec)
     ref = np.real(np.fft.ifft(1j * xi[:, None]

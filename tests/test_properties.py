@@ -1,6 +1,7 @@
 """Property tests of the geometry's node slices, of the dense operator
 (against its Fourier symbol too) and the forward map over s and the
-geometry, of the extension multiplier
+geometry, of the forward solve's spectral-gap decision, of the extension
+multiplier
 over s and t, of the potential's nearest-neighbour fill, of the
 recovery's triangular substitution, and of Parseval."""
 
@@ -17,6 +18,8 @@ import fraclab as fl
 from fraclab.extension import BESSEL_CLAMP, extension_multiplier
 from fraclab.fracop import (_far_series_coefficients, _nodal_from_dual,
                             stiffness_lags)
+from fraclab.errors import EigenvalueError
+from fraclab.forward import GAP_TOL, _gap_certified, system_matrix
 from fraclab.reconstruction import _BLOCK, _solve_lower
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
@@ -197,6 +200,51 @@ def test_reciprocity_and_residual(placement, amp):
     f1, f2 = (sol.f.values[geom.w_nodes] for sol in sols)
     assert np.dot(m1, f2) == pytest.approx(np.dot(f1, m2), rel=1e-9)
     assert max(sol.residual for sol in sols) <= 1e-10
+
+
+# target relative gaps, in units of GAP_TOL, of the three bands: below the
+# tolerance, inside (GAP_TOL, 2 GAP_TOL] where the Cholesky certificate
+# cannot pass, and above it
+_GAP_BANDS = {"below": (1e-3, 0.9), "inside": (1.1, 1.9), "above": (3.0, 1e6)}
+
+
+@PROPERTY_SETTINGS
+@given(s=st.floats(0.05, 0.95), c=st.floats(-50.0, 50.0),
+       band=st.sampled_from(sorted(_GAP_BANDS)), frac=st.floats(0.0, 1.0),
+       indefinite=st.booleans())
+def test_solve_forward_raises_iff_exact_gap_below_tol(s, c, band, frac,
+                                                       indefinite):
+    # q = c bump + a constant shift that puts the lowest eigenvalue of the
+    # system at a chosen relative gap, negative too in the band below
+    geom = fl.build_geometry(omega=(-1.0, 1.0), w=(1.5, 2.0), s=s,
+                             box_halfwidth=8.0, n_super=512)
+    op, h, om = fl.assemble_dense(geom), geom.spec.h, geom.omega_nodes
+    bump = c * fl.sample_profile(geom, fl.bump_profile(0.0, 0.5), "omega",
+                                 mode="average").values
+    ev = np.linalg.eigvalsh(system_matrix(op, fl.make_grid_function(
+        geom, bump, "omega")))
+    lo, hi = _GAP_BANDS[band]
+    g = GAP_TOL * lo * (hi / lo) ** frac
+    spread = ev[-1] - ev[0]
+    low = (-g * spread / (1 + g) if indefinite and band == "below"
+           else g * spread / (1 - g))
+    vals = bump.copy()
+    vals[om] += (low - ev[0]) / h
+    q = fl.make_grid_function(geom, vals, "omega")
+    M = system_matrix(op, q)
+    gap = fl.eigen_gap(M)
+    assert (gap < GAP_TOL, GAP_TOL < gap <= 2 * GAP_TOL,
+            gap > 2 * GAP_TOL) == (band == "below", band == "inside",
+                                   band == "above")
+    assert not _gap_certified(M) or gap >= GAP_TOL
+    f = fl.sample_profile(geom, fl.bump_profile(1.75, 0.2), "w",
+                          mode="average")
+    try:
+        fl.solve_forward(op, q, f)
+        raised = False
+    except EigenvalueError:
+        raised = True
+    assert raised == (gap < GAP_TOL)
 
 
 def _snapped_mask(spec, interval):
