@@ -37,9 +37,8 @@ _EXPORTS = {
                     "doubling_scan_bulk", "persistence_check",
                     "three_balls_exponent"),
     "reconstruction": ("PotentialRecovery", "ReconstructionResult",
-                       "StabilityCurve", "fit_log_modulus",
-                       "fit_power_law_exponent", "noise_sweep", "recover_q",
-                       "recover_u"),
+                       "StabilityCurve", "fit_log_modulus", "noise_sweep",
+                       "recover_q", "recover_u"),
     "certificate": ("StabilityCertificate", "certify_bound"),
     "config": ("Scenario", "ScenarioConfig", "build_scenario", "load_config",
                "parse_config_text"),

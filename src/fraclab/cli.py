@@ -2,7 +2,8 @@
 
 Subcommands: forward | ucp-scan | stability | certify, each driven by one
 scenario config file.  Exit codes: 0 success, 2 configuration error,
-3 runtime/solver error; error messages name the failing invariant class.
+3 runtime/solver error or failed output write; error messages name the
+failing invariant class.
 Outputs are plain CSV and key=value text, byte-reproducible for a fixed
 config and seed (every file carries the config hash, never a timestamp).
 
@@ -61,7 +62,7 @@ def cmd_forward(sc: Scenario, out: Path) -> None:
              for xx, vv in zip(x[mask], art.solution.u.values[mask])]
     _write_lines(out / "u.csv", rows)
     eps = sc.config["noise.epsilon"]
-    seed = sc.config["noise.seed"] if eps > 0 else None
+    seed = sc.config["seed"] if eps > 0 else None
     export_measurement_csv(sc.geom, art.measurement, out / "measurement.csv",
                            eps, seed, header_comment=_header(sc))
     _write_lines(out / "apriori_report.txt",
@@ -176,7 +177,6 @@ def main(argv=None) -> int:
                 raise ConfigError("--seed must be nonnegative")
             entries = dict(cfg.entries)
             entries["seed"] = args.seed
-            entries["noise.seed"] = args.seed
             cfg = type(cfg)(entries=entries,
                             text=cfg.text + f"\n# seed override = {args.seed}\n")
         out.mkdir(parents=True, exist_ok=True)
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FraclabError as exc:
+    except (FraclabError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -37,8 +37,7 @@ _FLOAT_KEYS = {
     "noise.epsilon", "recon.theta",
     "scan.x0", "scan.r_min", "scan.r_max",
 } | {f"cert.{k}" for k in CERT_INPUTS}
-_INT_KEYS = {"grid.n_super", "seed", "noise.seed", "scan.n_radii",
-             "extension.n_levels"}
+_INT_KEYS = {"grid.n_super", "seed", "scan.n_radii", "extension.n_levels"}
 _PAIR_KEYS = {"geometry.omega", "geometry.w", "geometry.omega_prime"}
 _LIST_KEYS = {"sweep.epsilons"}
 
@@ -46,9 +45,8 @@ _KNOWN = _FLOAT_KEYS | _INT_KEYS | _PAIR_KEYS | _LIST_KEYS
 
 # keys whose value, or each entry of a list, must be > 0 or >= 0
 _POSITIVE_KEYS = {"f.width", "q1.width", "q2.width", "extension.n_levels"}
-_NONNEGATIVE_KEYS = {"noise.epsilon", "sweep.epsilons", "seed", "noise.seed",
-                     "recon.theta", "f.smoothness", "q1.smoothness",
-                     "q2.smoothness"}
+_NONNEGATIVE_KEYS = {"noise.epsilon", "sweep.epsilons", "seed", "recon.theta",
+                     "f.smoothness", "q1.smoothness", "q2.smoothness"}
 
 _DEFAULTS = {
     "geometry.omega_prime": None,
@@ -61,7 +59,6 @@ _DEFAULTS = {
     "q2.amplitude": 0.0,
     "q2.smoothness": 1.0,
     "noise.epsilon": 0.0,
-    "noise.seed": 0,
     "recon.theta": 1e-6,
     "scan.x0": 0.0,
     "scan.n_radii": 8,

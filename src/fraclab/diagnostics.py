@@ -47,9 +47,9 @@ class DoublingReport:
     radii: np.ndarray
     masses: np.ndarray
     ratios: np.ndarray          # N(2r) / N(r), one per radius
-    beta_hat: float | None
-    c_hat: float | None
-    fit_residual: float | None  # sup |log N - fit| over the scan
+    beta_hat: float
+    c_hat: float
+    fit_residual: float         # sup |log N - fit| over the scan
     r0: float
     mode: str                   # "bulk" or "boundary"
 
@@ -175,23 +175,20 @@ def doubling_scan_bulk(geom: Geometry, field: ExtensionField, x0: float,
                        radii) -> DoublingReport:
     """Doubling ratios of weighted half-ball masses centered at (x0, 0).
 
-    All radii must stay below r0 = dist(x0, boundary)/10.
+    All radii must stay below r0 = dist(x0, boundary)/10; ZeroMassError
+    when a mass is not positive.
     """
     radii, r0 = check_scan(geom, x0, radii, 10.0)
     masses = np.array([weighted_norm(field, Region("half_ball", (x0, 0.0), r))
                        for r in radii])
     doubled = np.array([weighted_norm(field, Region("half_ball", (x0, 0.0), 2 * r))
                         for r in radii])
-    ratios = np.where(masses > 0, doubled / np.where(masses > 0, masses, 1.0),
-                      np.inf)
     if np.any(masses <= 0):
-        beta = c = resid = None
-    else:
-        beta, log_c, resid = fit_loglog(radii, masses)
-        c = float(np.exp(log_c))
-    return DoublingReport(radii=radii, masses=masses, ratios=ratios,
-                          beta_hat=beta, c_hat=c, fit_residual=resid,
-                          r0=r0, mode="bulk")
+        raise ZeroMassError("a half-ball mass of the bulk scan is zero")
+    beta, log_c, resid = fit_loglog(radii, masses)
+    return DoublingReport(radii=radii, masses=masses, ratios=doubled / masses,
+                          beta_hat=beta, c_hat=float(np.exp(log_c)),
+                          fit_residual=resid, r0=r0, mode="bulk")
 
 
 def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,

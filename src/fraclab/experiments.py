@@ -32,12 +32,13 @@ class ForwardArtifacts:
 
 
 def run_forward(sc: Scenario) -> ForwardArtifacts:
-    """Forward solve for q1 with optional measurement noise."""
+    """Forward solve for q1 with optional measurement noise, drawn with
+    the config seed."""
     sol = solve_forward(sc.op, sc.q1, sc.f)
     meas = dtn_map(sc.op, sol)
     eps = sc.config["noise.epsilon"]
     if eps > 0:
-        (meas,) = add_noise(sc.geom, meas, [eps], sc.config["noise.seed"])
+        (meas,) = add_noise(sc.geom, meas, [eps], sc.config["seed"])
     s = sc.geom.s
     f_hs, u_hs = sobolev_norm(sc.f, s), sobolev_norm(sol.u, s)
     lines = [

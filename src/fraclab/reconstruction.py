@@ -13,6 +13,10 @@ Step two divides: q = -(-Lap)^s u / u on nodes where |u| clears a
 relative threshold, with nearest-neighbour fill on the excluded set, a
 cap at ten times the a priori Hoelder bound, and hard zero outside the
 potential support.
+
+Neither step sees the true u or q; noise_sweep alone scores them.  The
+q error is sup |q_rec - q| / sup |q| over the omega' nodes recover_q
+kept, and the u error is the L2(omega) error sqrt(h) |u_rec - u|.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ from functools import lru_cache
 import numpy as np
 
 from .diagnostics import fit_loglog
-from .errors import AllExcludedError, DiscrepancyError
+from .errors import AllExcludedError, DiscrepancyError, ZeroDataError
 from .forward import ForwardSolution, add_noise
 from .fracop import FracLapDense, apply_dense, symmetric_toeplitz
-from .geometry import (GridFunction, GridSpec, Potential, frequencies,
-                       make_grid_function)
+from .geometry import GridFunction, GridSpec, frequencies, make_grid_function
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +40,6 @@ class ReconstructionResult:
     u_rec: GridFunction
     reg_param: float
     discrepancy: float
-    u_error_l2: float | None         # vs ground truth when available
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +48,6 @@ class PotentialRecovery:
 
     q_rec: GridFunction
     excluded: np.ndarray             # supergrid indices below the guard
-    q_error_sup: float | None        # vs q_true, relative, on included nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +110,7 @@ def _continuation(op: FracLapDense):
 
 
 def recover_u(op: FracLapDense, f: GridFunction, lam_f: GridFunction,
-              strategy: tuple[str, float] = ("fixed", 1e-14),
-              u_true: GridFunction | None = None) -> ReconstructionResult:
+              strategy: tuple[str, float]) -> ReconstructionResult:
     """Tikhonov recovery of the interior solution from the data f and
     the measurement lam_f on the window.
 
@@ -169,18 +169,11 @@ def recover_u(op: FracLapDense, f: GridFunction, lam_f: GridFunction,
     vals[om] = v
     vals[w] = f.values[w]
     u_rec = make_grid_function(op.geom, vals, "omega_w")
-    err_l2 = None
-    if u_true is not None:
-        diff = (u_rec.values - u_true.values)[om]
-        ref = np.linalg.norm(u_true.values[om])
-        err_l2 = float(np.linalg.norm(diff) / ref) if ref > 0 else None
-    return ReconstructionResult(u_rec=u_rec, reg_param=lam, discrepancy=res,
-                                u_error_l2=err_l2)
+    return ReconstructionResult(u_rec=u_rec, reg_param=lam, discrepancy=res)
 
 
 def recover_q(op: FracLapDense, u_rec: GridFunction, threshold: float,
-              holder_bound: float,
-              q_true: Potential | None = None) -> PotentialRecovery:
+              holder_bound: float) -> PotentialRecovery:
     """Division step with zero-set guarding on the recovered solution u_rec.
 
     Nodes where |u_rec| falls below threshold * max |u_rec| are excluded
@@ -217,15 +210,7 @@ def recover_q(op: FracLapDense, u_rec: GridFunction, threshold: float,
     vals = np.zeros(geom.spec.n_super)
     vals[prime] = q_omega[p]
     q_rec = make_grid_function(geom, vals, "omega_prime")
-    q_err = None
-    if q_true is not None:
-        ref = float(np.max(np.abs(q_true.values.values)))
-        sel = included[p]
-        if ref > 0 and np.any(sel):
-            dev = q_omega[p][sel] - q_true.values.values[prime][sel]
-            q_err = float(np.max(np.abs(dev)) / ref)
-    return PotentialRecovery(q_rec=q_rec, excluded=om.start + exc_pos,
-                             q_error_sup=q_err)
+    return PotentialRecovery(q_rec=q_rec, excluded=om.start + exc_pos)
 
 
 def fit_log_modulus(t, err) -> tuple[float, float, float] | None:
@@ -243,24 +228,26 @@ def fit_log_modulus(t, err) -> tuple[float, float, float] | None:
     return -slope, float(np.exp(intercept)), resid
 
 
-def fit_power_law_exponent(t: np.ndarray, err: np.ndarray) -> float:
-    """Slope of log err against log t (Hoelder-type alternative fit)."""
-    return fit_loglog(t, err)[0]
-
-
 def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
                 epsilons, threshold: float, seed: int) -> StabilityCurve:
     """Recover sol.q from noisy copies of meas over the noise ladder
-    epsilons, taken in ascending order.
+    epsilons, taken in ascending order, and score each recovery.
 
     meas is the clean measurement dtn_map(op, sol).  add_noise draws one
     noise direction for the ladder, and each distinct level is recovered
     once; the discrepancy principle receives the actual L2(w) size of the
-    injected perturbation.  An undefined q or u error records 0.
+    injected perturbation.  The q error is sup |q_rec - sol.q| / sup |sol.q|
+    over the omega' nodes that recover_q did not exclude, and the u error
+    is sqrt(h) |u_rec - sol.u| over the omega nodes.  ZeroDataError when
+    sol.q vanishes; AllExcludedError when no omega' node is kept.
     """
     geom = op.geom
+    om, prime = geom.omega_nodes, geom.prime_nodes
     sqrt_h = np.sqrt(geom.spec.h)
-    u_ref = float(sqrt_h * np.linalg.norm(sol.u.values[geom.omega_nodes]))
+    q = sol.q.values.values
+    q_sup = float(np.max(np.abs(q)))
+    if q_sup == 0.0:
+        raise ZeroDataError("the relative q error needs q != 0")
     ts = np.sort(np.asarray(epsilons, dtype=float))
     levels, inverse = np.unique(ts, return_inverse=True)
     errs, u_abs = [], []
@@ -268,14 +255,16 @@ def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
         delta = float(sqrt_h * np.linalg.norm(
             (noisy.values - meas.values)[geom.w_nodes]))
         try:
-            rec = recover_u(op, sol.f, noisy,
-                            strategy=("discrepancy", delta), u_true=sol.u)
+            rec = recover_u(op, sol.f, noisy, strategy=("discrepancy", delta))
         except DiscrepancyError:
-            rec = recover_u(op, sol.f, noisy,
-                            strategy=("fixed", 1e-14), u_true=sol.u)
-        q_err = recover_q(op, rec.u_rec, threshold, sol.q.holder_bound,
-                          q_true=sol.q).q_error_sup
-        errs.append(q_err if q_err is not None else 0.0)
-        u_abs.append(rec.u_error_l2 * u_ref if rec.u_error_l2 is not None else 0.0)
+            rec = recover_u(op, sol.f, noisy, strategy=("fixed", 1e-14))
+        pot = recover_q(op, rec.u_rec, threshold, sol.q.holder_bound)
+        kept = ~np.isin(np.arange(prime.start, prime.stop), pot.excluded)
+        if not np.any(kept):
+            raise AllExcludedError("every omega' node fell below the guard")
+        dev = (pot.q_rec.values - q)[prime][kept]
+        errs.append(float(np.max(np.abs(dev)) / q_sup))
+        u_abs.append(float(sqrt_h * np.linalg.norm(
+            (rec.u_rec.values - sol.u.values)[om])))
     return StabilityCurve(t_values=ts, errors=np.array(errs)[inverse],
                           u_errors_abs=np.array(u_abs)[inverse])

@@ -33,7 +33,7 @@ def test_unknown_key_rejected():
 @pytest.mark.parametrize("line", [
     "recon.strategy = fixed", "recon.lambda = 1e-10", "output.dir = out",
     "sweep.t_min = 0.1", "sweep.t_max = 1", "sweep.n_points = 5",
-    "sweep.mode = noise", "sweep.t_values = 0.1"])
+    "sweep.mode = noise", "sweep.t_values = 0.1", "noise.seed = -1"])
 def test_unread_keys_rejected(tmp_path, line):
     key = line.split(" =")[0]
     text = (CONFIGS / "certify_example.cfg").read_text() + line + "\n"
@@ -82,7 +82,7 @@ def _run(args):
     ("f.width = 0", []), ("q1.width = -0.5", []), ("q2.width = 0", []),
     ("noise.epsilon = -0.5", []), ("noise.epsilon = nan", []),
     ("sweep.epsilons = 1e-3, -1e-4", []), ("seed = -1", []),
-    ("noise.seed = -1", []), ("recon.theta = -1", []),
+    ("recon.theta = nan", []), ("recon.theta = -1", []),
     ("noise.epsilon = 1e-3", ["--seed", "-1"]),
     ("extension.n_levels = 0", []), ("f.smoothness = -1", []),
     ("q1.smoothness = -1", []), ("q2.smoothness = -1", []),
@@ -185,6 +185,35 @@ def test_cmd_forward_noisy(tmp_path):
     lam = [float(ln.split(",")[1]) for ln in lines[3:]]
     lam_ref = [float(ln.split(",")[1]) for ln in ref[3:]]
     assert len(lam) == len(lam_ref) and lam != lam_ref
+    # the config's seed key draws the same noise as --seed
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(cfg.read_text().replace("seed = 0\n", "seed = 7\n"))
+    assert _run(["forward", "--config", str(keyed),
+                 "--out", str(tmp_path / "keyed")]) == 0
+    assert (tmp_path / "keyed" / "measurement.csv").read_text() \
+        .splitlines()[1:] == lines[1:]
+
+
+def test_failed_output_write_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "u.csv").mkdir(parents=True)
+    rc = _run(["forward", "--config", str(CONFIGS / "s1_forward.cfg"),
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("IsADirectoryError: ") and "Traceback" not in err
+
+
+def test_stability_on_zero_q2_exits_3(tmp_path, capsys):
+    # the relative q error is undefined when q2 = 0; no curve of zeros
+    cfg = tmp_path / "zero_q2.cfg"
+    text = (CONFIGS / "s1_stability.cfg").read_text()
+    assert "q2.amplitude = 0.5\n" in text
+    cfg.write_text(text.replace("q2.amplitude = 0.5\n", "q2.amplitude = 0\n"))
+    rc = _run(["stability", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("ZeroDataError: ")
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_cmd_ucp_scan_files(tmp_path):
@@ -431,9 +460,9 @@ def test_stability_deterministic(tmp_path):
 
 def test_defaulted_keys_may_be_omitted(tmp_path):
     # every key with an entry in config._DEFAULTS is left out, so a driver
-    # that reads a key with cfg[...] but no default fails here
-    cfg = tmp_path / "minimal.cfg"
-    cfg.write_text("""
+    # that reads a key with cfg[...] but no default fails here; the sweep
+    # scores a relative q error, so stability sets q2.amplitude as well
+    minimal = """
 geometry.omega = -1, 1
 geometry.w = 2, 3
 geometry.s = 0.5
@@ -442,8 +471,11 @@ f.width = 0.4
 scan.r_min = 0.02
 scan.r_max = 0.099
 sweep.epsilons = 1e-3, 1e-5
-""")
-    for cmd in ("ucp-scan", "stability"):
+"""
+    q2 = "q2.center = 0\nq2.width = 0.5\nq2.amplitude = 0.5\n"
+    for cmd, text in (("ucp-scan", minimal), ("stability", minimal + q2)):
+        cfg = tmp_path / f"{cmd}.cfg"
+        cfg.write_text(text)
         out = tmp_path / cmd
         assert _run([cmd, "--config", str(cfg), "--out", str(out)]) == 0
 

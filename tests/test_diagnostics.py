@@ -177,6 +177,16 @@ def test_bulk_doubling_radius_guard(s1, s1_field):
         fl.doubling_scan_bulk(geom, s1_field, 2.5, [0.01])
 
 
+def test_bulk_doubling_zero_field_raises(s1, s1_field):
+    # the boundary scan's policy: a zero mass has no doubling ratio or fit
+    geom, spec = s1
+    zero = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
+                             values=np.zeros_like(s1_field.values), s=0.5,
+                             boundary=np.zeros(spec.n_super))
+    with pytest.raises(ZeroMassError):
+        fl.doubling_scan_bulk(geom, zero, 0.0, np.geomspace(0.02, 0.099, 8))
+
+
 def test_bulk_doubling_homogeneity(s1, s1_field):
     geom, spec = s1
     radii = np.geomspace(0.02, 0.099, 8)
