@@ -18,9 +18,9 @@ _EXPORTS = {
                "EmptyRegionError", "FraclabError", "GeometryError",
                "OverlapError", "ResolutionError", "SingularSolveError",
                "SupportError", "ZeroDataError", "ZeroMassError"),
-    "geometry": ("Geometry", "GridFunction", "GridSpec", "Potential",
-                 "build_geometry", "bump_profile", "make_grid_function",
-                 "sample_profile", "support_mask"),
+    "geometry": ("Geometry", "GridFunction", "GridSpec", "build_geometry",
+                 "bump_profile", "make_grid_function", "sample_profile",
+                 "support_mask"),
     "spaces": ("dual_norm_on_window", "holder_norm", "make_potential",
                "oscillation_ratio", "sobolev_norm"),
     "fracop": ("FracLapDense", "apply_dense", "apply_spectral",

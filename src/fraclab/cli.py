@@ -145,11 +145,8 @@ def cmd_stability(sc: Scenario, out: Path) -> None:
     _write_lines(out / "certificate.txt", cert_lines)
 
 
-def cmd_certify(cfg: ScenarioConfig, out: Path) -> None:
-    missing = [f"cert.{k}" for k in CERT_INPUTS if cfg.get(f"cert.{k}") is None]
-    if missing:
-        raise ConfigError(f"certify needs keys: {', '.join(missing)}")
-    cert = certify_bound(**{k: cfg[f"cert.{k}"] for k in CERT_INPUTS})
+def cmd_certify(cfg: ScenarioConfig, cert: StabilityCertificate,
+                out: Path) -> None:
     _write_lines(out / "certificate.txt",
                  [f"# {_header(cfg)}"] + _certificate_lines(cert))
 
@@ -179,11 +176,14 @@ def main(argv=None) -> int:
             entries["seed"] = args.seed
             cfg = type(cfg)(entries=entries,
                             text=cfg.text + f"\n# seed override = {args.seed}\n")
-        out.mkdir(parents=True, exist_ok=True)
         if args.command == "certify":
-            cmd_certify(cfg, out)
-            return EXIT_OK
-        sc = build_scenario(cfg, resolution_multiplier=args.resolution)
+            missing = [f"cert.{k}" for k in CERT_INPUTS
+                       if cfg.get(f"cert.{k}") is None]
+            if missing:
+                raise ConfigError(f"certify needs keys: {', '.join(missing)}")
+            cert = certify_bound(**{k: cfg[f"cert.{k}"] for k in CERT_INPUTS})
+        else:
+            sc = build_scenario(cfg, resolution_multiplier=args.resolution)
     except FraclabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -191,13 +191,14 @@ def main(argv=None) -> int:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # making the output directory and writing into it are runtime steps
     try:
-        if args.command == "forward":
-            cmd_forward(sc, out)
-        elif args.command == "ucp-scan":
-            cmd_ucp_scan(sc, out)
-        elif args.command == "stability":
-            cmd_stability(sc, out)
+        out.mkdir(parents=True, exist_ok=True)
+        if args.command == "certify":
+            cmd_certify(cfg, cert, out)
+        else:
+            {"forward": cmd_forward, "ucp-scan": cmd_ucp_scan,
+             "stability": cmd_stability}[args.command](sc, out)
         return EXIT_OK
     except ConfigError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

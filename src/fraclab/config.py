@@ -27,7 +27,7 @@ from .errors import ConfigError
 
 if TYPE_CHECKING:
     from .fracop import FracLapDense
-    from .geometry import Geometry, GridFunction, Potential
+    from .geometry import Geometry, GridFunction
 
 _FLOAT_KEYS = {
     "geometry.s", "grid.L",
@@ -136,14 +136,15 @@ def load_config(path) -> ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """What a driver needs: geometry and grid, operator, data, potentials."""
+    """What a driver needs: geometry and grid, operator, data, and the
+    potentials, grid functions whose norms the drivers measure."""
 
     config: ScenarioConfig
     geom: Geometry
     op: FracLapDense
     f: GridFunction             # exterior data on w
-    q1: Potential
-    q2: Potential
+    q1: GridFunction
+    q2: GridFunction
 
 
 def _bump_from_block(cfg: ScenarioConfig, block: str, geom, support):

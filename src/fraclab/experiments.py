@@ -20,7 +20,7 @@ from .forward import (ForwardSolution, add_noise, dtn_map, eigen_gap,
                       solve_forward, system_matrix)
 from .geometry import GridFunction, make_grid_function
 from .reconstruction import StabilityCurve, fit_log_modulus, noise_sweep
-from .spaces import dual_norm_on_window, sobolev_norm
+from .spaces import dual_norm_on_window, holder_norm, sobolev_norm
 from .config import Scenario
 
 
@@ -94,7 +94,7 @@ def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
 
     bulk = doubling_scan_bulk(sc.geom, field, x0, radii)
     boundary = doubling_scan_boundary(sc.geom, sol.u, x0, radii)
-    q_sup = sc.q1.sup_bound
+    q_sup = float(np.max(np.abs(sc.q1.values)))
     checks = [
         caccioppoli_check(sc.geom, field, q_sup, x0, float(radii[-1])),
         persistence_check(sc.geom, field, sc.f, h=0.1),
@@ -133,10 +133,12 @@ def end_to_end(sc: Scenario, epsilons,
     """Forward, reconstruct, scan, certify, compare.
 
     The certificate constants are all measured on the scenario itself:
-    the vanishing order from the boundary doubling scan of u1, the
+    the a priori bound E, the larger holder_norm of q1 and q2, measured
+    once here and read by both the certificate and the sweep's cap on
+    q_rec; the vanishing order from the boundary doubling scan of u1; the
     smallness constants (C_stab, mu) of err = C_stab e_tilde
     |log(eps/e_tilde)|^-mu from fit_log_modulus on the sweep's u errors
-    against eps/e_tilde, and the data error from the measured dual-norm
+    against eps/e_tilde; and the data error from the measured dual-norm
     gap.  When that gap is zero there is nothing to certify: the sweep
     samples are returned without either fit, and note is
     NOTHING_TO_CERTIFY.  A fitted gamma_hat or mu <= 0 certifies nothing
@@ -159,10 +161,12 @@ def end_to_end(sc: Scenario, epsilons,
     lam2 = dtn_map(sc.op, sol2)
     gap_gf = make_grid_function(sc.geom, lam1.values - lam2.values, "w")
     data_gap = dual_norm_on_window(sc.geom, gap_gf)
-    actual = float(np.max(np.abs(sc.q1.values.values - sc.q2.values.values)))
+    actual = float(np.max(np.abs(sc.q1.values - sc.q2.values)))
+    E = max(holder_norm(sc.geom, q.values) for q in (sc.q1, sc.q2))
 
     curve = noise_sweep(sc.op, sol2, lam2, epsilons,
-                        threshold=cfg["recon.theta"], seed=seed)
+                        threshold=cfg["recon.theta"], holder_bound=E,
+                        seed=seed)
 
     radii = np.geomspace(dist / 40, dist / 4.5, 10)
     boundary = doubling_scan_boundary(sc.geom, sol1.u, x0, radii)
@@ -186,8 +190,7 @@ def end_to_end(sc: Scenario, epsilons,
             note = ""
             mu_hat, c, _ = smallness
             certificate = certify_bound(
-                E=max(sc.q1.holder_bound, sc.q2.holder_bound),
-                alpha=s, beta=boundary.beta_hat, c_low=boundary.c_hat,
+                E=E, alpha=s, beta=boundary.beta_hat, c_low=boundary.c_hat,
                 c_stab=c / e_tilde, mu=mu_hat, e_tilde=e_tilde,
                 epsilon=min(data_gap, 0.499), r0=boundary.r0)
     return EndToEndReport(data_gap=data_gap, actual_sup_gap=actual,

@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import EigenvalueError, SingularSolveError, SupportError
 from .fracop import FracLapDense
-from .geometry import (Geometry, GridFunction, Potential, make_grid_function,
-                       support_mask)
+from .geometry import Geometry, GridFunction, make_grid_function, support_mask
 from .spaces import dual_norm_on_window
 
 #: relative spectral gap below which the restricted operator is rejected
@@ -40,21 +39,19 @@ GAP_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ForwardSolution:
-    """Solution of the exterior-value problem with its residual; the gap,
-    only certified by the solve, and the H^s norms are the caller's."""
+    """Solution of the exterior-value problem for q with its residual; the
+    gap, only certified by the solve, and all norms are the caller's."""
 
     u: GridFunction             # support omega_w: u_O on omega, f on w
-    q: Potential
+    q: GridFunction
     f: GridFunction
     residual: float             # |A u + h q u|_2(omega) / |A_OW f|_2
 
 
-def system_matrix(op: FracLapDense, q) -> np.ndarray:
+def system_matrix(op: FracLapDense, q: GridFunction) -> np.ndarray:
     """A_OO + h diag(q) over the omega nodes, as a fresh array."""
-    geom = op.geom
     M = op.matrix[op.omega_pos, op.omega_pos].copy()
-    qv = q.values.values if isinstance(q, Potential) else q.values
-    M[np.diag_indices_from(M)] += geom.spec.h * qv[geom.omega_nodes]
+    M.flat[::len(M) + 1] += op.geom.spec.h * q.values[op.geom.omega_nodes]
     return M
 
 
@@ -80,12 +77,12 @@ def _gap_certified(M: np.ndarray) -> bool:
     return True
 
 
-def solve_forward(op: FracLapDense, q: Potential,
+def solve_forward(op: FracLapDense, q: GridFunction,
                   f: GridFunction) -> ForwardSolution:
     """Solve the exterior-value problem for data f on the window.
 
-    q is a Potential or any GridFunction of nodal values (the latter
-    allows probing resonant shifts that are not admissible potentials).
+    q is any GridFunction of nodal values: a potential from
+    make_potential, or a shift such as a constant that probes resonance.
     Raises EigenvalueError when the relative spectral gap of the
     restricted operator, certified by _gap_certified or else computed by
     eigen_gap, falls below GAP_TOL (zero too close to an eigenvalue), and

@@ -84,15 +84,6 @@ class GridFunction:
         self.values.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class Potential:
-    """Potential supported in omega_prime with its a priori bounds."""
-
-    values: GridFunction
-    holder_bound: float
-    sup_bound: float
-
-
 def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
                    omega_prime=None) -> Geometry:
     """Validate a scenario and fix its supergrid and node slices.
@@ -109,7 +100,7 @@ def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
     n_super : int
         Supergrid size, a power of two.
     omega_prime : pair of floats, optional
-        Potential support, strictly inside omega.  Defaults to omega
+        Support of the potentials, strictly inside omega.  Defaults to omega
         shrunk by an eighth of its length on each side.
 
     The snap rule: an interval's nodes run between its endpoints, each

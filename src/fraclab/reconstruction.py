@@ -11,8 +11,8 @@ residual until it lies in [delta, 2 delta]).
 
 Step two divides: q = -(-Lap)^s u / u on nodes where |u| clears a
 relative threshold, with nearest-neighbour fill on the excluded set, a
-cap at ten times the a priori Hoelder bound, and hard zero outside the
-potential support.
+cap at ten times the a priori Hoelder bound E (end_to_end measures it
+once per run), and hard zero outside the potential support.
 
 Neither step sees the true u or q; noise_sweep alone scores them.  The
 q error is sup |q_rec - q| / sup |q| over the omega' nodes recover_q
@@ -229,9 +229,11 @@ def fit_log_modulus(t, err) -> tuple[float, float, float] | None:
 
 
 def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
-                epsilons, threshold: float, seed: int) -> StabilityCurve:
+                epsilons, threshold: float, holder_bound: float,
+                seed: int) -> StabilityCurve:
     """Recover sol.q from noisy copies of meas over the noise ladder
-    epsilons, taken in ascending order, and score each recovery.
+    epsilons, taken in ascending order, capped at 10 E with E the
+    caller's a priori C^{0,s} bound holder_bound, and score each recovery.
 
     meas is the clean measurement dtn_map(op, sol).  add_noise draws one
     noise direction for the ladder, and each distinct level is recovered
@@ -244,7 +246,7 @@ def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
     geom = op.geom
     om, prime = geom.omega_nodes, geom.prime_nodes
     sqrt_h = np.sqrt(geom.spec.h)
-    q = sol.q.values.values
+    q = sol.q.values
     q_sup = float(np.max(np.abs(q)))
     if q_sup == 0.0:
         raise ZeroDataError("the relative q error needs q != 0")
@@ -258,7 +260,7 @@ def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
             rec = recover_u(op, sol.f, noisy, strategy=("discrepancy", delta))
         except DiscrepancyError:
             rec = recover_u(op, sol.f, noisy, strategy=("fixed", 1e-14))
-        pot = recover_q(op, rec.u_rec, threshold, sol.q.holder_bound)
+        pot = recover_q(op, rec.u_rec, threshold, holder_bound)
         kept = ~np.isin(np.arange(prime.start, prime.stop), pot.excluded)
         if not np.any(kept):
             raise AllExcludedError("every omega' node fell below the guard")

@@ -21,8 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SupportError, ZeroDataError
-from .geometry import (Geometry, GridFunction, Potential, frequencies,
-                       support_mask)
+from .geometry import Geometry, GridFunction, frequencies, support_mask
 
 
 def fourier_coefficients(g: GridFunction) -> np.ndarray:
@@ -94,23 +93,9 @@ def holder_norm(geom: Geometry, values: np.ndarray) -> float:
     return semi + supq
 
 
-def make_potential(geom: Geometry, values: GridFunction,
-                   holder_bound: float | None = None,
-                   sup_bound: float | None = None) -> Potential:
-    """Attach a priori bounds to a potential, measuring them if absent."""
-    outside = ~support_mask(geom, "omega_prime")
-    if np.any(values.values[outside] != 0.0):
+def make_potential(geom: Geometry, values: GridFunction) -> GridFunction:
+    """Return the potential values, checked to be supported in omega_prime."""
+    q = values
+    if np.any(q.values[~support_mask(geom, "omega_prime")] != 0.0):
         raise SupportError("potential must be supported in omega_prime")
-    sup = float(np.max(np.abs(values.values)))
-    if sup_bound is None:
-        sup_bound = sup
-    elif sup > sup_bound:
-        raise ValueError(f"sup |q| = {sup} exceeds declared bound {sup_bound}")
-    measured = holder_norm(geom, values.values)
-    if holder_bound is None:
-        holder_bound = measured
-    elif measured > holder_bound * (1 + 1e-12):
-        raise ValueError(
-            f"C^{{0,s}} norm {measured} exceeds declared bound {holder_bound}")
-    return Potential(values=values, holder_bound=float(holder_bound),
-                     sup_bound=float(sup_bound))
+    return q

@@ -204,6 +204,26 @@ def test_failed_output_write_exits_3(tmp_path, capsys):
     assert err.startswith("IsADirectoryError: ") and "Traceback" not in err
 
 
+def test_forward_out_is_a_file_exits_3(tmp_path, capsys):
+    # an unusable output location is a runtime error, not a config error
+    out = tmp_path / "F"
+    out.write_text("")
+    rc = _run(["forward", "--config", str(CONFIGS / "s1_forward.cfg"),
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("FileExistsError: ") and "Traceback" not in err
+
+
+def test_certify_write_failure_exits_3(tmp_path, capsys):
+    (tmp_path / "certificate.txt").mkdir()
+    rc = _run(["certify", "--config", str(CONFIGS / "certify_example.cfg"),
+               "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("IsADirectoryError: ") and "Traceback" not in err
+
+
 def test_stability_on_zero_q2_exits_3(tmp_path, capsys):
     # the relative q error is undefined when q2 = 0; no curve of zeros
     cfg = tmp_path / "zero_q2.cfg"

@@ -295,7 +295,9 @@ def test_doubling_uniformity_across_potentials(s1, s1_op, s1_f, golden):
                                 rng.uniform(0.3, 0.5),
                                 rng.uniform(-0.5, 0.5)),
                 "omega_prime", mode="average")
-            q = fl.make_potential(geom, gf, holder_bound=2.0, sup_bound=0.5)
+            q = fl.make_potential(geom, gf)
+            assert fl.holder_norm(geom, q.values) <= 2.0
+            assert np.max(np.abs(q.values)) <= 0.5
             sol = fl.solve_forward(s1_op, q, s1_f)
             rep = fl.doubling_scan_boundary(geom, sol.u, 0.0,
                                             np.geomspace(0.02, 0.24, 8))

@@ -115,9 +115,11 @@ def test_bump_profile_support_and_peak():
 
 
 def test_potential_bounds_measured(s1, s1_qbump):
+    # the sup and the full C^{0,s} norm (seminorm plus sup) of the bump
     geom, spec = s1
-    assert s1_qbump.sup_bound == pytest.approx(0.5, rel=1e-2)
-    assert s1_qbump.holder_bound >= s1_qbump.sup_bound
+    sup = np.max(np.abs(s1_qbump.values))
+    assert sup == pytest.approx(0.5, rel=1e-2)
+    assert fl.holder_norm(geom, s1_qbump.values) >= sup
 
 
 def test_potential_support_enforced(s1):

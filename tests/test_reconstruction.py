@@ -14,6 +14,11 @@ from fraclab.reconstruction import _continuation, hs_gram_row
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _holder(op, sol):
+    """The a priori bound E of the potential that sol was solved for."""
+    return fl.holder_norm(op.geom, sol.q.values)
+
+
 @pytest.fixture(scope="module")
 def s1_bump_problem(s1_op, s1_f, s1_qbump):
     sol = fl.solve_forward(s1_op, s1_qbump, s1_f)
@@ -83,7 +88,8 @@ def test_recover_u_discrepancy_unreachable(s1_op, s1_f, s1_bump_problem):
 def test_recover_u_error_monotone_in_noise(s1_op, s1_f, s1_qbump, s1_q0):
     sol = fl.solve_forward(s1_op, s1_qbump, s1_f)
     curve = fl.noise_sweep(s1_op, sol, fl.dtn_map(s1_op, sol),
-                           (1e-2, 1e-4, 1e-8), threshold=1e-3, seed=1234)
+                           (1e-2, 1e-4, 1e-8), threshold=1e-3,
+                           holder_bound=_holder(s1_op, sol), seed=1234)
     # errors listed by increasing noise; must not decrease (10% slack)
     e = curve.errors
     assert e[1] >= e[0] * 0.9 and e[2] >= e[1] * 0.9
@@ -147,8 +153,8 @@ def test_recover_u_cache_keyed_by_operator(s1_op, s1_f, s1_bump_problem):
 
 def test_recover_q_round_trip(s1_op, s1_qbump, s1_bump_problem):
     sol, _ = s1_bump_problem
-    rec = fl.recover_q(s1_op, sol.u, 1e-6, s1_qbump.holder_bound)
-    prime, q = s1_op.geom.prime_nodes, s1_qbump.values.values
+    rec = fl.recover_q(s1_op, sol.u, 1e-6, _holder(s1_op, sol))
+    prime, q = s1_op.geom.prime_nodes, s1_qbump.values
     kept = ~np.isin(np.arange(prime.start, prime.stop), rec.excluded)
     dev = (rec.q_rec.values - q)[prime][kept]
     assert np.max(np.abs(dev)) / np.max(np.abs(q)) < 0.05
@@ -159,8 +165,9 @@ def test_recover_q_guard_on_sign_change(s1, s1_op, s1_qbump):
     x = spec.nodes()
     vals = np.where(fl.support_mask(geom, "omega_w"), np.sin(3 * x), 0.0)
     u = fl.make_grid_function(geom, vals, "omega_w")
-    rec = fl.recover_q(s1_op, u, 0.05, s1_qbump.holder_bound)
-    cap = 10.0 * s1_qbump.holder_bound
+    E = fl.holder_norm(geom, s1_qbump.values)
+    rec = fl.recover_q(s1_op, u, 0.05, E)
+    cap = 10.0 * E
     assert np.all(np.abs(rec.q_rec.values) <= cap)
     assert np.all(np.isfinite(rec.q_rec.values))
     assert len(rec.excluded) > 0
@@ -179,7 +186,7 @@ def test_recover_q_all_excluded(s1, s1_op, s1_qbump):
 def test_recover_q_zero_outside_support(s1, s1_op, s1_qbump, s1_bump_problem):
     geom, spec = s1
     sol, _ = s1_bump_problem
-    rec = fl.recover_q(s1_op, sol.u, 1e-6, s1_qbump.holder_bound)
+    rec = fl.recover_q(s1_op, sol.u, 1e-6, _holder(s1_op, sol))
     outside = ~fl.support_mask(geom, "omega_prime")
     assert np.all(rec.q_rec.values[outside] == 0.0)
 
@@ -266,7 +273,8 @@ def test_noise_sweep_ignores_ladder_order(s1_op, s1_bump_problem):
     sol, lam = s1_bump_problem
     ladder = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
     orders = [ladder, ladder[::-1], [1e-4, 1e-2, 1e-6, 1e-3, 1e-5]]
-    curves = [fl.noise_sweep(s1_op, sol, lam, eps, threshold=1e-3, seed=3)
+    curves = [fl.noise_sweep(s1_op, sol, lam, eps, threshold=1e-3,
+                             holder_bound=_holder(s1_op, sol), seed=3)
               for eps in orders]
     for field in ("t_values", "errors", "u_errors_abs"):
         got = [getattr(c, field).tobytes() for c in curves]
@@ -278,13 +286,15 @@ def test_noise_sweep_ignores_ladder_order(s1_op, s1_bump_problem):
 def test_noise_sweep_solves_a_repeated_level_once(s1_op, s1_bump_problem,
                                                   monkeypatch):
     sol, lam = s1_bump_problem
-    once = fl.noise_sweep(s1_op, sol, lam, [1e-3], threshold=1e-3, seed=3)
+    E = _holder(s1_op, sol)
+    once = fl.noise_sweep(s1_op, sol, lam, [1e-3], threshold=1e-3,
+                          holder_bound=E, seed=3)
     calls = []
     real = fl.recover_u
     monkeypatch.setattr("fraclab.reconstruction.recover_u",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     twice = fl.noise_sweep(s1_op, sol, lam, [1e-3, 1e-3], threshold=1e-3,
-                           seed=3)
+                           holder_bound=E, seed=3)
     assert len(calls) == 1
     assert twice.t_values.tolist() == [1e-3, 1e-3]
     for field in ("errors", "u_errors_abs"):
@@ -303,7 +313,8 @@ def test_noise_sweep_draws_one_direction(s1, s1_op, s1_bump_problem,
     real = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *a: made.append(a) or real(*a))
-    fl.noise_sweep(s1_op, sol, lam, ladder, threshold=1e-3, seed=3)
+    fl.noise_sweep(s1_op, sol, lam, ladder, threshold=1e-3,
+                   holder_bound=_holder(s1_op, sol), seed=3)
     assert made == [(3,)]
     noisy = list(fl.add_noise(geom, lam, ladder, seed=3))
     assert noisy[1] is lam
@@ -318,8 +329,10 @@ def test_noise_sweep_scores_only_kept_nodes(s1, s1_op, s1_bump_problem):
     geom, spec = s1
     sol, lam = s1_bump_problem
     ladder, theta = [1e-6, 1e-5], 0.7
-    curve = fl.noise_sweep(s1_op, sol, lam, ladder, threshold=theta, seed=3)
-    q, u = sol.q.values.values, sol.u.values
+    E = _holder(s1_op, sol)
+    curve = fl.noise_sweep(s1_op, sol, lam, ladder, threshold=theta,
+                           holder_bound=E, seed=3)
+    q, u = sol.q.values, sol.u.values
     q_sup = np.max(np.abs(q))
     prime = range(geom.prime_nodes.start, geom.prime_nodes.stop)
     omega = range(geom.omega_nodes.start, geom.omega_nodes.stop)
@@ -328,7 +341,7 @@ def test_noise_sweep_scores_only_kept_nodes(s1, s1_op, s1_bump_problem):
         delta = np.sqrt(spec.h) * np.linalg.norm(
             (meas.values - lam.values)[geom.w_nodes])
         rec = fl.recover_u(s1_op, sol.f, meas, ("discrepancy", delta))
-        pot = fl.recover_q(s1_op, rec.u_rec, theta, sol.q.holder_bound)
+        pot = fl.recover_q(s1_op, rec.u_rec, theta, E)
         excluded = set(pot.excluded.tolist())
         kept = [i for i in prime if i not in excluded]
         assert 0 < len(kept) < len(prime)
@@ -348,14 +361,16 @@ def test_noise_sweep_undefined_errors_raise(s1_op, s1_f, s1_q0):
     sol0 = fl.solve_forward(s1_op, s1_q0, s1_f)
     with pytest.raises(ZeroDataError):
         fl.noise_sweep(s1_op, sol0, fl.dtn_map(s1_op, sol0), [1e-3],
-                       threshold=1e-3, seed=3)
+                       threshold=1e-3, holder_bound=_holder(s1_op, sol0),
+                       seed=3)
     # on sweep_benchmark.cfg at threshold 1 the one kept node, the
     # maximizer of |u_rec|, lies outside omega' at this noise draw
     sc = fl.build_scenario(fl.load_config(CONFIGS / "sweep_benchmark.cfg"))
     sol = fl.solve_forward(sc.op, sc.q2, sc.f)
     with pytest.raises(AllExcludedError):
         fl.noise_sweep(sc.op, sol, fl.dtn_map(sc.op, sol), [1e-3],
-                       threshold=1.0, seed=1234)
+                       threshold=1.0, holder_bound=_holder(sc.op, sol),
+                       seed=1234)
 
 
 def test_noise_sweep_benchmark(golden):
@@ -378,7 +393,8 @@ q2.amplitude = 0.5
     eps = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
     sol = fl.solve_forward(sc.op, sc.q2, sc.f)
     curve = fl.noise_sweep(sc.op, sol, fl.dtn_map(sc.op, sol), eps,
-                           threshold=1e-3, seed=1234)
+                           threshold=1e-3, holder_bound=_holder(sc.op, sol),
+                           seed=1234)
     assert np.allclose(curve.errors, golden["sweep_errors"], rtol=1e-8)
     gamma, _, resid = fl.fit_log_modulus(curve.t_values, curve.errors)
     assert gamma > 0
@@ -416,6 +432,24 @@ scan.x0 = 0.0
     assert rep.certificate.bound >= rep.actual_sup_gap
     assert rep.certificate.bound == pytest.approx(golden["e2e_bound"], rel=0.1)
     assert rep.actual_sup_gap == pytest.approx(golden["e2e_actual"], rel=1e-6)
+
+
+def test_end_to_end_shares_one_a_priori_bound(monkeypatch):
+    # E bounds the class, so the sweep's cap on q_rec and the certificate
+    # read one value; here q1 holds the larger Hoelder norm
+    text = (CONFIGS / "s1_stability.cfg").read_text()
+    assert "q1.amplitude = 0.4\n" in text
+    sc = fl.build_scenario(fl.parse_config_text(
+        text.replace("q1.amplitude = 0.4\n", "q1.amplitude = 0.6\n")))
+    assert (fl.holder_norm(sc.geom, sc.q1.values)
+            > fl.holder_norm(sc.geom, sc.q2.values))
+    seen, real = [], fl.noise_sweep
+    monkeypatch.setattr(
+        "fraclab.experiments.noise_sweep",
+        lambda *a, **k: seen.append(k["holder_bound"]) or real(*a, **k))
+    rep = fl.end_to_end(sc, epsilons=sc.config["sweep.epsilons"])
+    assert rep.certificate is not None
+    assert seen == [rep.certificate.E]
 
 
 def test_end_to_end_identical_potentials(s1):

@@ -77,7 +77,7 @@ def main():
                                 rng.uniform(0.3, 0.5),
                                 rng.uniform(-0.5, 0.5)),
                 "omega_prime", mode="average")
-            q = fl.make_potential(geom, gf, holder_bound=2.0, sup_bound=0.5)
+            q = fl.make_potential(geom, gf)
             solq = fl.solve_forward(op, q, f)
             repq = fl.doubling_scan_boundary(geom, solq.u, 0.0,
                                              np.geomspace(0.02, 0.24, 8))
@@ -111,7 +111,9 @@ def main():
     sc = fl.build_scenario(cfg)
     sol = fl.solve_forward(sc.op, sc.q2, sc.f)
     curve = fl.noise_sweep(sc.op, sol, fl.dtn_map(sc.op, sol), EPSILONS,
-                           threshold=1e-3, seed=1234)
+                           threshold=1e-3,
+                           holder_bound=fl.holder_norm(sc.geom, sc.q2.values),
+                           seed=1234)
     golden["sweep_errors"] = [float(v) for v in curve.errors]
     gamma, _, resid = fl.fit_log_modulus(curve.t_values, curve.errors)
     golden["sweep_gamma_hat"] = gamma
