@@ -14,10 +14,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("AllExcludedError", "ConfigError", "DegenerateError",
-               "DiscrepancyError", "DomainError", "EigenvalueError",
-               "EmptyRegionError", "FraclabError", "GeometryError",
-               "OverlapError", "ResolutionError", "SingularSolveError",
-               "SupportError", "ZeroDataError", "ZeroMassError"),
+               "DomainError", "EigenvalueError", "EmptyRegionError",
+               "FraclabError", "GeometryError", "OverlapError",
+               "ResolutionError", "SingularSolveError", "SupportError",
+               "ZeroDataError", "ZeroMassError"),
     "geometry": ("Geometry", "GridFunction", "GridSpec", "build_geometry",
                  "bump_profile", "make_grid_function", "sample_profile",
                  "support_mask"),

@@ -106,10 +106,7 @@ def cmd_stability(sc: Scenario, out: Path) -> None:
     import numpy as np
     from .experiments import NOTHING_TO_CERTIFY, end_to_end
 
-    eps = sc.config.get("sweep.epsilons")
-    if not eps:
-        raise ConfigError("noise sweep needs nonempty sweep.epsilons")
-    report = end_to_end(sc, epsilons=eps)
+    report = end_to_end(sc)
     t = report.curve.t_values
 
     # model_value is the fitted modulus on 0 < t < 1, left empty elsewhere

@@ -162,8 +162,11 @@ def three_balls_exponent(field: ExtensionField, center: tuple[float, float],
 def fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least squares log y = slope log x + intercept, for positive x and y.
 
-    Returns (slope, intercept, sup |log y - fit|).
+    Returns (slope, intercept, sup |log y - fit|); DegenerateError when
+    fewer than two x are distinct.
     """
+    if len(set(x)) < 2:
+        raise DegenerateError("a log-log fit needs two distinct x")
     lx, ly = np.log(x), np.log(y)
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)

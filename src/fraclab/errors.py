@@ -1,8 +1,8 @@
 """Exception hierarchy for fraclab.
 
 Every failure mode raised by the library derives from FraclabError, so
-drivers can distinguish setup problems from runtime/solver problems with
-a single except clause per phase.
+drivers tell setup problems from runtime/solver problems with one except
+clause per phase.  The discrepancy principle has no failure mode.
 """
 
 
@@ -56,10 +56,6 @@ class ZeroMassError(FraclabError):
 
 class DegenerateError(FraclabError):
     """Degenerate configuration, e.g. equal masses in a three-ball ratio."""
-
-
-class DiscrepancyError(FraclabError):
-    """No regularization parameter attains the discrepancy bracket."""
 
 
 class AllExcludedError(FraclabError):

@@ -1,7 +1,7 @@
 """End-to-end experiment drivers shared by the CLI and the test suite.
 
-Each driver is a pure function of a Scenario plus explicit parameters, so
-runs are reproducible given the configuration text and the seed.
+Each driver is a pure function of a Scenario, so runs are reproducible
+given the configuration text, the seed included.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ def scan_radii(sc: Scenario) -> np.ndarray:
     if r_min is None or r_max is None:
         raise ConfigError("scan block needs scan.r_min and scan.r_max")
     n = int(cfg["scan.n_radii"])
-    if not (0 < r_min <= r_max) or n < 2:
-        raise ConfigError("scan radii must satisfy 0 < r_min <= r_max, n >= 2")
+    if not (0 < r_min < r_max) or n < 2:
+        raise ConfigError("scan radii need 0 < scan.r_min < scan.r_max "
+                          "and scan.n_radii >= 2")
     x0, radii = cfg["scan.x0"], np.geomspace(r_min, r_max, n)
     try:
         check_scan(sc.geom, x0, radii, 10.0)
@@ -128,8 +129,7 @@ class EndToEndReport:
     note: str = ""
 
 
-def end_to_end(sc: Scenario, epsilons,
-               seed: int | None = None) -> EndToEndReport:
+def end_to_end(sc: Scenario) -> EndToEndReport:
     """Forward, reconstruct, scan, certify, compare.
 
     The certificate constants are all measured on the scenario itself:
@@ -142,12 +142,12 @@ def end_to_end(sc: Scenario, epsilons,
     gap.  When that gap is zero there is nothing to certify: the sweep
     samples are returned without either fit, and note is
     NOTHING_TO_CERTIFY.  A fitted gamma_hat or mu <= 0 certifies nothing
-    and note names it.  The boundary scan is centred at scan.x0; seed
-    defaults to the config seed + 1234.
+    and note names it.  The noise ladder is sweep.epsilons, drawn with the
+    config seed + 1234, and the boundary scan is centred at scan.x0.
     """
     cfg = sc.config
-    if seed is None:
-        seed = int(cfg["seed"]) + 1234
+    if not cfg.get("sweep.epsilons"):
+        raise ConfigError("noise sweep needs nonempty sweep.epsilons")
     x0 = cfg["scan.x0"]
     try:
         _, dist = check_scan(sc.geom, x0)
@@ -164,9 +164,9 @@ def end_to_end(sc: Scenario, epsilons,
     actual = float(np.max(np.abs(sc.q1.values - sc.q2.values)))
     E = max(holder_norm(sc.geom, q.values) for q in (sc.q1, sc.q2))
 
-    curve = noise_sweep(sc.op, sol2, lam2, epsilons,
+    curve = noise_sweep(sc.op, sol2, lam2, cfg["sweep.epsilons"],
                         threshold=cfg["recon.theta"], holder_bound=E,
-                        seed=seed)
+                        seed=int(cfg["seed"]) + 1234)
 
     radii = np.geomspace(dist / 40, dist / 4.5, 10)
     boundary = doubling_scan_boundary(sc.geom, sol1.u, x0, radii)

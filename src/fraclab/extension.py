@@ -42,6 +42,8 @@ from .geometry import GridFunction, GridSpec, frequencies
 
 #: multiplier argument beyond which K_s underflows; columns clamp to zero
 BESSEL_CLAMP = 700.0
+#: largest relative L2 gap between neumann_trace's two routes
+MAX_TRACE_GAP = 0.05
 
 
 def trace_constant(s: float) -> float:
@@ -207,13 +209,13 @@ def neumann_trace_fd(field: ExtensionField) -> np.ndarray:
     return -d0 / trace_constant(s)
 
 
-def neumann_trace(field: ExtensionField, max_rel_gap: float = 0.05) -> GridFunction:
+def neumann_trace(field: ExtensionField) -> GridFunction:
     """Weighted normal derivative at y = 0, normalized to (-Lap)^s u.
 
     The exact multiplier limit reproduces the spectral fractional
     Laplacian; the graded finite-difference estimate cross-checks it and
     a ResolutionError is raised when the two routes disagree by more than
-    max_rel_gap in relative L2.
+    MAX_TRACE_GAP in relative L2.
     """
     s = field.s
     xi = np.abs(frequencies(field.spec))
@@ -221,7 +223,7 @@ def neumann_trace(field: ExtensionField, max_rel_gap: float = 0.05) -> GridFunct
     fd = neumann_trace_fd(field)
     ref = np.linalg.norm(spectral)
     gap = np.linalg.norm(fd - spectral) / ref if ref > 0 else np.linalg.norm(fd)
-    if gap > max_rel_gap:
+    if gap > MAX_TRACE_GAP:
         raise ResolutionError(
             f"finite-difference trace deviates from spectral by {gap:.3g}")
     return GridFunction(spec=field.spec, values=spectral)

@@ -237,10 +237,6 @@ def bump_profile(center: float, width: float, amplitude: float = 1.0,
 
 
 @lru_cache(maxsize=32)
-def _freq_cache(h: float, n: int) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-
-
 def frequencies(spec: GridSpec) -> np.ndarray:
     """Angular frequencies of the supergrid DFT (fftfreq ordering)."""
-    return _freq_cache(spec.h, spec.n_super)
+    return 2.0 * np.pi * np.fft.fftfreq(spec.n_super, d=spec.h)

@@ -7,7 +7,7 @@ of the potential and is factored once per operator (which carries the
 grid and the omega/w partition), the penalty is the discrete H^s norm of
 the zero extension, and the regularization parameter is fixed or set by
 the discrepancy principle (bisection in log lambda on the closed-form
-residual until it lies in [delta, 2 delta]).
+residual into [delta, 2 delta], clamped to lambda in [1e-16, 1]).
 
 Step two divides: q = -(-Lap)^s u / u on nodes where |u| clears a
 relative threshold, with nearest-neighbour fill on the excluded set, a
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diagnostics import fit_loglog
-from .errors import AllExcludedError, DiscrepancyError, ZeroDataError
+from .errors import AllExcludedError, ZeroDataError
 from .forward import ForwardSolution, add_noise
 from .fracop import FracLapDense, apply_dense, symmetric_toeplitz
 from .geometry import GridFunction, GridSpec, frequencies, make_grid_function
@@ -114,11 +114,11 @@ def recover_u(op: FracLapDense, f: GridFunction, lam_f: GridFunction,
     """Tikhonov recovery of the interior solution from the data f and
     the measurement lam_f on the window.
 
-    strategy is ("fixed", lambda) or ("discrepancy", delta); with the
-    discrepancy principle the parameter is bisected until the L2(w)
-    residual lands in [delta, 2 delta], and DiscrepancyError signals an
-    unreachable bracket.  The SVD is computed once per operator, and the
-    bisection evaluates only the residual.
+    strategy is ("fixed", lambda) or ("discrepancy", delta >= 0).  The
+    discrepancy principle always returns a lambda in [1e-16, 1]: bisected
+    until the L2(w) residual lands in [delta, 2 delta], 1e-16 when the
+    residual there is already >= delta, and 1 when it stays below delta.
+    The SVD is computed once per operator; the bisection reads residuals.
     """
     spec, om, w = op.geom.spec, op.geom.omega_nodes, op.geom.w_nodes
     U, sv, C = _continuation(op)
@@ -136,29 +136,24 @@ def recover_u(op: FracLapDense, f: GridFunction, lam_f: GridFunction,
     if mode == "fixed":
         lam = float(value)
     elif mode == "discrepancy":
-        # residual is continuous and nondecreasing in lambda; bisect on the
-        # log scale, from log lambda = -16, until it lands in [delta, 2 delta]
         delta = float(value)
+        if not delta >= 0:
+            raise ValueError(f"discrepancy level must be >= 0, got {delta}")
+        # res is nondecreasing, and each filter factor g = lam/(sv^2 + lam)
+        # has dg/d ln lam = g(1 - g) <= g, so d ln res/d ln lam <= 1: past
+        # its crossing of delta, res stays in [delta, 2 delta] for log10 2
+        # decades or up to lam = 1.  Bisection lands there, at worst when
+        # 10 ** mid rounds to 1 after about 60 halvings.
         lo, hi = -16.0, 0.0
-        res_lo = residual(10.0 ** lo)
-        if res_lo > 2 * delta:
-            raise DiscrepancyError(
-                f"residual {res_lo:.3e} above 2*delta at lambda = 1e-16")
-        if res_lo < delta and (res_hi := residual(10.0 ** hi)) < delta:
-            raise DiscrepancyError(
-                f"residual {res_hi:.3e} below delta at lambda = 1")
-        mid = lo
-        for _ in range(201):
-            res_mid = residual(10.0 ** mid)
-            if delta <= res_mid <= 2 * delta:
-                break
-            if res_mid < delta:
-                lo = mid
-            else:
-                hi = mid
-            mid = 0.5 * (lo + hi)
+        if residual(10.0 ** lo) >= delta:
+            mid = lo
+        elif residual(10.0 ** hi) < delta:
+            mid = hi
         else:
-            raise DiscrepancyError("discrepancy bracket not attained")
+            mid = -8.0
+            while not delta <= (res := residual(10.0 ** mid)) <= 2 * delta:
+                lo, hi = (mid, hi) if res < delta else (lo, mid)
+                mid = 0.5 * (lo + hi)
         lam = 10.0 ** mid
     else:
         raise ValueError(f"unknown strategy {mode!r}")
@@ -236,12 +231,12 @@ def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
     caller's a priori C^{0,s} bound holder_bound, and score each recovery.
 
     meas is the clean measurement dtn_map(op, sol).  add_noise draws one
-    noise direction for the ladder, and each distinct level is recovered
-    once; the discrepancy principle receives the actual L2(w) size of the
-    injected perturbation.  The q error is sup |q_rec - sol.q| / sup |sol.q|
-    over the omega' nodes that recover_q did not exclude, and the u error
-    is sqrt(h) |u_rec - sol.u| over the omega nodes.  ZeroDataError when
-    sol.q vanishes; AllExcludedError when no omega' node is kept.
+    noise direction for the ladder, and recover_u recovers each distinct
+    level once at delta, the actual L2(w) size of the injected noise.  The
+    q error is sup |q_rec - sol.q| / sup |sol.q| over the omega' nodes
+    that recover_q did not exclude, and the u error is sqrt(h) |u_rec -
+    sol.u| over the omega nodes.  ZeroDataError when sol.q vanishes;
+    AllExcludedError when no omega' node is kept.
     """
     geom = op.geom
     om, prime = geom.omega_nodes, geom.prime_nodes
@@ -256,10 +251,7 @@ def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
     for noisy in add_noise(geom, meas, levels.tolist(), seed):
         delta = float(sqrt_h * np.linalg.norm(
             (noisy.values - meas.values)[geom.w_nodes]))
-        try:
-            rec = recover_u(op, sol.f, noisy, strategy=("discrepancy", delta))
-        except DiscrepancyError:
-            rec = recover_u(op, sol.f, noisy, strategy=("fixed", 1e-14))
+        rec = recover_u(op, sol.f, noisy, strategy=("discrepancy", delta))
         pot = recover_q(op, rec.u_rec, threshold, holder_bound)
         kept = ~np.isin(np.arange(prime.start, prime.stop), pot.excluded)
         if not np.any(kept):

@@ -106,10 +106,12 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, line, flags):
 @pytest.mark.parametrize("command, line", [
     ("ucp-scan", "scan.x0 = 5"), ("ucp-scan", "scan.x0 = 0.95"),
     ("ucp-scan", "scan.r_max = 0.5"), ("ucp-scan", "scan.r_max = 0.3"),
+    ("ucp-scan", "scan.r_max = 0.02"),
     ("stability", "scan.x0 = 3"), ("stability", "scan.x0 = 1.0")])
 def test_out_of_range_scan_keys_exit_2(tmp_path, capsys, command, line):
-    # a centre outside the open omega, or a radius above the bulk scan's
-    # r0 = dist(x0, boundary)/10, is a config error that names the key
+    # a centre outside the open omega, a radius above the bulk scan's
+    # r0 = dist(x0, boundary)/10, or r_max = r_min (one distinct radius)
+    # is a config error that names the key
     name = {"ucp-scan": "s1_ucp_scan.cfg", "stability": "s1_stability.cfg"}
     cfg = tmp_path / "bad.cfg"
     cfg.write_text((CONFIGS / name[command]).read_text() + line + "\n")

@@ -177,6 +177,15 @@ def test_bulk_doubling_radius_guard(s1, s1_field):
         fl.doubling_scan_bulk(geom, s1_field, 2.5, [0.01])
 
 
+def test_doubling_scans_need_two_distinct_radii(s1, s1_field, s1_solution):
+    # one distinct radius puts the power-law fit through a single point
+    geom, spec = s1
+    with pytest.raises(DegenerateError):
+        fl.doubling_scan_bulk(geom, s1_field, 0.0, [0.05, 0.05])
+    with pytest.raises(DegenerateError):
+        fl.doubling_scan_boundary(geom, s1_solution.u, 0.0, [0.05, 0.05])
+
+
 def test_bulk_doubling_zero_field_raises(s1, s1_field):
     # the boundary scan's policy: a zero mass has no doubling ratio or fit
     geom, spec = s1

@@ -3,7 +3,8 @@
 geometry, of the forward solve's spectral-gap decision, of the extension
 multiplier
 over s and t, of the potential's nearest-neighbour fill, of the
-recovery's triangular substitution, and of Parseval."""
+recovery's triangular substitution and discrepancy principle, and of
+Parseval."""
 
 import math
 
@@ -416,3 +417,50 @@ def test_stability_model_returns_the_planted_modulus(gamma, c, top, n):
     assert g_hat == pytest.approx(gamma, rel=1e-10)
     assert c_hat == pytest.approx(c, rel=1e-10)
     assert resid < 1e-12
+
+
+def _bisection_with_raises(residual, delta):
+    """recover_u's discrepancy search when an out-of-reach bracket raised:
+    the oracle for every bracket the search can reach."""
+    lo, hi = -16.0, 0.0
+    mid = lo
+    for _ in range(201):
+        res_mid = residual(10.0 ** mid)
+        if delta <= res_mid <= 2 * delta:
+            break
+        if res_mid < delta:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    else:
+        raise AssertionError("discrepancy bracket not attained")
+    return 10.0 ** mid
+
+
+@pytest.fixture(scope="module")
+def s1_noisy(s1_op, s1_f, s1_qbump):
+    lam = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, s1_f))
+    (noisy,) = fl.add_noise(s1_op.geom, lam, [1e-4], seed=3)
+    return noisy
+
+
+@PROPERTY_SETTINGS
+@given(t=st.none() | st.floats(-0.5, 1.5))
+@example(t=None)
+def test_discrepancy_lambda_is_total(s1_op, s1_f, s1_noisy, t):
+    # delta = 0 (t None), or the fraction t of the way, on the log scale,
+    # from the residual at lambda = 1e-16 to the residual at lambda = 1
+    def residual(lam):
+        return fl.recover_u(s1_op, s1_f, s1_noisy, ("fixed", lam)).discrepancy
+
+    res_lo, res_hi = residual(10.0 ** -16), residual(1.0)
+    delta = 0.0 if t is None else res_lo * (res_hi / res_lo) ** t
+    rec = fl.recover_u(s1_op, s1_f, s1_noisy, ("discrepancy", delta))
+    if res_lo >= delta:
+        assert rec.reg_param == 10.0 ** -16
+    elif res_hi < delta:
+        assert rec.reg_param == 1.0
+    else:
+        assert delta <= rec.discrepancy <= 2 * delta
+        assert rec.reg_param == _bisection_with_raises(residual, delta)

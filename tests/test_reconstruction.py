@@ -5,8 +5,7 @@ import pytest
 
 import fraclab as fl
 from fraclab.diagnostics import fit_loglog
-from fraclab.errors import (AllExcludedError, DiscrepancyError, DomainError,
-                            ZeroDataError)
+from fraclab.errors import AllExcludedError, DomainError, ZeroDataError
 from fraclab.experiments import NOTHING_TO_CERTIFY
 from fraclab.fracop import symmetric_toeplitz
 from fraclab.reconstruction import _continuation, hs_gram_row
@@ -79,10 +78,14 @@ def test_recover_u_discrepancy_bracket(s1, s1_op, s1_f, s1_bump_problem):
 
 
 def test_recover_u_discrepancy_unreachable(s1_op, s1_f, s1_bump_problem):
+    # out of reach, lambda is the end of [1e-16, 1] nearer the bracket
     _, lam = s1_bump_problem
-    with pytest.raises(DiscrepancyError):
-        fl.recover_u(s1_op, s1_f, lam,
-                     strategy=("discrepancy", 1e9))
+    for delta, end in ((1e9, 1.0), (0.0, 10.0 ** -16)):
+        rec = fl.recover_u(s1_op, s1_f, lam, strategy=("discrepancy", delta))
+        assert rec.reg_param == end
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError):
+            fl.recover_u(s1_op, s1_f, lam, strategy=("discrepancy", bad))
 
 
 def test_recover_u_error_monotone_in_noise(s1_op, s1_f, s1_qbump, s1_q0):
@@ -302,6 +305,27 @@ def test_noise_sweep_solves_a_repeated_level_once(s1_op, s1_bump_problem,
             np.repeat(getattr(once, field), 2).tobytes(), field
 
 
+def test_noise_sweep_runs_one_recovery_per_level(s1_op, s1_bump_problem,
+                                                monkeypatch):
+    # each rung takes the discrepancy principle's lambda, with no second
+    # solve; at eps = 10 the residual stays below delta up to lambda = 1
+    sol, lam = s1_bump_problem
+    strategies, lams, real = [], [], fl.recover_u
+
+    def spy(*a, **k):
+        strategies.append(k["strategy"])
+        rec = real(*a, **k)
+        lams.append(rec.reg_param)
+        return rec
+
+    monkeypatch.setattr("fraclab.reconstruction.recover_u", spy)
+    fl.noise_sweep(s1_op, sol, lam, [1e-3, 10.0], threshold=1e-3,
+                   holder_bound=_holder(s1_op, sol), seed=1234)
+    assert [mode for mode, _ in strategies] == ["discrepancy"] * 2
+    assert ("fixed", 1e-14) not in strategies
+    assert 10.0 ** -16 < lams[0] < 1.0 and lams[1] == 1.0
+
+
 def test_noise_sweep_draws_one_direction(s1, s1_op, s1_bump_problem,
                                          monkeypatch):
     # one generator per sweep; each level of the ladder is the copy that a
@@ -424,10 +448,10 @@ q2.center = -0.1
 q2.width = 0.5
 q2.amplitude = 0.5
 scan.x0 = 0.0
+sweep.epsilons = 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8
 """)
     sc = fl.build_scenario(cfg)
-    rep = fl.end_to_end(sc, epsilons=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8),
-                        seed=1234)
+    rep = fl.end_to_end(sc)
     assert rep.certificate is not None
     assert rep.certificate.bound >= rep.actual_sup_gap
     assert rep.certificate.bound == pytest.approx(golden["e2e_bound"], rel=0.1)
@@ -447,7 +471,7 @@ def test_end_to_end_shares_one_a_priori_bound(monkeypatch):
     monkeypatch.setattr(
         "fraclab.experiments.noise_sweep",
         lambda *a, **k: seen.append(k["holder_bound"]) or real(*a, **k))
-    rep = fl.end_to_end(sc, epsilons=sc.config["sweep.epsilons"])
+    rep = fl.end_to_end(sc)
     assert rep.certificate is not None
     assert seen == [rep.certificate.E]
 
@@ -469,9 +493,10 @@ q1.amplitude = 0.3
 q2.center = 0.0
 q2.width = 0.5
 q2.amplitude = 0.3
+sweep.epsilons = 1e-3, 1e-5
 """)
     sc = fl.build_scenario(cfg)
-    rep = fl.end_to_end(sc, epsilons=(1e-3, 1e-5), seed=7)
+    rep = fl.end_to_end(sc)
     assert rep.actual_sup_gap == 0.0
     assert rep.certificate is None
     assert "zero" in rep.note

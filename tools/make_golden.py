@@ -124,7 +124,7 @@ def main():
     # end-to-end certificate on S1 with a perturbed second potential
     cfg2 = fl.parse_config_text(E2E_CONFIG)
     sc2 = fl.build_scenario(cfg2)
-    rep_e2e = fl.end_to_end(sc2, epsilons=EPSILONS, seed=1234)
+    rep_e2e = fl.end_to_end(sc2)
     golden["e2e_actual"] = rep_e2e.actual_sup_gap
     golden["e2e_bound"] = rep_e2e.certificate.bound
     golden["e2e_fudge"] = rep_e2e.certificate.bound / rep_e2e.actual_sup_gap
@@ -171,6 +171,7 @@ q2.center = -0.1
 q2.width = 0.5
 q2.amplitude = 0.5
 scan.x0 = 0.0
+sweep.epsilons = 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8
 """
 
 
