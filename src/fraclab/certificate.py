@@ -16,7 +16,7 @@ certificate from given constants (``fraclab certify``) loads no numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, sqrt
+from math import inf, log, sqrt
 
 from .errors import DomainError
 
@@ -53,8 +53,8 @@ def certify_bound(E: float, alpha: float, beta: float, c_low: float,
         raise DomainError("epsilon must stay below the a priori bound e_tilde")
     for name, val in zip(CERT_INPUTS, (E, alpha, beta, c_low, c_stab, mu,
                                        e_tilde, epsilon, r0)):
-        if val <= 0:
-            raise DomainError(f"{name} must be positive, got {val}")
+        if not 0 < val < inf:
+            raise DomainError(f"{name} must be positive and finite, got {val}")
     log_term = abs(log(epsilon / e_tilde))
     r_cand = (c_stab * e_tilde / (c_low * E * log_term ** mu)) \
         ** (1.0 / (alpha + beta))

@@ -11,15 +11,17 @@ block.  The geometry and grid keys are fixed for reproducibility:
     grid.n_super = 4096
 
 Potentials and the exterior data are parametric bumps (center, width,
-amplitude, smoothness); experiment blocks add noise, reconstruction,
-scan and certificate parameters, and ``sweep.epsilons``, the noise ladder
-of the ``stability`` sweep.  Unknown keys are rejected.
+amplitude); experiment blocks add noise, reconstruction, scan and
+certificate parameters, and ``sweep.epsilons``, the noise ladder of the
+``stability`` sweep.  Unknown keys are rejected, and every number must be
+finite.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from math import isfinite
 from typing import TYPE_CHECKING
 
 from .certificate import CERT_INPUTS
@@ -31,38 +33,33 @@ if TYPE_CHECKING:
 
 _FLOAT_KEYS = {
     "geometry.s", "grid.L",
-    "f.center", "f.width", "f.amplitude", "f.smoothness",
-    "q1.center", "q1.width", "q1.amplitude", "q1.smoothness",
-    "q2.center", "q2.width", "q2.amplitude", "q2.smoothness",
+    "f.center", "f.width", "f.amplitude",
+    "q1.center", "q1.width", "q1.amplitude",
+    "q2.center", "q2.width", "q2.amplitude",
     "noise.epsilon", "recon.theta",
     "scan.x0", "scan.r_min", "scan.r_max",
 } | {f"cert.{k}" for k in CERT_INPUTS}
-_INT_KEYS = {"grid.n_super", "seed", "scan.n_radii", "extension.n_levels"}
+_INT_KEYS = {"grid.n_super", "seed", "scan.n_radii"}
 _PAIR_KEYS = {"geometry.omega", "geometry.w", "geometry.omega_prime"}
 _LIST_KEYS = {"sweep.epsilons"}
 
 _KNOWN = _FLOAT_KEYS | _INT_KEYS | _PAIR_KEYS | _LIST_KEYS
 
 # keys whose value, or each entry of a list, must be > 0 or >= 0
-_POSITIVE_KEYS = {"f.width", "q1.width", "q2.width", "extension.n_levels"}
-_NONNEGATIVE_KEYS = {"noise.epsilon", "sweep.epsilons", "seed", "recon.theta",
-                     "f.smoothness", "q1.smoothness", "q2.smoothness"}
+_POSITIVE_KEYS = {"f.width", "q1.width", "q2.width"}
+_NONNEGATIVE_KEYS = {"noise.epsilon", "sweep.epsilons", "seed", "recon.theta"}
 
 _DEFAULTS = {
     "geometry.omega_prime": None,
     "grid.L": 32.0,
     "grid.n_super": 4096,
     "f.amplitude": 1.0,
-    "f.smoothness": 1.0,
     "q1.amplitude": 0.0,
-    "q1.smoothness": 1.0,
     "q2.amplitude": 0.0,
-    "q2.smoothness": 1.0,
     "noise.epsilon": 0.0,
     "recon.theta": 1e-6,
     "scan.x0": 0.0,
     "scan.n_radii": 8,
-    "extension.n_levels": 64,
     "seed": 0,
 }
 
@@ -88,16 +85,18 @@ class ScenarioConfig:
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
         if key in _INT_KEYS:
             return int(raw)
-        if key in _PAIR_KEYS:
-            parts = [float(p) for p in raw.split(",")]
-            if len(parts) != 2:
-                raise ValueError("expected two comma-separated numbers")
-            return (parts[0], parts[1])
-        return tuple(float(p) for p in raw.split(","))    # _LIST_KEYS
+        vals = tuple(float(p) for p in raw.split(","))
+        if not all(map(isfinite, vals)):
+            raise ValueError("every number must be finite")
+        if key in _FLOAT_KEYS:
+            if len(vals) != 1:
+                raise ValueError("expected one number")
+            return vals[0]
+        if key in _PAIR_KEYS and len(vals) != 2:
+            raise ValueError("expected two comma-separated numbers")
+        return vals
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
 
@@ -115,7 +114,6 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         entries[key] = value = _parse_value(key, raw)
         vals = value if isinstance(value, tuple) else (value,)
-        # written so that NaN fails too
         if key in _POSITIVE_KEYS and not all(v > 0 for v in vals):
             raise ConfigError(f"line {lineno}: {key} must be positive")
         if key in _NONNEGATIVE_KEYS and not all(v >= 0 for v in vals):
@@ -163,7 +161,7 @@ def _bump_from_block(cfg: ScenarioConfig, block: str, geom, support):
         raise ConfigError(
             f"{block} bump support [{center - width}, {center + width}] "
             f"leaves its interval [{lo}, {hi}]")
-    prof = bump_profile(center, width, amp, cfg[f"{block}.smoothness"])
+    prof = bump_profile(center, width, amp)
     return sample_profile(geom, prof, support, mode="average")
 
 

@@ -84,14 +84,11 @@ def scan_radii(sc: Scenario) -> np.ndarray:
 
 def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
     """Doubling scans, lemma checks and the radial-weight scan for q1."""
-    cfg = sc.config
-    x0 = cfg["scan.x0"]
+    x0 = sc.config["scan.x0"]
     radii = scan_radii(sc)
     sol = solve_forward(sc.op, sc.q1, sc.f)
     # tall extension so the annulus check at R = 4 stays inside the box
-    y_grid = default_y_grid(sc.geom.s, height=8.5,
-                            n_levels=int(cfg["extension.n_levels"]))
-    field = extend(sol.u, sc.geom.s, y_grid)
+    field = extend(sol.u, sc.geom.s, default_y_grid(sc.geom.s, height=8.5))
 
     bulk = doubling_scan_bulk(sc.geom, field, x0, radii)
     boundary = doubling_scan_boundary(sc.geom, sol.u, x0, radii)

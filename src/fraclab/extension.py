@@ -38,6 +38,7 @@ from math import gamma, pi, sin
 import numpy as np
 
 from .errors import EmptyRegionError, GeometryError, ResolutionError
+from .fracop import apply_spectral
 from .geometry import GridFunction, GridSpec, frequencies
 
 #: multiplier argument beyond which K_s underflows; columns clamp to zero
@@ -217,16 +218,14 @@ def neumann_trace(field: ExtensionField) -> GridFunction:
     a ResolutionError is raised when the two routes disagree by more than
     MAX_TRACE_GAP in relative L2.
     """
-    s = field.s
-    xi = np.abs(frequencies(field.spec))
-    spectral = np.real(np.fft.ifft(xi ** (2 * s) * np.fft.fft(field.boundary)))
-    fd = neumann_trace_fd(field)
+    trace = apply_spectral(GridFunction(field.spec, field.boundary), field.s)
+    spectral, fd = trace.values, neumann_trace_fd(field)
     ref = np.linalg.norm(spectral)
     gap = np.linalg.norm(fd - spectral) / ref if ref > 0 else np.linalg.norm(fd)
     if gap > MAX_TRACE_GAP:
         raise ResolutionError(
             f"finite-difference trace deviates from spectral by {gap:.3g}")
-    return GridFunction(spec=field.spec, values=spectral)
+    return trace
 
 
 @dataclass(frozen=True)

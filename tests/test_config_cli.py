@@ -123,12 +123,56 @@ def test_out_of_range_scan_keys_exit_2(tmp_path, capsys, command, line):
 
 
 @pytest.mark.parametrize("line, command", [
-    ("extension.n_levels = 1", "ucp-scan"), ("f.smoothness = 0", "forward"),
-    ("q1.smoothness = 0", "forward"), ("q2.smoothness = 0", "forward")])
+    ("recon.theta = 0", "stability"), ("recon.theta = 1", "stability"),
+    ("q1.amplitude = 0", "forward")])
 def test_boundary_values_run(tmp_path, line, command):
+    name = {"forward": "s1_forward.cfg", "stability": "s1_stability.cfg"}
     cfg = tmp_path / "edge.cfg"
-    cfg.write_text((CONFIGS / "s1_ucp_scan.cfg").read_text() + line + "\n")
+    cfg.write_text((CONFIGS / name[command]).read_text() + line + "\n")
     assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("line", [
+    "extension.n_levels = 64", "f.smoothness = 1", "q1.smoothness = 1",
+    "q2.smoothness = 1"])
+def test_removed_keys_are_unknown(tmp_path, capsys, line):
+    # the extension depth and the bump sharpness are fixed: they are not
+    # keys, even at the values every run uses
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text((CONFIGS / "s1_ucp_scan.cfg").read_text() + line + "\n")
+    assert _run(["ucp-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and "unknown key" in err
+    assert repr(line.split(" =")[0]) in err
+
+
+@pytest.mark.parametrize("key", ["f.center", "q1.center", "q2.center"])
+def test_nan_bump_centre_exits_2(tmp_path, capsys, key):
+    # a NaN centre is a config error that names its key, not a zero
+    # potential, a runtime error or an error about f's values
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text((CONFIGS / "s1_stability.cfg").read_text()
+                   + f"{key} = nan\n")
+    assert _run(["stability", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and err.count("Error") == 1
+    assert repr(key) in err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", [n for n in CERT_INPUTS if n != "epsilon"])
+def test_certify_rejects_non_finite_constants(tmp_path, capsys, name, value):
+    # a non-finite constant is a config error, never a nan or inf bound,
+    # an ignored r0 or a traceback from the arithmetic
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((CONFIGS / "certify_example.cfg").read_text()
+                   + f"cert.{name} = {value}\n")
+    assert _run(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and "Traceback" not in err
+    assert repr(f"cert.{name}") in err
+    assert not (tmp_path / "certificate.txt").exists()
 
 
 def test_cmd_forward_files(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fraclab as fl
+from fraclab.certificate import CERT_INPUTS
 from fraclab.diagnostics import fit_loglog
 from fraclab.errors import AllExcludedError, DomainError, ZeroDataError
 from fraclab.experiments import NOTHING_TO_CERTIFY
@@ -234,6 +235,16 @@ def test_certify_domain_errors():
         fl.certify_bound(1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 0.2, 0.3, 0.5)
     with pytest.raises(DomainError):
         fl.certify_bound(-1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 0.1, 0.5)
+
+
+def test_certify_rejects_non_finite_inputs():
+    # end_to_end passes measured constants that no config parse has seen
+    base = dict(E=1.0, alpha=0.5, beta=0.5, c_low=1.0,
+                c_stab=1.0, mu=1.0, e_tilde=1.0, epsilon=1e-4, r0=0.5)
+    for name in CERT_INPUTS:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match=f"^{name} "):
+                fl.certify_bound(**dict(base, **{name: bad}))
 
 
 def test_certificate_directional_derivatives():
