@@ -46,7 +46,7 @@ _LIST_KEYS = {"sweep.epsilons"}
 _KNOWN = _FLOAT_KEYS | _INT_KEYS | _PAIR_KEYS | _LIST_KEYS
 
 # keys whose value, or each entry of a list, must be > 0 or >= 0
-_POSITIVE_KEYS = {"f.width", "q1.width", "q2.width"}
+_POSITIVE_KEYS = {"grid.L", "f.width", "q1.width", "q2.width"}
 _NONNEGATIVE_KEYS = {"noise.epsilon", "sweep.epsilons", "seed", "recon.theta"}
 
 _DEFAULTS = {

@@ -17,9 +17,9 @@ The solve and the measurement take the operator alone; its blocks are
 views, copied contiguous before each product so that BLAS computes it.
 A measurement, clean or noisy, is the GridFunction Lambda f on the
 window; its noise level and seed stay with the caller that chose them.
-solve_forward certifies that 0 is no Dirichlet eigenvalue by one shifted
-Cholesky (_gap_certified); the exact eigen_gap runs only where that
-fails, and in the forward command's report.
+solve_forward certifies that 0 is no Dirichlet eigenvalue by one pass of
+Gershgorin discs over the system matrix (_gap_certified); the exact
+eigen_gap runs only where that fails, and in the forward command's report.
 """
 
 from __future__ import annotations
@@ -62,19 +62,17 @@ def eigen_gap(M: np.ndarray) -> float:
 
 
 def _gap_certified(M: np.ndarray) -> bool:
-    """Whether Cholesky of M - tau I, tau = 2 GAP_TOL |M|_1, completes,
-    which proves eigen_gap(M) >= GAP_TOL: |M|_1 >= rho(M), and the
-    factorization is exact for a perturbation of 2-norm at most
-    n gamma_(n+1) rho(M) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Thm 10.3), so eigen_gap(M) >= 2 GAP_TOL -
-    n gamma_(n+1) >= GAP_TOL for n <= 9000: the factor 2 is that margin."""
-    shifted = M.copy()
-    shifted.flat[::len(M) + 1] -= 2 * GAP_TOL * np.linalg.norm(M, 1)
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    """Whether the Gershgorin discs of the symmetric M prove
+    eigen_gap(M) >= GAP_TOL: with row sums a_i = sum_j |M_ij|, whether
+    min_i(2 M_ii - a_i) >= 2 GAP_TOL max_i a_i > 0.  Every eigenvalue is
+    at least min_i(M_ii - sum_(j != i) |M_ij|) >= min_i(2 M_ii - a_i), and
+    max_i a_i = |M|_1 >= rho(M) for symmetric M, so the exact test proves
+    eigen_gap(M) >= 2 GAP_TOL; the rounding of the n-term sums is at most
+    gamma_n |M|_1, about 1e-12 |M|_1 for n <= 9000, so the computed test
+    proves eigen_gap(M) >= GAP_TOL: the factor 2 is that margin."""
+    a = np.abs(M).sum(axis=1)
+    low = (2 * M.diagonal() - a).min()
+    return bool(low > 0 and low >= 2 * GAP_TOL * a.max())
 
 
 def solve_forward(op: FracLapDense, q: GridFunction,
@@ -84,9 +82,9 @@ def solve_forward(op: FracLapDense, q: GridFunction,
     q is any GridFunction of nodal values: a potential from
     make_potential, or a shift such as a constant that probes resonance.
     Raises EigenvalueError when the relative spectral gap of the
-    restricted operator, certified by _gap_certified or else computed by
-    eigen_gap, falls below GAP_TOL (zero too close to an eigenvalue), and
-    SingularSolveError on factorization failure.
+    restricted operator, certified by Gershgorin discs (_gap_certified) or
+    else computed by eigen_gap, falls below GAP_TOL (zero too close to an
+    eigenvalue), and SingularSolveError on factorization failure.
     """
     geom, om, w = op.geom, op.geom.omega_nodes, op.geom.w_nodes
     if np.any(f.values[~support_mask(geom, "w")] != 0.0):

@@ -12,6 +12,7 @@ from pathlib import Path
 import fraclab as fl
 from fraclab.cli import main
 from fraclab.errors import ConfigError
+from fraclab.forward import _gap_certified, system_matrix
 from fraclab.certificate import CERT_INPUTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -87,7 +88,8 @@ def _run(args):
     ("extension.n_levels = 0", []), ("f.smoothness = -1", []),
     ("q1.smoothness = -1", []), ("q2.smoothness = -1", []),
     ("recon.theta = 1.5", []), ("seed = 0", ["--resolution", "3"]),
-    ("seed = 0", ["--resolution", "0"])])
+    ("seed = 0", ["--resolution", "0"]), ("grid.L = -32", []),
+    ("grid.L = 0", [])])
 def test_out_of_range_values_exit_2(tmp_path, capsys, line, flags):
     text = (CONFIGS / "s1_forward.cfg").read_text() + line + "\n"
     if not flags:
@@ -388,8 +390,8 @@ def test_cmd_stability_nonpositive_fit_certifies_nothing(tmp_path, levels):
     ("forward", "s1_forward.cfg", 1)])
 def test_exact_eigen_gap_only_where_reported(tmp_path, monkeypatch, command,
                                              config, calls):
-    # the solves certify their gap by Cholesky; only the forward report
-    # computes the exact gap, once
+    # the solves certify their gap by Gershgorin discs; only the forward
+    # report computes the exact gap, once
     import fraclab.experiments
     import fraclab.forward
     real, counted = fraclab.forward.eigen_gap, []
@@ -403,6 +405,18 @@ def test_exact_eigen_gap_only_where_reported(tmp_path, monkeypatch, command,
     rc = _run([command, "--config", str(CONFIGS / config),
                "--out", str(tmp_path)])
     assert rc == 0 and len(counted) == calls
+
+
+@pytest.mark.parametrize("resolution", [1, 4])
+@pytest.mark.parametrize("config", [
+    "s1_forward.cfg", "s1_ucp_scan.cfg", "s1_stability.cfg",
+    "sweep_benchmark.cfg"])
+def test_shipped_systems_certified_without_eigen_gap(config, resolution):
+    # every forward solve a shipped config makes passes the disc test, so
+    # none falls back to the exact eigen_gap
+    sc = fl.build_scenario(fl.load_config(CONFIGS / config), resolution)
+    for q in (sc.q1, sc.q2):
+        assert _gap_certified(system_matrix(sc.op, q))
 
 
 def test_cmd_stability_identical_potentials_notice(tmp_path):

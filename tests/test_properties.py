@@ -204,7 +204,7 @@ def test_reciprocity_and_residual(placement, amp):
 
 
 # target relative gaps, in units of GAP_TOL, of the three bands: below the
-# tolerance, inside (GAP_TOL, 2 GAP_TOL] where the Cholesky certificate
+# tolerance, inside (GAP_TOL, 2 GAP_TOL] where the Gershgorin certificate
 # cannot pass, and above it
 _GAP_BANDS = {"below": (1e-3, 0.9), "inside": (1.1, 1.9), "above": (3.0, 1e6)}
 
@@ -246,6 +246,39 @@ def test_solve_forward_raises_iff_exact_gap_below_tol(s, c, band, frac,
     except EigenvalueError:
         raised = True
     assert raised == (gap < GAP_TOL)
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """A random symmetric matrix whose diagonal exceeds its off-diagonal
+    row sums by a relative slack around the certificate's threshold
+    2 GAP_TOL, falls short of them, or has one disc wholly negative."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dominant", "not dominant", "indefinite"]))
+    B = np.triu(rng.standard_normal((n, n)), 1)
+    B += B.T
+    r = np.abs(B).sum(axis=1)
+    slack = (10.0 ** draw(st.floats(-12.0, 0.0)) * (r.max() + 1)
+             * (1 + rng.random(n)))
+    diag = {"dominant": r + slack, "not dominant": r * rng.random(n),
+            "indefinite": (r + slack) * np.where(np.arange(n) == 0, -1, 1)}
+    return 10.0 ** draw(st.floats(-6.0, 6.0)) * (B + np.diag(diag[kind]))
+
+
+@PROPERTY_SETTINGS
+@given(_symmetric_matrices())
+@example(np.diag([1.0, 0.9 * GAP_TOL]))
+@example(np.zeros((2, 2)))
+def test_gap_certificate_is_sound(M):
+    assert not _gap_certified(M) or fl.eigen_gap(M) >= GAP_TOL
+
+
+def test_gap_certificate_at_its_boundary():
+    # min(2 diag - a) equals 2 GAP_TOL max(a) exactly: certified, and the
+    # gap is 2 GAP_TOL
+    M = np.diag([1.0, 2 * GAP_TOL])
+    assert _gap_certified(M) and fl.eigen_gap(M) >= GAP_TOL
 
 
 def _snapped_mask(spec, interval):
