@@ -129,7 +129,11 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config_text(text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +181,6 @@ def build_scenario(cfg: ScenarioConfig, resolution_multiplier: int = 1) -> Scena
     from . import experiments  # noqa: F401
     from .fracop import assemble_dense
     from .geometry import build_geometry
-    from .spaces import make_potential
 
     try:
         n_super = int(cfg["grid.n_super"]) * int(resolution_multiplier)
@@ -192,7 +195,7 @@ def build_scenario(cfg: ScenarioConfig, resolution_multiplier: int = 1) -> Scena
     f = _bump_from_block(cfg, "f", geom, "w")
     if not f.values.any():
         raise ConfigError("exterior data f must be nonzero")
-    q1 = make_potential(geom, _bump_from_block(cfg, "q1", geom, "omega_prime"))
-    q2 = make_potential(geom, _bump_from_block(cfg, "q2", geom, "omega_prime"))
+    q1 = _bump_from_block(cfg, "q1", geom, "omega_prime")
+    q2 = _bump_from_block(cfg, "q2", geom, "omega_prime")
     return Scenario(config=cfg, geom=geom, op=assemble_dense(geom), f=f, q1=q1,
                     q2=q2)

@@ -13,8 +13,8 @@ window,
 
 The Schur-complement structure makes the measurement map self-adjoint on
 L2(w) for real potentials, which the tests exercise as reciprocity.
-The solve and the measurement take the operator alone; its blocks are
-views, copied contiguous before each product so that BLAS computes it.
+The solve and the measurement take the operator alone and read its
+blocks between node slices through FracLapDense.block.
 A measurement, clean or noisy, is the GridFunction Lambda f on the
 window; its noise level and seed stay with the caller that chose them.
 solve_forward certifies that 0 is no Dirichlet eigenvalue by one pass of
@@ -50,8 +50,9 @@ class ForwardSolution:
 
 def system_matrix(op: FracLapDense, q: GridFunction) -> np.ndarray:
     """A_OO + h diag(q) over the omega nodes, as a fresh array."""
-    M = op.matrix[op.omega_pos, op.omega_pos].copy()
-    M.flat[::len(M) + 1] += op.geom.spec.h * q.values[op.geom.omega_nodes]
+    om = op.geom.omega_nodes
+    M = op.block(om, om)
+    M.flat[::len(M) + 1] += op.geom.spec.h * q.values[om]
     return M
 
 
@@ -93,8 +94,7 @@ def solve_forward(op: FracLapDense, q: GridFunction,
     if not _gap_certified(M) and (gap := eigen_gap(M)) < GAP_TOL:
         raise EigenvalueError(
             f"relative spectral gap {gap:.3e} below tolerance {GAP_TOL:.0e}")
-    rhs = -(np.ascontiguousarray(op.matrix[op.omega_pos, op.w_pos])
-            @ f.values[w])
+    rhs = -(op.block(om, w) @ f.values[w])
     try:
         u_omega = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
@@ -111,13 +111,11 @@ def solve_forward(op: FracLapDense, q: GridFunction,
 
 def dtn_map(op: FracLapDense, sol: ForwardSolution) -> GridFunction:
     """Measurement on the window: nodal fractional Laplacian of u."""
-    geom, A = op.geom, op.matrix
-    lam_w = (np.ascontiguousarray(A[op.w_pos, op.omega_pos])
-             @ sol.u.values[geom.omega_nodes]
-             + np.ascontiguousarray(A[op.w_pos, op.w_pos])
-             @ sol.f.values[geom.w_nodes])
+    geom, om, w = op.geom, op.geom.omega_nodes, op.geom.w_nodes
+    lam_w = (op.block(w, om) @ sol.u.values[om]
+             + op.block(w, w) @ sol.f.values[w])
     vals = np.zeros(geom.spec.n_super)
-    vals[geom.w_nodes] = lam_w / geom.spec.h
+    vals[w] = lam_w / geom.spec.h
     return make_grid_function(geom, vals, "w")
 
 

@@ -109,29 +109,37 @@ def stiffness_lags(s: float, h: float, max_lag: int) -> np.ndarray:
 class FracLapDense:
     """Dense Galerkin realization of the operator on the active node set.
 
-    ``geom`` carries the grid, the exponent and the node slices.
-    ``active`` is the slice of supergrid indices the matrix acts on, and
-    ``matrix`` is the raw stiffness over them (dual/Galerkin scaling):
-    a read-only Toeplitz view of the 2n-1 mirrored lags, so it holds
-    O(n) bytes although ``matrix.nbytes`` reports n^2 * 8.  Its rows run
-    backwards in memory, which BLAS cannot take: copy a block with
-    np.ascontiguousarray before a product that must round as a dense
-    matrix does.  Nodal application converts dual values to point values
+    ``geom`` carries the grid, the exponent and the node slices, the
+    active nodes included.  ``matrix`` is the raw stiffness over the
+    active nodes (dual/Galerkin scaling): a read-only Toeplitz view of
+    the 2n-1 mirrored lags, so it holds O(n) bytes although
+    ``matrix.nbytes`` reports n^2 * 8.  ``block`` copies the stiffness
+    between two node slices of ``geom`` into a C-contiguous array, which
+    BLAS takes; ``matrix[pos(rows), pos(cols)]`` is the same block as a
+    view.  Nodal application converts dual values to point values
     through the consistent P1 mass matrix, which cancels the lumped-mass
-    mid-band attenuation to fourth order in the frequency.  ``omega_pos``
-    and ``w_pos`` are the positions of the omega and w nodes within
-    ``active``: ``matrix[w_pos, omega_pos]`` is a view of the A_WO block.
+    mid-band attenuation to fourth order in the frequency.
     """
 
     geom: Geometry
-    active: slice
     matrix: np.ndarray
-    omega_pos: slice
-    w_pos: slice
+
+    @property
+    def active(self) -> slice:
+        return self.geom.active_nodes
 
     @property
     def n_active(self) -> int:
         return self.active.stop - self.active.start
+
+    def pos(self, nodes: slice) -> slice:
+        """Positions of a node slice of ``geom`` among the active nodes."""
+        first = self.active.start
+        return slice(nodes.start - first, nodes.stop - first)
+
+    def block(self, rows: slice, cols: slice) -> np.ndarray:
+        """A fresh C-contiguous copy of the stiffness between node slices."""
+        return self.matrix[self.pos(rows), self.pos(cols)].copy()
 
 
 def symmetric_toeplitz(row: np.ndarray) -> np.ndarray:
@@ -147,24 +155,11 @@ def symmetric_toeplitz(row: np.ndarray) -> np.ndarray:
 
 
 def assemble_dense(geom: Geometry) -> FracLapDense:
-    """Assemble the dense stiffness matrix over the active node set.
-
-    The active nodes are those of omega and w, each padded by the gap
-    between them, so the padded intervals overlap and their union is one
-    contiguous run.  The matrix is therefore Toeplitz in their positions.
-    """
-    spec, d = geom.spec, geom.gap
-    x = spec.nodes()
-    tol = spec.h * 1e-9
-    lo = min(geom.omega[0], geom.w[0])
-    hi = max(geom.omega[1], geom.w[1])
-    first = int(np.searchsorted(x, lo - d - tol, side="left"))
-    stop = int(np.searchsorted(x, hi + d + tol, side="right"))
-    A = symmetric_toeplitz(stiffness_lags(geom.s, spec.h, stop - first - 1))
-    om, w = geom.omega_nodes, geom.w_nodes
-    return FracLapDense(geom=geom, active=slice(first, stop), matrix=A,
-                        omega_pos=slice(om.start - first, om.stop - first),
-                        w_pos=slice(w.start - first, w.stop - first))
+    """The dense stiffness over the active nodes: they are one contiguous
+    run (see build_geometry), so it is Toeplitz in their positions."""
+    n = geom.active_nodes.stop - geom.active_nodes.start
+    return FracLapDense(geom=geom, matrix=symmetric_toeplitz(
+        stiffness_lags(geom.s, geom.spec.h, n - 1)))
 
 
 #: linear-extrapolation pad, nodes, for the mass solve; the tridiagonal

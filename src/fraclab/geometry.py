@@ -10,8 +10,8 @@ far below the acceptance tolerances.
 
 A ``Geometry`` carries its grid and, for each interval, its nodes as a
 slice of supergrid indices.  ``build_geometry`` is the one place where an
-interval becomes nodes (the snap rule); every other module indexes with
-the slices.
+interval becomes nodes (the snap rule, and the dense operator's active
+range); every other module indexes with the slices.
 
 Cell-centered nodes (``x_j = -L + (j + 1/2) h``) are deliberate: snapped
 interval endpoints then fall on cell boundaries, so support-edge
@@ -54,7 +54,8 @@ class Geometry:
     ``box_halfwidth`` is the truncation halfwidth L of the periodic
     supergrid ``spec``.  ``omega_nodes``, ``w_nodes`` and ``prime_nodes``
     are the supergrid indices of each interval's nodes, fixed once by the
-    snap rule in ``build_geometry``.
+    snap rule in ``build_geometry``; ``active_nodes``, one contiguous run,
+    are those the dense operator acts on.
     """
 
     s: float
@@ -66,11 +67,7 @@ class Geometry:
     omega_nodes: slice
     w_nodes: slice
     prime_nodes: slice
-
-    @property
-    def gap(self) -> float:
-        """Distance between omega and w."""
-        return max(self.w[0] - self.omega[1], self.omega[0] - self.w[1])
+    active_nodes: slice
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +103,7 @@ def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
     The snap rule: an interval's nodes run between its endpoints, each
     snapped to the nearest node.  A tie (within 1e-9 cells) goes outward,
     so mirrored intervals stay mirrored: both sides grow, neither shifts.
+    The active nodes are those within the gap of omega or w (to 1e-9 h).
     """
     a, b = float(omega[0]), float(omega[1])
     c, d = float(w[0]), float(w[1])
@@ -137,15 +135,19 @@ def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
         return slice(math.ceil((lo - spec.origin) / h - 0.5 - 1e-9),
                      math.floor((hi - spec.origin) / h + 0.5 + 1e-9) + 1)
 
+    x, tol, gap = spec.nodes(), h * 1e-9, max(c - b, a - d)
+    active = slice(
+        int(np.searchsorted(x, min(a, c) - gap - tol, side="left")),
+        int(np.searchsorted(x, max(b, d) + gap + tol, side="right")))
     geom = Geometry(s=float(s), omega=(a, b), w=(c, d),
                     omega_prime=(ap, bp), box_halfwidth=L, spec=spec,
                     omega_nodes=nodes(a, b), w_nodes=nodes(c, d),
-                    prime_nodes=nodes(ap, bp))
+                    prime_nodes=nodes(ap, bp), active_nodes=active)
     # snapping moves an endpoint by up to h/2, so a gap below 2h lets the
     # node sets of omega and w meet or leave the gap-padded active range
-    if geom.gap < 2 * h:
+    if gap < 2 * h:
         raise ResolutionError(
-            f"omega and w are {geom.gap} apart, less than two cells at h={h}")
+            f"omega and w are {gap} apart, less than two cells at h={h}")
     for name, iv, sl in (("omega", geom.omega, geom.omega_nodes),
                          ("w", geom.w, geom.w_nodes)):
         if (count := sl.stop - sl.start) < 16:

@@ -98,7 +98,7 @@ def _continuation(op: FracLapDense):
     The cache is keyed by op's identity; the shared arrays are read-only.
     """
     geom = op.geom
-    A_ow = op.matrix[op.omega_pos, op.w_pos]
+    A_ow = op.matrix[op.pos(geom.omega_nodes), op.pos(geom.w_nodes)]
     row = hs_gram_row(geom.spec, geom.s)[:len(A_ow)]
     L = np.linalg.cholesky(symmetric_toeplitz(row))
     B = _solve_lower(L, A_ow).T / np.sqrt(geom.spec.h)   # sqrt(h) M L^-T
@@ -122,7 +122,7 @@ def recover_u(op: FracLapDense, f: GridFunction, lam_f: GridFunction,
     """
     spec, om, w = op.geom.spec, op.geom.omega_nodes, op.geom.w_nodes
     U, sv, C = _continuation(op)
-    A_ww = op.matrix[op.w_pos, op.w_pos] / spec.h
+    A_ww = op.matrix[op.pos(w), op.pos(w)] / spec.h
     b = lam_f.values[w] - A_ww @ f.values[w]
     bb = np.sqrt(spec.h) * b
     Utb = U.T @ bb
@@ -179,7 +179,7 @@ def recover_q(op: FracLapDense, u_rec: GridFunction, threshold: float,
     geom, om, prime = op.geom, op.geom.omega_nodes, op.geom.prime_nodes
     # the omega_prime nodes as positions among the omega nodes
     p = slice(prime.start - om.start, prime.stop - om.start)
-    w_omega = apply_dense(op, u_rec)[op.omega_pos]
+    w_omega = apply_dense(op, u_rec)[op.pos(om)]
     u_omega = u_rec.values[om]
 
     umax = float(np.max(np.abs(u_omega)))

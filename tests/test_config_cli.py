@@ -206,6 +206,21 @@ def test_cmd_forward_missing_config_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_non_utf8_config_exits_2(tmp_path):
+    # the process itself, so that an escaping decode error shows as its
+    # traceback and exit code 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes((CONFIGS / "s1_forward.cfg").read_bytes() + b"\xff\n")
+    src = Path(fl.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "fraclab.cli", "forward", "--config",
+         str(bad), "--out", str(tmp_path / "out")], capture_output=True,
+        text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 2
+    assert out.stderr.startswith("ConfigError: ")
+    assert "Traceback" not in out.stderr
+
+
 def test_cmd_forward_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -87,7 +87,7 @@ def _lag_from_symbol(s, h, m):
 
 def _active_as_two_intervals(geom, spec):
     """The active set as the union of omega and w, each padded by the gap."""
-    d = geom.gap
+    d = max(geom.w[0] - geom.omega[1], geom.omega[0] - geom.w[1])
     x = spec.nodes()
     tol = spec.h * 1e-9
     mask = np.zeros(spec.n_super, dtype=bool)
@@ -133,18 +133,42 @@ def test_assembly_is_read_only_toeplitz_view(placement):
     i, gathered = _gathered_stiffness(op)
     assert np.array_equal(i, np.arange(i[0], i[-1] + 1))
     assert np.array_equal(i, _active_as_two_intervals(geom, spec))
-    assert np.array_equal(i[op.omega_pos],
-                          np.nonzero(fl.support_mask(geom, "omega"))[0])
-    assert np.array_equal(i[op.w_pos],
-                          np.nonzero(fl.support_mask(geom, "w"))[0])
+    om, w = op.pos(geom.omega_nodes), op.pos(geom.w_nodes)
+    assert np.array_equal(i[om], np.nonzero(fl.support_mask(geom, "omega"))[0])
+    assert np.array_equal(i[w], np.nonzero(fl.support_mask(geom, "w"))[0])
     A = op.matrix
     assert A.tobytes() == gathered.tobytes()
-    for block in (A, A[op.w_pos, op.omega_pos], A[op.omega_pos, op.w_pos]):
+    for block in (A, A[w, om], A[om, w]):
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 1.0
     # the view spans the 2n - 1 mirrored lags, not an n x n buffer
     lo, hi = byte_bounds(A)
     assert hi - lo <= (2 * len(i) - 1) * A.itemsize
+
+
+@PROPERTY_SETTINGS
+@given(_placements())
+def test_active_nodes_and_operator_blocks(placement):
+    # the geometry fixes the active run, and each block between the omega
+    # and w nodes is a writable C-contiguous copy of the lags at |i - j|
+    s, omega, w, n_super = placement
+    geom = fl.build_geometry(omega=omega, w=w, s=s, box_halfwidth=8.0,
+                             n_super=n_super)
+    a = geom.active_nodes
+    assert np.array_equal(np.arange(a.start, a.stop),
+                          _active_as_two_intervals(geom, geom.spec))
+    op = fl.assemble_dense(geom)
+    lags = stiffness_lags(s, geom.spec.h, a.stop - a.start - 1)
+    before = op.matrix.tobytes()
+    for rows in (geom.omega_nodes, geom.w_nodes):
+        for cols in (geom.omega_nodes, geom.w_nodes):
+            i = np.arange(rows.start, rows.stop)[:, None]
+            j = np.arange(cols.start, cols.stop)
+            block = op.block(rows, cols)
+            assert block.flags.c_contiguous
+            assert block.tobytes() == lags[np.abs(i - j)].tobytes()
+            block[...] = 0.0
+    assert op.matrix.tobytes() == before
 
 
 @PROPERTY_SETTINGS
@@ -395,7 +419,7 @@ def test_recover_q_fill_matches_loop(included, seed):
     u = fl.make_grid_function(geom, vals, "omega")
     holder = 1e6        # the cap stays out of the way
     rec = fl.recover_q(op, u, 0.1, holder)
-    w_omega = fl.apply_dense(op, u)[op.omega_pos]
+    w_omega = fl.apply_dense(op, u)[op.pos(om)]
     q = np.zeros(_N_OMEGA)
     q[included] = -w_omega[included] / u_omega[included]
     q = np.clip(_fill_by_loop(q, included), -10 * holder, 10 * holder)

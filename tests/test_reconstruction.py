@@ -105,8 +105,8 @@ def test_recover_u_normal_equations(s1, s1_op, s1_f, s1_bump_problem, lam):
     geom, spec = s1
     _, meas = s1_bump_problem
     op, h = s1_op, spec.h
-    M = op.matrix[op.w_pos, op.omega_pos] / h
-    A_ww = op.matrix[op.w_pos, op.w_pos] / h
+    M = op.block(geom.w_nodes, geom.omega_nodes) / h
+    A_ww = op.block(geom.w_nodes, geom.w_nodes) / h
     w_idx = np.nonzero(fl.support_mask(geom, "w"))[0]
     omega_idx = np.nonzero(fl.support_mask(geom, "omega"))[0]
     b = meas.values[w_idx] - A_ww @ s1_f.values[w_idx]
@@ -129,7 +129,7 @@ def test_continuation_factors_identities(s1_op):
     geom, op = s1_op.geom, s1_op
     U, sv, C = _continuation(op)
     G = symmetric_toeplitz(hs_gram_row(geom.spec, geom.s)[:C.shape[0]])
-    M = op.matrix[op.w_pos, op.omega_pos] / geom.spec.h
+    M = op.block(geom.w_nodes, geom.omega_nodes) / geom.spec.h
     assert np.max(np.abs(C.T @ G @ C - np.eye(C.shape[1]))) < 1e-10
     assert np.max(np.abs(np.sqrt(geom.spec.h) * M @ C - U * sv)) < 1e-10
 
