@@ -32,10 +32,9 @@ _EXPORTS = {
                   "trace_constant", "trace_mass_sq", "weighted_gradient_norm",
                   "weighted_norm"),
     "diagnostics": ("DoublingReport", "LemmaCheck", "annulus_ratio",
-                    "boundary_bulk_check", "caccioppoli_check",
-                    "carleman_weight", "doubling_scan_boundary",
-                    "doubling_scan_bulk", "persistence_check",
-                    "three_balls_exponent"),
+                    "caccioppoli_check", "carleman_weight",
+                    "doubling_scan_boundary", "doubling_scan_bulk",
+                    "persistence_check"),
     "reconstruction": ("PotentialRecovery", "ReconstructionResult",
                        "StabilityCurve", "fit_log_modulus", "noise_sweep",
                        "recover_q", "recover_u"),

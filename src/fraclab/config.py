@@ -182,14 +182,11 @@ def build_scenario(cfg: ScenarioConfig, resolution_multiplier: int = 1) -> Scena
     from .fracop import assemble_dense
     from .geometry import build_geometry
 
-    try:
-        n_super = int(cfg["grid.n_super"]) * int(resolution_multiplier)
-        geom = build_geometry(
-            omega=cfg["geometry.omega"], w=cfg["geometry.w"],
-            s=cfg["geometry.s"], box_halfwidth=cfg["grid.L"],
-            n_super=n_super, omega_prime=cfg["geometry.omega_prime"])
-    except KeyError as exc:
-        raise ConfigError(f"missing required key {exc}") from exc
+    n_super = int(cfg["grid.n_super"]) * int(resolution_multiplier)
+    geom = build_geometry(
+        omega=cfg["geometry.omega"], w=cfg["geometry.w"],
+        s=cfg["geometry.s"], box_halfwidth=cfg["grid.L"],
+        n_super=n_super, omega_prime=cfg["geometry.omega_prime"])
     if cfg.get("f.center") is None:
         raise ConfigError("missing required block 'f' (exterior data bump)")
     f = _bump_from_block(cfg, "f", geom, "w")

@@ -3,9 +3,9 @@
 Each routine evaluates both sides of one a priori inequality on a concrete
 solution and reports the implied constant; nothing here asserts the
 inequality, since the analytic constants are not numeric.  Fitted
-quantities (vanishing order, three-ball exponents, annulus exponents) are
-descriptive least-squares measurements that downstream regression tests
-lock against golden envelopes.
+quantities (vanishing order, annulus exponents) are descriptive
+least-squares measurements that downstream regression tests lock against
+golden envelopes.
 
 The radial weight used in the doubling machinery is
 
@@ -136,29 +136,6 @@ def annulus_ratio(geom: Geometry, field: ExtensionField, f: GridFunction,
     return LemmaCheck("annulus", lhs, F, gamma_hat)
 
 
-def three_balls_exponent(field: ExtensionField, center: tuple[float, float],
-                         r: float) -> LemmaCheck:
-    """Largest alpha with N(r) <= N(r/2)^alpha N(2r)^(1-alpha) at C = 1.
-
-    Requires interior balls: the outer ball B_2r around the center must
-    stay inside the open upper half plane.
-    """
-    x0, y0 = center
-    if y0 - 2 * r <= 0:
-        raise GeometryError(
-            f"B_2r at height {y0} touches the trace line")
-    n_half = weighted_norm(field, Region("half_ball", center, r / 2))
-    n_mid = weighted_norm(field, Region("half_ball", center, r))
-    n_two = weighted_norm(field, Region("half_ball", center, 2 * r))
-    if n_half <= 0 or n_two <= 0:
-        raise ZeroMassError("three-ball masses must be positive")
-    if n_half == n_two:
-        raise DegenerateError("equal inner and outer masses")
-    alpha = float(np.log(n_mid / n_two) / np.log(n_half / n_two))
-    return LemmaCheck("three_balls", n_mid, n_half ** alpha * n_two ** (1 - alpha),
-                      alpha)
-
-
 def fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least squares log y = slope log x + intercept, for positive x and y.
 
@@ -212,24 +189,3 @@ def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,
     return DoublingReport(radii=radii, masses=masses, ratios=ratios,
                           beta_hat=beta, c_hat=float(np.exp(log_c)),
                           fit_residual=resid, r0=r0, mode="boundary")
-
-
-def boundary_bulk_check(geom: Geometry, field: ExtensionField,
-                        u: GridFunction, x0: float, r: float) -> LemmaCheck:
-    """Interpolation of a small half-ball mass by bulk and trace masses.
-
-    lhs = N(c0 r) with c0 = 1/4; rhs core = (N(2r) + b)^alpha b^(1-alpha)
-    with b the trace mass on B'_{3r/2} and alpha from the three-ball
-    exponent at the matching center (x0, r) with radius r/5.
-    """
-    c0 = 0.25
-    if not (geom.omega[0] < x0 - 2 * r and x0 + 2 * r < geom.omega[1]):
-        raise GeometryError("B_2r' leaves omega")
-    tb = three_balls_exponent(field, (x0, r), r / 5.0)
-    alpha = tb.implied_constant
-    lhs = weighted_norm(field, Region("half_ball", (x0, 0.0), c0 * r))
-    n2r = weighted_norm(field, Region("half_ball", (x0, 0.0), 2 * r))
-    b = float(np.sqrt(trace_mass_sq(u.spec, u.values, x0, 1.5 * r)))
-    rhs_core = (n2r + b) ** alpha * b ** (1 - alpha)
-    implied = lhs / rhs_core if rhs_core > 0 else 0.0
-    return LemmaCheck("boundary_bulk", lhs, rhs_core, implied)

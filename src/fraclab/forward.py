@@ -109,13 +109,19 @@ def solve_forward(op: FracLapDense, q: GridFunction,
     return ForwardSolution(u=u, q=q, f=f, residual=residual)
 
 
+def local_term(op: FracLapDense, f: GridFunction) -> np.ndarray:
+    """(A_WW f)/h on the window: the potential-free part of the
+    measurement, which dtn_map adds and recover_u subtracts."""
+    w = op.geom.w_nodes
+    return op.block(w, w) @ f.values[w] / op.geom.spec.h
+
+
 def dtn_map(op: FracLapDense, sol: ForwardSolution) -> GridFunction:
     """Measurement on the window: nodal fractional Laplacian of u."""
     geom, om, w = op.geom, op.geom.omega_nodes, op.geom.w_nodes
-    lam_w = (op.block(w, om) @ sol.u.values[om]
-             + op.block(w, w) @ sol.f.values[w])
     vals = np.zeros(geom.spec.n_super)
-    vals[w] = lam_w / geom.spec.h
+    vals[w] = (op.block(w, om) @ sol.u.values[om] / geom.spec.h
+               + local_term(op, sol.f))
     return make_grid_function(geom, vals, "w")
 
 

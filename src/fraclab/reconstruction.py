@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .diagnostics import fit_loglog
-from .errors import AllExcludedError, ZeroDataError
-from .forward import ForwardSolution, add_noise
+from .errors import AllExcludedError, DomainError, ZeroDataError
+from .forward import ForwardSolution, add_noise, local_term
 from .fracop import FracLapDense, apply_dense, symmetric_toeplitz
 from .geometry import GridFunction, GridSpec, frequencies, make_grid_function
 
@@ -119,14 +119,16 @@ def recover_u(op: FracLapDense, f: GridFunction, lam_f: GridFunction,
     until the L2(w) residual lands in [delta, 2 delta], 1e-16 when the
     residual there is already >= delta, and 1 when it stays below delta.
     The SVD is computed once per operator; the bisection reads residuals.
+    Raises DomainError, in either mode, when the squared residual of the
+    data overflows: no lambda could then be chosen or scored.
     """
     spec, om, w = op.geom.spec, op.geom.omega_nodes, op.geom.w_nodes
     U, sv, C = _continuation(op)
-    A_ww = op.matrix[op.pos(w), op.pos(w)] / spec.h
-    b = lam_f.values[w] - A_ww @ f.values[w]
-    bb = np.sqrt(spec.h) * b
+    bb = np.sqrt(spec.h) * (lam_f.values[w] - local_term(op, f))
     Utb = U.T @ bb
     ortho_sq = float(bb @ bb - Utb @ Utb)   # residual outside the range
+    if not np.isfinite(ortho_sq):
+        raise DomainError("the squared residual of the window data overflows")
 
     def residual(lam: float) -> float:
         return float(np.sqrt(max(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SupportError, ZeroDataError
+from .errors import DomainError, SupportError, ZeroDataError
 from .geometry import Geometry, GridFunction, frequencies, support_mask
 
 
@@ -34,13 +34,17 @@ def sobolev_norm(g: GridFunction, t: float) -> float:
 
     For t = 0 this equals the discrete L2 norm sqrt(h) |g|_2 up to
     roundoff (Parseval); it is monotone nondecreasing in t because every
-    frequency weight (1+xi^2)^t is.
+    frequency weight (1+xi^2)^t is.  Raises DomainError when the norm is
+    not finite, which for finite g means its sum of squares overflows.
     """
     ghat = fourier_coefficients(g)
     xi = frequencies(g.spec)
     dxi = 2.0 * np.pi / (g.spec.n_super * g.spec.h)
     weights = (1.0 + xi * xi) ** t
-    return float(np.sqrt(np.sum(weights * np.abs(ghat) ** 2) * dxi))
+    norm = float(np.sqrt(np.sum(weights * np.abs(ghat) ** 2) * dxi))
+    if not np.isfinite(norm):
+        raise DomainError(f"the H^{t:g} norm overflows")
+    return norm
 
 
 def dual_norm_on_window(geom: Geometry, g: GridFunction) -> float:

@@ -5,6 +5,7 @@ data bump centered in the window.  Everything is session-scoped; the
 objects are immutable, so sharing across tests is safe.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 
 import fraclab as fl
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden" / "v1"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "golden" / "v1"
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +80,14 @@ def golden():
         pytest.skip("golden file missing; run tools/make_golden.py")
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@pytest.fixture(scope="session")
+def make_golden():
+    """tools/make_golden.py as a module; it holds the three-ball and
+    boundary-bulk checks, which no command runs."""
+    spec = importlib.util.spec_from_file_location(
+        "make_golden", ROOT / "tools" / "make_golden.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool

@@ -299,6 +299,33 @@ def test_stability_on_zero_q2_exits_3(tmp_path, capsys):
     assert not (tmp_path / "curve.csv").exists()
 
 
+@pytest.mark.parametrize("command, name, old, new", [
+    ("forward", "s1_forward.cfg", "noise.epsilon = 0",
+     "noise.epsilon = 1e300"),
+    ("forward", "s1_forward.cfg", "f.amplitude = 1", "f.amplitude = 1e300"),
+    ("ucp-scan", "s1_ucp_scan.cfg", "f.amplitude = 1", "f.amplitude = 1e300"),
+    ("stability", "s1_stability.cfg",
+     "sweep.epsilons = 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8",
+     "sweep.epsilons = 1e300, 1e-3")])
+def test_overflow_exits_3(tmp_path, command, name, old, new):
+    # an overflowing norm or recover_u residual exits 3 and writes no file,
+    # never inf or nan; the process itself runs, so that a hang (a
+    # discrepancy bisection on nan) fails at its timeout
+    text = (CONFIGS / name).read_text()
+    assert f"\n{old}\n" in text
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    src = Path(fl.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "fraclab.cli", command, "--config", str(cfg),
+         "--out", str(tmp_path / "out")], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 3
+    assert out.stderr.splitlines()[-1].startswith("DomainError: ")
+    assert "Traceback" not in out.stderr
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_cmd_ucp_scan_files(tmp_path):
     rc = _run(["ucp-scan", "--config", str(CONFIGS / "s1_ucp_scan.cfg"),
                "--out", str(tmp_path)])

@@ -121,12 +121,12 @@ def test_annulus_zero_mass(s1, s1_field_tall, s1_f):
 
 # ------------------------------------------------------------------ three balls
 
-def test_three_balls_interior_guard(s1_field):
+def test_three_balls_interior_guard(make_golden, s1_field):
     with pytest.raises(GeometryError):
-        fl.three_balls_exponent(s1_field, (0.0, 0.5), 0.3)
+        make_golden.three_balls_exponent(s1_field, (0.0, 0.5), 0.3)
 
 
-def test_three_balls_degenerate(s1, s1_field):
+def test_three_balls_degenerate(make_golden, s1, s1_field):
     geom, spec = s1
     ones = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
                              values=np.ones_like(s1_field.values), s=0.5,
@@ -137,11 +137,11 @@ def test_three_balls_degenerate(s1, s1_field):
     field = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid, values=vals,
                               s=0.5, boundary=np.zeros(spec.n_super))
     with pytest.raises((DegenerateError, ZeroMassError)):
-        fl.three_balls_exponent(field, (0.0, 1.0), 0.1)
+        make_golden.three_balls_exponent(field, (0.0, 1.0), 0.1)
 
 
-def test_three_balls_alpha_in_unit_interval(s1, s1_field):
-    chk = fl.three_balls_exponent(s1_field, (0.0, 0.5), 0.1)
+def test_three_balls_alpha_in_unit_interval(make_golden, s1, s1_field):
+    chk = make_golden.three_balls_exponent(s1_field, (0.0, 0.5), 0.1)
     assert 0.0 < chk.implied_constant <= 1.0
     n_half, n_mid, n_two = (
         fl.weighted_norm(s1_field, fl.Region("half_ball", (0.0, 0.5), r))
@@ -150,8 +150,8 @@ def test_three_balls_alpha_in_unit_interval(s1, s1_field):
     assert n_half <= n_mid <= n_two
 
 
-def test_three_balls_stability(s1, s1_field, golden):
-    chk = fl.three_balls_exponent(s1_field, (0.0, 0.5), 0.2)
+def test_three_balls_stability(make_golden, s1, s1_field, golden):
+    chk = make_golden.three_balls_exponent(s1_field, (0.0, 0.5), 0.2)
     assert chk.implied_constant == \
         pytest.approx(golden["three_balls_alpha_refined"], rel=0.2)
 
@@ -258,31 +258,34 @@ def test_boundary_doubling_vanishing_order_self_consistency(s1, s1_solution):
 
 # ------------------------------------------------------------- boundary - bulk
 
-def test_boundary_bulk_zero(s1, s1_field):
+def test_boundary_bulk_zero(make_golden, s1, s1_field):
     geom, spec = s1
     zero = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
                              values=np.zeros_like(s1_field.values), s=0.5,
                              boundary=np.zeros(spec.n_super))
     u0 = fl.make_grid_function(geom, np.zeros(spec.n_super), "omega")
     with pytest.raises(ZeroMassError):
-        fl.boundary_bulk_check(geom, zero, u0, 0.0, 0.2)
+        make_golden.boundary_bulk_check(geom, zero, u0, 0.0, 0.2)
 
 
-def test_boundary_bulk_homogeneity(s1, s1_field, s1_solution):
+def test_boundary_bulk_homogeneity(make_golden, s1, s1_field, s1_solution):
     geom, spec = s1
-    chk1 = fl.boundary_bulk_check(geom, s1_field, s1_solution.u, 0.0, 0.2)
+    chk1 = make_golden.boundary_bulk_check(geom, s1_field, s1_solution.u,
+                                             0.0, 0.2)
     scaled_f = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
                                  values=3.0 * s1_field.values, s=0.5,
                                  boundary=3.0 * s1_field.boundary)
     scaled_u = fl.GridFunction(spec=spec, values=3.0 * s1_solution.u.values)
-    chk3 = fl.boundary_bulk_check(geom, scaled_f, scaled_u, 0.0, 0.2)
+    chk3 = make_golden.boundary_bulk_check(geom, scaled_f, scaled_u, 0.0, 0.2)
     assert chk3.implied_constant == \
         pytest.approx(chk1.implied_constant, rel=1e-9)
 
 
-def test_boundary_bulk_finite(s1, s1_field, s1_solution, golden):
+def test_boundary_bulk_finite(make_golden, s1, s1_field, s1_solution,
+                              golden):
     geom, spec = s1
-    chk = fl.boundary_bulk_check(geom, s1_field, s1_solution.u, 0.0, 0.2)
+    chk = make_golden.boundary_bulk_check(geom, s1_field, s1_solution.u,
+                                          0.0, 0.2)
     assert np.isfinite(chk.implied_constant)
     assert chk.implied_constant == \
         pytest.approx(golden["boundary_bulk_implied_refined"], rel=0.35)

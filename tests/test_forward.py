@@ -3,7 +3,7 @@ import pytest
 
 import fraclab as fl
 from fraclab.errors import EigenvalueError, SupportError
-from fraclab.forward import system_matrix
+from fraclab.forward import local_term, system_matrix
 
 
 def _zero_potential(geom, spec):
@@ -115,6 +115,26 @@ def test_dtn_linearity(s1, s1_op, s1_q0):
     lhs = lam(combo)
     rhs = 1.5 * lam(f1) - 0.5 * lam(f2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+def test_dtn_map_adds_the_local_term(s1, s1_op, s1_solution):
+    # dtn_map is the continuation term plus local_term, the expression
+    # recover_u subtracts; h = 1/64 is a power of two, so dividing each
+    # term by h gives the same bits as dividing their sum
+    geom, spec = s1
+    om, w, f = geom.omega_nodes, geom.w_nodes, s1_solution.f
+    lam_w = fl.dtn_map(s1_op, s1_solution).values[w]
+    cont = s1_op.block(w, om) @ s1_solution.u.values[om]
+    assert spec.h == 2.0 ** -6
+    assert np.array_equal(local_term(s1_op, f),
+                          s1_op.block(w, w) @ f.values[w] / spec.h)
+    assert np.array_equal(lam_w, cont / spec.h + local_term(s1_op, f))
+    assert np.array_equal(lam_w,
+                          (cont + s1_op.block(w, w) @ f.values[w]) / spec.h)
+    # subtracting it back is exact up to the rounding of that sum
+    ulp = np.spacing(np.abs(lam_w)).max()
+    np.testing.assert_allclose(lam_w - local_term(s1_op, f), cont / spec.h,
+                               rtol=0, atol=4 * ulp)
 
 
 def test_identical_potentials_zero_gap(s1, s1_op, s1_qbump, s1_f):

@@ -1,7 +1,7 @@
-"""tools/make_golden.py, the only caller of some diagnostics, still
-reproduces the locked values it once wrote to golden/v1/s1.json."""
+"""tools/make_golden.py, the only caller of the three-ball and
+boundary-bulk checks, still reproduces the locked values it once wrote to
+golden/v1/s1.json."""
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -10,14 +10,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_make_golden_reproduces_locked_values(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "make_golden", ROOT / "tools" / "make_golden.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+def test_make_golden_reproduces_locked_values(make_golden, tmp_path,
+                                              monkeypatch):
     # the tool writes its output here, never under golden/
-    monkeypatch.setattr(tool, "OUT", tmp_path / "s1.json")
-    tool.main()
+    monkeypatch.setattr(make_golden, "OUT", tmp_path / "s1.json")
+    make_golden.main()
     fresh = json.loads((tmp_path / "s1.json").read_text())
     locked = json.loads((ROOT / "golden" / "v1" / "s1.json").read_text())
     assert fresh.keys() == locked.keys()

@@ -89,6 +89,19 @@ def test_recover_u_discrepancy_unreachable(s1_op, s1_f, s1_bump_problem):
             fl.recover_u(s1_op, s1_f, lam, strategy=("discrepancy", bad))
 
 
+def test_recover_u_overflowing_data_raises(s1, s1_op, s1_f,
+                                           s1_bump_problem):
+    # at a scale of 1e160 the squared window residual overflows, and no
+    # lambda can be chosen or scored: an error in either mode, never nan
+    geom, spec = s1
+    _, lam = s1_bump_problem
+    f, lam = (fl.GridFunction(spec=spec, values=1e160 * g.values)
+              for g in (s1_f, lam))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match="overflows"):
+        fl.recover_u(s1_op, f, lam, strategy=("fixed", 1e-8))
+
+
 def test_recover_u_error_monotone_in_noise(s1_op, s1_f, s1_qbump, s1_q0):
     sol = fl.solve_forward(s1_op, s1_qbump, s1_f)
     curve = fl.noise_sweep(s1_op, sol, fl.dtn_map(s1_op, sol),

@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 import fraclab as fl
-from fraclab.errors import SupportError, ZeroDataError
+from fraclab.errors import DomainError, SupportError, ZeroDataError
 
 
 def _zero(geom, spec):
@@ -13,6 +13,18 @@ def _zero(geom, spec):
 def test_sobolev_norm_zero(s1):
     geom, spec = s1
     assert fl.sobolev_norm(_zero(geom, spec), 0.37) == 0.0
+
+
+def test_sobolev_norm_overflow_raises(s1_f):
+    # the sum of squares is finite at a scale of 1e150 and overflows at
+    # 1e160; an overflowing norm is an error, never inf
+    big, huge = (fl.GridFunction(spec=s1_f.spec, values=c * s1_f.values)
+                 for c in (1e150, 1e160))
+    for t in (-0.5, 0.0, 0.5):
+        assert np.isfinite(fl.sobolev_norm(big, t))
+        with np.errstate(over="ignore"), \
+                pytest.raises(DomainError, match="norm overflows"):
+            fl.sobolev_norm(huge, t)
 
 
 def test_parseval_exact(s1):

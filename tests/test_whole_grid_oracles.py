@@ -155,7 +155,7 @@ def _regions(y):
     return [
         fl.Region("half_ball", (0.0, 0.0), 0.05),
         fl.Region("half_ball", (0.3, 0.0), 0.6),
-        # the three balls of three_balls_exponent around (0, 0.5)
+        # the three balls of the three-ball exponent around (0, 0.5)
         fl.Region("half_ball", (0.0, 0.5), 0.1),
         fl.Region("half_ball", (0.0, 0.5), 0.2),
         fl.Region("half_ball", (0.0, 0.5), 0.4),

@@ -5,6 +5,11 @@ Run from the repository root after any intentional change to the
 numerics; tests compare against these values inside stated envelopes.
 Reference quantities that certify stability under refinement are
 computed at twice the S1 resolution.
+
+The three-ball exponent and the boundary-bulk interpolation check live
+here, not in the library: no command runs them, only this tool (for
+three_balls_alpha_refined and boundary_bulk_implied_refined) and the
+tests that load it.
 """
 
 import json
@@ -13,12 +18,60 @@ from pathlib import Path
 import numpy as np
 
 import fraclab as fl
-from fraclab.diagnostics import fit_loglog
+from fraclab.diagnostics import LemmaCheck, fit_loglog
+from fraclab.errors import DegenerateError, GeometryError, ZeroMassError
+from fraclab.extension import (ExtensionField, Region, trace_mass_sq,
+                               weighted_norm)
+from fraclab.geometry import Geometry, GridFunction
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "golden" / "v1" / "s1.json"
 
 EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+
+def three_balls_exponent(field: ExtensionField, center: tuple[float, float],
+                         r: float) -> LemmaCheck:
+    """Largest alpha with N(r) <= N(r/2)^alpha N(2r)^(1-alpha) at C = 1.
+
+    Requires interior balls: the outer ball B_2r around the center must
+    stay inside the open upper half plane.
+    """
+    x0, y0 = center
+    if y0 - 2 * r <= 0:
+        raise GeometryError(
+            f"B_2r at height {y0} touches the trace line")
+    n_half = weighted_norm(field, Region("half_ball", center, r / 2))
+    n_mid = weighted_norm(field, Region("half_ball", center, r))
+    n_two = weighted_norm(field, Region("half_ball", center, 2 * r))
+    if n_half <= 0 or n_two <= 0:
+        raise ZeroMassError("three-ball masses must be positive")
+    if n_half == n_two:
+        raise DegenerateError("equal inner and outer masses")
+    alpha = float(np.log(n_mid / n_two) / np.log(n_half / n_two))
+    return LemmaCheck("three_balls", n_mid, n_half ** alpha * n_two ** (1 - alpha),
+                      alpha)
+
+
+def boundary_bulk_check(geom: Geometry, field: ExtensionField,
+                        u: GridFunction, x0: float, r: float) -> LemmaCheck:
+    """Interpolation of a small half-ball mass by bulk and trace masses.
+
+    lhs = N(c0 r) with c0 = 1/4; rhs core = (N(2r) + b)^alpha b^(1-alpha)
+    with b the trace mass on B'_{3r/2} and alpha from the three-ball
+    exponent at the matching center (x0, r) with radius r/5.
+    """
+    c0 = 0.25
+    if not (geom.omega[0] < x0 - 2 * r and x0 + 2 * r < geom.omega[1]):
+        raise GeometryError("B_2r' leaves omega")
+    tb = three_balls_exponent(field, (x0, r), r / 5.0)
+    alpha = tb.implied_constant
+    lhs = weighted_norm(field, Region("half_ball", (x0, 0.0), c0 * r))
+    n2r = weighted_norm(field, Region("half_ball", (x0, 0.0), 2 * r))
+    b = float(np.sqrt(trace_mass_sq(u.spec, u.values, x0, 1.5 * r)))
+    rhs_core = (n2r + b) ** alpha * b ** (1 - alpha)
+    implied = lhs / rhs_core if rhs_core > 0 else 0.0
+    return LemmaCheck("boundary_bulk", lhs, rhs_core, implied)
 
 
 def s1_objects(n_super=4096, n_levels=64):
@@ -48,9 +101,9 @@ def main():
                                                           n_levels=128)
     chk = fl.caccioppoli_check(geom2, field2, 0.0, 0.0, 0.2)
     golden["caccioppoli_implied_refined"] = chk.implied_constant
-    tb = fl.three_balls_exponent(field2, (0.0, 0.5), 0.2)
+    tb = three_balls_exponent(field2, (0.0, 0.5), 0.2)
     golden["three_balls_alpha_refined"] = tb.implied_constant
-    bb = fl.boundary_bulk_check(geom2, field2, sol2.u, 0.0, 0.2)
+    bb = boundary_bulk_check(geom2, field2, sol2.u, 0.0, 0.2)
     golden["boundary_bulk_implied_refined"] = bb.implied_constant
 
     # boundary doubling on S1
