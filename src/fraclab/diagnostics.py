@@ -140,11 +140,15 @@ def fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least squares log y = slope log x + intercept, for positive x and y.
 
     Returns (slope, intercept, sup |log y - fit|); DegenerateError when
-    fewer than two x are distinct.
+    fewer than two x are distinct, DomainError when a log is not finite
+    (an overflowed mass is inf or nan).
     """
     if len(set(x)) < 2:
         raise DegenerateError("a log-log fit needs two distinct x")
-    lx, ly = np.log(x), np.log(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx, ly = np.log(x), np.log(y)
+    if not (np.all(np.isfinite(lx)) and np.all(np.isfinite(ly))):
+        raise DomainError("a log-log fit needs finite positive x and y")
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     resid = float(np.max(np.abs(ly - A @ coef)))

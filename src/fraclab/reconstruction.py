@@ -3,11 +3,13 @@ sweep that samples the stability curve.
 
 Step one recovers the interior solution from window data by Tikhonov
 least squares: the continuation operator v -> (A_WO v)/h is independent
-of the potential and is factored once per operator (which carries the
-grid and the omega/w partition), the penalty is the discrete H^s norm of
-the zero extension, and the regularization parameter is fixed or set by
-the discrepancy principle (bisection in log lambda on the closed-form
-residual into [delta, 2 delta], clamped to lambda in [1e-16, 1]).
+of the potential, and its singular factors on their numerical range (a
+Levinson-Durbin whitening and a checked Gaussian sketch, O(n^2)) are
+computed once per operator (which carries the grid and the omega/w
+partition), the penalty is the discrete H^s norm of the zero extension,
+and the regularization parameter is fixed or set by the discrepancy
+principle (bisection in log lambda on the closed-form residual into
+[delta, 2 delta], clamped to lambda in [1e-16, 1]).
 
 Step two divides: q = -(-Lap)^s u / u on nodes where |u| clears a
 relative threshold, with nearest-neighbour fill on the excluded set, a
@@ -29,7 +31,7 @@ import numpy as np
 from .diagnostics import fit_loglog
 from .errors import AllExcludedError, DomainError, ZeroDataError
 from .forward import ForwardSolution, add_noise, local_term
-from .fracop import FracLapDense, apply_dense, symmetric_toeplitz
+from .fracop import FracLapDense, apply_dense
 from .geometry import GridFunction, GridSpec, frequencies, make_grid_function
 
 
@@ -72,38 +74,72 @@ def hs_gram_row(spec: GridSpec, s: float) -> np.ndarray:
     return spec.h * np.real(np.fft.ifft(sym))
 
 
-_BLOCK = 64     # rows per block of _solve_lower's substitution
+_SKETCH = 32                            # first width of B's range sketch
+_PROBES = 10                            # Gaussian columns that check it
+_TOL = 1000 * np.finfo(float).eps       # accepted range error / sv[0]
 
 
-def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^-1 B for lower-triangular L, by block forward substitution.
+def _levinson_factor(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W unit lower triangular and e > 0 with W G W^T = diag(e), for G the
+    positive-definite symmetric Toeplitz matrix with first row row.
 
-    numpy has no triangular solve (np.linalg.solve LU-factors the whole
-    triangle) and importing scipy.linalg costs about 0.24 s.
+    Levinson-Durbin, O(n^2): row k of W is the backward predictor of
+    order k, which G's leading (k+1)-block maps to e[k] times the last
+    unit vector.  So diag(e)^-1/2 W is L^-1 for the Cholesky factor L.
     """
-    X = np.empty(B.shape)
-    for i in range(0, len(L), _BLOCK):
-        j = slice(i, i + _BLOCK)
-        X[j] = np.linalg.solve(L[j, j], B[j] - L[j, :i] @ X[:i])
-    return X
+    n = len(row)
+    W, e = np.zeros((n, n)), np.empty(n)
+    W[0, 0], e[0] = 1.0, row[0]
+    for k in range(1, n):
+        b = W[k - 1, :k]
+        kappa = -float(b @ row[1:k + 1]) / e[k - 1]
+        W[k, 1:k + 1] = b
+        W[k, :k] += kappa * b[::-1]
+        e[k] = e[k - 1] * (1.0 - kappa * kappa)
+    return W, e
 
 
 @lru_cache(maxsize=1)
 def _continuation(op: FracLapDense):
-    """U, sv and C = L^-T V, with U diag(sv) V^T = sqrt(h) M L^-T, L L^T = G.
+    """U, sv and C = L^-T V with U diag(sv) V^T = B = sqrt(h) M L^-T up to
+    an error of at most _TOL sv[0]; M = A_WO / h and L L^T = G.
 
-    M = A_WO / h is the nodal continuation and G the H^s Gram matrix on
-    the omega nodes, Toeplitz since they are contiguous.  L^-T V is the
-    substitution on L reversed in both axes, which is lower triangular.
+    G is the H^s Gram matrix on the omega nodes, Toeplitz since they are
+    contiguous, so L^-1 = diag(e)^-1/2 W comes from _levinson_factor.  B's
+    singular values fall by a decade or more per mode, and a Gaussian
+    sketch (Halko, Martinsson and Tropp, SIAM Rev. 53 (2011) 217) finds
+    its range: Q = qr(B Omega) over k columns, then the SVD of B^T Q.
+    _PROBES more columns w check Q: 10 sqrt(2/pi) max |(I - Q Q^T) B w|
+    bounds |(I - Q Q^T) B| but with probability 10^-_PROBES (their Lemma
+    4.1).  k doubles, keeping the columns drawn, until the bound is below
+    _TOL sv[0] or Q spans all n_W rows, where the factors are exact.  The
+    draws come from a fixed stream of their own, never the run's seed.
     The cache is keyed by op's identity; the shared arrays are read-only.
     """
     geom = op.geom
     A_ow = op.matrix[op.pos(geom.omega_nodes), op.pos(geom.w_nodes)]
-    row = hs_gram_row(geom.spec, geom.s)[:len(A_ow)]
-    L = np.linalg.cholesky(symmetric_toeplitz(row))
-    B = _solve_lower(L, A_ow).T / np.sqrt(geom.spec.h)   # sqrt(h) M L^-T
-    U, sv, Vt = np.linalg.svd(B, full_matrices=False)
-    C = _solve_lower(L[::-1, ::-1].T, Vt[:, ::-1].T)[::-1].copy()
+    n_w = A_ow.shape[1]
+    W, e = _levinson_factor(hs_gram_row(geom.spec, geom.s)[:len(A_ow)])
+    d = 1.0 / np.sqrt(e)[:, None]                   # L^-1 = d W
+    sqrt_h = np.sqrt(geom.spec.h)
+    rng = np.random.default_rng(0)
+    Y = np.empty((n_w, 0))                          # B Omega, so far
+    k = min(_SKETCH, n_w)
+    while True:
+        cols = rng.standard_normal((len(A_ow), k + _PROBES - Y.shape[1]))
+        Y = np.hstack([Y, A_ow.T @ (W.T @ (d * cols)) / sqrt_h])
+        Q = np.linalg.qr(Y[:, :k])[0]
+        BtQ = d * (W @ (A_ow @ Q)) / sqrt_h
+        V, sv, Zt = np.linalg.svd(BtQ, full_matrices=False)
+        if k == n_w:
+            break
+        P = Y[:, k:]
+        miss = np.linalg.norm(P - Q @ (Q.T @ P), axis=0).max()
+        if 10.0 * np.sqrt(2.0 / np.pi) * miss <= _TOL * sv[0]:
+            break
+        k = min(2 * k, n_w)
+    U = Q @ Zt.T
+    C = W.T @ (d * V)
     for a in (U, sv, C):
         a.setflags(write=False)
     return U, sv, C
@@ -118,7 +154,8 @@ def recover_u(op: FracLapDense, f: GridFunction, lam_f: GridFunction,
     discrepancy principle always returns a lambda in [1e-16, 1]: bisected
     until the L2(w) residual lands in [delta, 2 delta], 1e-16 when the
     residual there is already >= delta, and 1 when it stays below delta.
-    The SVD is computed once per operator; the bisection reads residuals.
+    The factors are computed once per operator; the bisection reads
+    residuals.
     Raises DomainError, in either mode, when the squared residual of the
     data overflows: no lambda could then be chosen or scored.
     """
@@ -126,7 +163,8 @@ def recover_u(op: FracLapDense, f: GridFunction, lam_f: GridFunction,
     U, sv, C = _continuation(op)
     bb = np.sqrt(spec.h) * (lam_f.values[w] - local_term(op, f))
     Utb = U.T @ bb
-    ortho_sq = float(bb @ bb - Utb @ Utb)   # residual outside the range
+    with np.errstate(over="ignore", invalid="ignore"):
+        ortho_sq = float(bb @ bb - Utb @ Utb)   # residual outside the range
     if not np.isfinite(ortho_sq):
         raise DomainError("the squared residual of the window data overflows")
 
@@ -251,8 +289,9 @@ def noise_sweep(op: FracLapDense, sol: ForwardSolution, meas: GridFunction,
     levels, inverse = np.unique(ts, return_inverse=True)
     errs, u_abs = [], []
     for noisy in add_noise(geom, meas, levels.tolist(), seed):
-        delta = float(sqrt_h * np.linalg.norm(
-            (noisy.values - meas.values)[geom.w_nodes]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = float(sqrt_h * np.linalg.norm(
+                (noisy.values - meas.values)[geom.w_nodes]))
         rec = recover_u(op, sol.f, noisy, strategy=("discrepancy", delta))
         pot = recover_q(op, rec.u_rec, threshold, holder_bound)
         kept = ~np.isin(np.arange(prime.start, prime.stop), pot.excluded)

@@ -35,13 +35,15 @@ def sobolev_norm(g: GridFunction, t: float) -> float:
     For t = 0 this equals the discrete L2 norm sqrt(h) |g|_2 up to
     roundoff (Parseval); it is monotone nondecreasing in t because every
     frequency weight (1+xi^2)^t is.  Raises DomainError when the norm is
-    not finite, which for finite g means its sum of squares overflows.
+    not finite, which for finite g means its sum of squares overflows;
+    numpy's overflow warning is silenced, so the error is the one signal.
     """
     ghat = fourier_coefficients(g)
     xi = frequencies(g.spec)
     dxi = 2.0 * np.pi / (g.spec.n_super * g.spec.h)
     weights = (1.0 + xi * xi) ** t
-    norm = float(np.sqrt(np.sum(weights * np.abs(ghat) ** 2) * dxi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.sqrt(np.sum(weights * np.abs(ghat) ** 2) * dxi))
     if not np.isfinite(norm):
         raise DomainError(f"the H^{t:g} norm overflows")
     return norm

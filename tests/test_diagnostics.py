@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fraclab as fl
+from fraclab.diagnostics import fit_loglog
 from fraclab.errors import (DegenerateError, DomainError, GeometryError,
                             ZeroMassError)
 
@@ -194,6 +195,32 @@ def test_bulk_doubling_zero_field_raises(s1, s1_field):
                              boundary=np.zeros(spec.n_super))
     with pytest.raises(ZeroMassError):
         fl.doubling_scan_bulk(geom, zero, 0.0, np.geomspace(0.02, 0.099, 8))
+
+
+def test_fit_loglog_rejects_non_finite_logs():
+    x = np.array([1.0, 2.0, 4.0])
+    for y in ([1.0, np.inf, 3.0], [1.0, np.nan, 3.0], [1.0, 0.0, 3.0],
+              [1.0, -2.0, 3.0]):
+        with pytest.raises(DomainError, match="finite positive"):
+            fit_loglog(x, np.array(y))
+    with pytest.raises(DomainError, match="finite positive"):
+        fit_loglog(np.array([1.0, np.inf]), np.array([1.0, 2.0]))
+
+
+def test_doubling_scans_reject_overflowing_masses(s1, s1_solution):
+    # at 1e300 the squared masses overflow (bulk: inf, boundary: nan);
+    # a scan raises rather than fit them.  The extension's own overflow
+    # warnings are not this test's subject
+    geom, spec = s1
+    huge = fl.GridFunction(spec=spec, values=1e300 * s1_solution.u.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = fl.extend(huge, geom.s)
+        with pytest.raises(DomainError, match="log-log"):
+            fl.doubling_scan_bulk(geom, field, 0.0,
+                                  np.geomspace(0.02, 0.099, 8))
+        with pytest.raises(DomainError, match="log-log"):
+            fl.doubling_scan_boundary(geom, huge, 0.0,
+                                      np.geomspace(0.02, 0.24, 8))
 
 
 def test_bulk_doubling_homogeneity(s1, s1_field):

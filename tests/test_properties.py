@@ -3,7 +3,7 @@
 geometry, of the forward solve's spectral-gap decision, of the extension
 multiplier
 over s and t, of the potential's nearest-neighbour fill, of the
-recovery's triangular substitution and discrepancy principle, and of
+recovery's Levinson factor and discrepancy principle, and of
 Parseval."""
 
 import math
@@ -18,10 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 import fraclab as fl
 from fraclab.extension import BESSEL_CLAMP, extension_multiplier
 from fraclab.fracop import (_far_series_coefficients, _nodal_from_dual,
-                            stiffness_lags)
+                            stiffness_lags, symmetric_toeplitz)
 from fraclab.errors import EigenvalueError
 from fraclab.forward import GAP_TOL, _gap_certified, system_matrix
-from fraclab.reconstruction import _BLOCK, _solve_lower
+from fraclab.reconstruction import _levinson_factor, hs_gram_row
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -429,22 +429,25 @@ def test_recover_q_fill_matches_loop(included, seed):
 
 
 @PROPERTY_SETTINGS
-@given(n=st.integers(1, 200), k=st.integers(1, 4),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(n=_BLOCK, k=1, seed=0)
-@example(n=_BLOCK + 1, k=3, seed=1)
-@example(n=3 * _BLOCK - 1, k=2, seed=2)
-def test_solve_lower_matches_dense_solve(n, k, seed):
-    # L^-1 B directly, and L^-T B as the system reversed in both axes
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
-    B = rng.standard_normal((n, k))
-    for got, ref in ((_solve_lower(L, B), np.linalg.solve(L, B)),
-                     (_solve_lower(L[::-1, ::-1].T, B[::-1])[::-1],
-                      np.linalg.solve(L.T, B))):
-        assert got.shape == ref.shape
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+@given(n=st.integers(1, 300), s=st.floats(0.02, 0.98),
+       n_super=st.sampled_from([2 ** k for k in range(9, 15)]),
+       box_halfwidth=st.floats(1.0, 64.0))
+@example(n=1, s=0.5, n_super=512, box_halfwidth=8.0)
+@example(n=300, s=0.98, n_super=2 ** 14, box_halfwidth=1.0)
+def test_levinson_factor_whitens_the_gram_matrix(n, s, n_super,
+                                                 box_halfwidth):
+    # W G W^T = diag(e) with W unit lower triangular, and diag(e)^-1/2 W
+    # inverts the Cholesky factor of the H^s Gram matrix
+    h = 2.0 * box_halfwidth / n_super
+    spec = fl.GridSpec(h=h, n_super=n_super, origin=-box_halfwidth + h / 2)
+    row = hs_gram_row(spec, s)[:n]
+    G = symmetric_toeplitz(row)
+    W, e = _levinson_factor(row)
+    assert np.array_equal(W, np.tril(W)) and np.all(np.diag(W) == 1.0)
+    assert np.all(e > 0)
+    assert np.max(np.abs(W @ G @ W.T - np.diag(e))) <= 1e-12 * np.max(e)
+    L = np.linalg.cholesky(G)
+    assert np.max(np.abs(W / np.sqrt(e)[:, None] @ L - np.eye(n))) <= 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -9,6 +9,7 @@ from fraclab.diagnostics import fit_loglog
 from fraclab.errors import AllExcludedError, DomainError, ZeroDataError
 from fraclab.experiments import NOTHING_TO_CERTIFY
 from fraclab.fracop import symmetric_toeplitz
+from fraclab import reconstruction
 from fraclab.reconstruction import _continuation, hs_gram_row
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -97,8 +98,7 @@ def test_recover_u_overflowing_data_raises(s1, s1_op, s1_f,
     _, lam = s1_bump_problem
     f, lam = (fl.GridFunction(spec=spec, values=1e160 * g.values)
               for g in (s1_f, lam))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(DomainError, match="overflows"):
+    with pytest.raises(DomainError, match="overflows"):
         fl.recover_u(s1_op, f, lam, strategy=("fixed", 1e-8))
 
 
@@ -145,6 +145,55 @@ def test_continuation_factors_identities(s1_op):
     M = op.block(geom.w_nodes, geom.omega_nodes) / geom.spec.h
     assert np.max(np.abs(C.T @ G @ C - np.eye(C.shape[1]))) < 1e-10
     assert np.max(np.abs(np.sqrt(geom.spec.h) * M @ C - U * sv)) < 1e-10
+
+
+@pytest.fixture
+def fresh_continuation():
+    # factors computed under a patched constant must not outlive the test
+    _continuation.cache_clear()
+    yield
+    _continuation.cache_clear()
+
+
+@pytest.mark.parametrize("name, value", [("_SKETCH", 2), ("_TOL", 0.0)])
+def test_continuation_sketch_doubles_to_the_same_recovery(
+        monkeypatch, fresh_continuation, s1_op, s1_f, s1_bump_problem, name,
+        value):
+    # a sketch of width 2 fails its check and doubles; with no tolerance
+    # it doubles until Q spans all n_W rows, where the factors are exact.
+    # Either way recover_u gives the default factors' answer
+    _, meas = s1_bump_problem
+    strategies = (("fixed", 1e-10), ("fixed", 1e-6), ("discrepancy", 1e-9))
+    ref = [fl.recover_u(s1_op, s1_f, meas, strategy=st).u_rec.values
+           for st in strategies]
+    _continuation.cache_clear()
+    monkeypatch.setattr(reconstruction, name, value)
+    U, sv, C = _continuation(s1_op)
+    w = s1_op.geom.w_nodes
+    if name == "_SKETCH":
+        assert len(sv) > 2
+    else:
+        assert U.shape == (w.stop - w.start, w.stop - w.start)
+    assert C.shape[1] == len(sv)
+    for st, r in zip(strategies, ref):
+        got = fl.recover_u(s1_op, s1_f, meas, strategy=st).u_rec.values
+        assert np.max(np.abs(got - r)) <= 1e-10 * np.max(np.abs(r))
+
+
+def test_continuation_is_deterministic(fresh_continuation, s1_op):
+    # the sketch draws from a fixed stream of its own: two fresh
+    # factorizations agree bit for bit, and numpy's global state is as
+    # it was
+    before = np.random.get_state()
+    first = _continuation(s1_op)
+    _continuation.cache_clear()
+    second = _continuation(s1_op)
+    after = np.random.get_state()
+    assert before[0] == after[0] and before[2:] == after[2:]
+    assert np.array_equal(before[1], after[1])
+    for a, b in zip(first, second):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
 
 
 def test_recover_u_cache_keyed_by_operator(s1_op, s1_f, s1_bump_problem):

@@ -22,8 +22,7 @@ def test_sobolev_norm_overflow_raises(s1_f):
                  for c in (1e150, 1e160))
     for t in (-0.5, 0.0, 0.5):
         assert np.isfinite(fl.sobolev_norm(big, t))
-        with np.errstate(over="ignore"), \
-                pytest.raises(DomainError, match="norm overflows"):
+        with pytest.raises(DomainError, match="norm overflows"):
             fl.sobolev_norm(huge, t)
 
 
