@@ -2,8 +2,8 @@
 
 Subcommands: forward | ucp-scan | stability | certify, each driven by one
 scenario config file.  Exit codes: 0 success, 2 configuration error,
-3 runtime/solver error or failed output write; error messages name the
-failing invariant class.
+3 runtime/solver error or failed output write, with one stderr line that
+names the error class; tools/cli_cases.py runs this contract as a table.
 Outputs are plain CSV and key=value text, byte-reproducible for a fixed
 config and seed (every file carries the config hash, never a timestamp).
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenvalueError, SingularSolveError, SupportError
+from .errors import (DomainError, EigenvalueError, SingularSolveError,
+                     SupportError)
 from .fracop import FracLapDense
 from .geometry import Geometry, GridFunction, make_grid_function, support_mask
 from .spaces import dual_norm_on_window
@@ -85,7 +86,8 @@ def solve_forward(op: FracLapDense, q: GridFunction,
     Raises EigenvalueError when the relative spectral gap of the
     restricted operator, certified by Gershgorin discs (_gap_certified) or
     else computed by eigen_gap, falls below GAP_TOL (zero too close to an
-    eigenvalue), and SingularSolveError on factorization failure.
+    eigenvalue), SingularSolveError on factorization failure and
+    DomainError when the norm of the right-hand side overflows.
     """
     geom, om, w = op.geom, op.geom.omega_nodes, op.geom.w_nodes
     if np.any(f.values[~support_mask(geom, "w")] != 0.0):
@@ -103,8 +105,11 @@ def solve_forward(op: FracLapDense, q: GridFunction,
     vals[om] = u_omega
     vals[w] = f.values[w]
     u = make_grid_function(geom, vals, "omega_w")
-    rhs_norm = float(np.linalg.norm(rhs))
-    res = float(np.linalg.norm(M @ u_omega - rhs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs_norm = float(np.linalg.norm(rhs))
+        res = float(np.linalg.norm(M @ u_omega - rhs))
+    if not np.isfinite(rhs_norm):
+        raise DomainError("the norm of the right-hand side overflows")
     residual = res / rhs_norm if rhs_norm > 0 else res
     return ForwardSolution(u=u, q=q, f=f, residual=residual)
 

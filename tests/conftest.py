@@ -5,8 +5,8 @@ data bump centered in the window.  Everything is session-scoped; the
 objects are immutable, so sharing across tests is safe.
 """
 
-import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,8 @@ import fraclab as fl
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "golden" / "v1"
+# the scripts under tools/ import each other, and the tests them, by name
+sys.path.insert(0, str(ROOT / "tools"))
 
 
 @pytest.fixture(scope="session")
@@ -86,8 +88,5 @@ def golden():
 def make_golden():
     """tools/make_golden.py as a module; it holds the three-ball and
     boundary-bulk checks, which no command runs."""
-    spec = importlib.util.spec_from_file_location(
-        "make_golden", ROOT / "tools" / "make_golden.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
+    import make_golden
+    return make_golden

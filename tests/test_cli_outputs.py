@@ -1,12 +1,11 @@
 """tools/cli_outputs.py records every output of each CLI run, so two runs
 of the same sources must give identical trees."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+import cli_outputs as tool
 
 
 def _tree(root: Path) -> dict:
@@ -14,16 +13,7 @@ def _tree(root: Path) -> dict:
             for p in root.rglob("*") if p.is_file()}
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "cli_outputs", ROOT / "tools" / "cli_outputs.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 def test_two_runs_give_identical_trees(tmp_path):
-    tool = _load_tool()
     subset = ["--configs", "certify_example.cfg,s1_forward.cfg",
               "--commands", "forward,certify", "--resolutions", "1"]
     # OUT_DIR may come before or after the list options
@@ -47,7 +37,6 @@ def test_two_runs_give_identical_trees(tmp_path):
 ])
 def test_unknown_name_exits_2_before_any_run(tmp_path, capsys, option,
                                              value, unknown):
-    tool = _load_tool()
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         tool.main([option, value, "--resolutions", "1", str(out)])
@@ -58,7 +47,6 @@ def test_unknown_name_exits_2_before_any_run(tmp_path, capsys, option,
 
 def test_compare_reports_numeric_deviation_and_other_differences(tmp_path,
                                                                   capsys):
-    tool = _load_tool()
     before, after = tmp_path / "before", tmp_path / "after"
     for root, gamma in ((before, "0.5"), (after, "0.50000000001")):
         (root / "s1.stability.r4").mkdir(parents=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fraclab as fl
-from fraclab.errors import EigenvalueError, SupportError
+from fraclab.errors import DomainError, EigenvalueError, SupportError
 from fraclab.forward import local_term, system_matrix
 
 
@@ -41,6 +41,14 @@ def test_forward_rejects_bad_data_support(s1, s1_op, s1_q0):
                               mode="average")
     with pytest.raises(SupportError):
         fl.solve_forward(s1_op, s1_q0, f_bad)
+
+
+def test_forward_overflowing_data_norm_raises(s1, s1_op, s1_q0, s1_f):
+    # the norm of the right-hand side overflows: a named error, never a
+    # nan residual
+    huge = fl.make_grid_function(s1[0], s1_f.values * 1e300, "w")
+    with pytest.raises(DomainError, match="overflows"):
+        fl.solve_forward(s1_op, s1_q0, huge)
 
 
 def test_mirror_symmetry(s1_op, s1_q0, s1_f):

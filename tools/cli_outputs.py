@@ -49,11 +49,17 @@ NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"(?![\w.])")
 
 
+def child_env(src: Path) -> dict:
+    """The environment of a CLI subprocess: fraclab from src, one BLAS
+    thread."""
+    return dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
 def run_all(src: Path, out_dir: Path, configs, commands=COMMANDS,
             resolutions=RESOLUTIONS) -> None:
     """Run every (config, command, resolution) and write its outputs."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = child_env(src)
     for cfg in configs:
         for cmd in commands:
             for res in resolutions:
