@@ -13,8 +13,8 @@ block.  The geometry and grid keys are fixed for reproducibility:
 Potentials and the exterior data are parametric bumps (center, width,
 amplitude); experiment blocks add noise, reconstruction, scan and
 certificate parameters, and ``sweep.epsilons``, the noise ladder of the
-``stability`` sweep.  Unknown keys are rejected, and every number must be
-finite.
+``stability`` sweep.  Unknown and repeated keys are rejected, and every
+number must be finite.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
-    entries = dict(_DEFAULTS)
+    entries, first = dict(_DEFAULTS), {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -112,6 +112,9 @@ def parse_config_text(text: str) -> ScenarioConfig:
         key, raw = (p.strip() for p in body.split("=", 1))
         if key not in _KNOWN:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if first.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} is given again "
+                              f"(first on line {first[key]})")
         entries[key] = value = _parse_value(key, raw)
         vals = value if isinstance(value, tuple) else (value,)
         if key in _POSITIVE_KEYS and not all(v > 0 for v in vals):

@@ -1,60 +1,77 @@
 """Shared fixtures: the reference scenario S1 and its solved objects.
 
-S1: omega = [-1, 1], w = [2, 3], s = 1/2, box halfwidth 32, 4096 nodes,
-data bump centered in the window.  Everything is session-scoped; the
-objects are immutable, so sharing across tests is safe.
+S1 is ``configs/s1_forward.cfg``: omega = [-1, 1], w = [2, 3], s = 1/2,
+box halfwidth 32, 4096 nodes, data bump centered in the window.  Its q1
+is the bump potential and its q2, left at amplitude 0, is zero.
+Everything is session-scoped; the objects are immutable, so sharing
+across tests is safe.
+
+A test that needs a variant of a shipped config writes one with
+``write_config``, which edits lines the way the rows of
+``tools/cli_cases.py`` do, and builds it with ``scenario`` of
+``tools/make_golden.py``.
 """
 
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import fraclab as fl
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 GOLDEN_DIR = ROOT / "golden" / "v1"
 # the scripts under tools/ import each other, and the tests them, by name
 sys.path.insert(0, str(ROOT / "tools"))
 
+from cli_cases import config_text  # noqa: E402
+from make_golden import scenario  # noqa: E402,F401
+
+
+def write_config(path, config, *edits, append=""):
+    """Write configs/<config> to path, each edit ``key = value`` in place
+    of the one line of that key, append at the end; return path."""
+    path.write_bytes(config_text(config, edits, append.encode()))
+    return path
+
 
 @pytest.fixture(scope="session")
-def s1():
-    geom = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
-                             box_halfwidth=32.0, n_super=4096,
-                             omega_prime=(-0.75, 0.75))
+def s1_scenario():
+    return scenario("s1_forward.cfg")
+
+
+@pytest.fixture(scope="session")
+def s1_r2_scenario():
+    """S1 at twice the nodes, for refinement checks."""
+    return scenario("s1_forward.cfg", resolution=2)
+
+
+@pytest.fixture(scope="session")
+def s1(s1_scenario):
+    geom = s1_scenario.geom
     return geom, geom.spec
 
 
 @pytest.fixture(scope="session")
-def s1_op(s1):
-    geom, spec = s1
-    return fl.assemble_dense(geom)
+def s1_op(s1_scenario):
+    return s1_scenario.op
 
 
 @pytest.fixture(scope="session")
-def s1_f(s1):
-    geom, spec = s1
-    return fl.sample_profile(geom, fl.bump_profile(2.5, 0.4), "w",
-                             mode="average")
+def s1_f(s1_scenario):
+    return s1_scenario.f
 
 
 @pytest.fixture(scope="session")
-def s1_q0(s1):
-    geom, spec = s1
-    zeros = np.zeros(spec.n_super)
-    return fl.make_potential(
-        geom, fl.make_grid_function(geom, zeros, "omega_prime"))
+def s1_q0(s1_scenario):
+    return s1_scenario.q2
 
 
 @pytest.fixture(scope="session")
-def s1_qbump(s1):
-    geom, spec = s1
-    gf = fl.sample_profile(geom, fl.bump_profile(0.0, 0.5, 0.5),
-                           "omega_prime", mode="average")
-    return fl.make_potential(geom, gf)
+def s1_qbump(s1_scenario):
+    return s1_scenario.q1
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,6 @@ import re
 
 import numpy as np
 import pytest
-from pathlib import Path
 
 import fraclab as fl
 from fraclab.cli import main
@@ -12,7 +11,7 @@ from fraclab.errors import ConfigError
 from fraclab.forward import _gap_certified, system_matrix
 from fraclab.certificate import CERT_INPUTS
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIGS, write_config
 
 
 def test_parse_s1_config():
@@ -34,11 +33,10 @@ def test_unknown_key_rejected():
     "sweep.mode = noise", "sweep.t_values = 0.1", "noise.seed = -1"])
 def test_unread_keys_rejected(tmp_path, line):
     key = line.split(" =")[0]
-    text = (CONFIGS / "certify_example.cfg").read_text() + line + "\n"
+    bad = write_config(tmp_path / "bad.cfg", "certify_example.cfg",
+                       append=line + "\n")
     with pytest.raises(ConfigError, match=re.escape(repr(key))):
-        fl.parse_config_text(text)
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(text)
+        fl.load_config(bad)
     assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
@@ -81,15 +79,16 @@ f.amplitude = 1
     ("extension.n_levels = 0", []), ("f.smoothness = -1", []),
     ("q1.smoothness = -1", []), ("q2.smoothness = -1", []),
     ("recon.theta = 1.5", []), ("seed = 0", ["--resolution", "3"]),
-    ("seed = 0", ["--resolution", "0"]), ("grid.L = -32", []),
-    ("grid.L = 0", [])])
+    ("seed = 0", ["--resolution", "0"]), ("grid.L = 0", [])])
 def test_out_of_range_values_exit_2(tmp_path, capsys, line, flags):
-    text = (CONFIGS / "s1_forward.cfg").read_text() + line + "\n"
+    cfg = tmp_path / "bad.cfg"
+    try:
+        write_config(cfg, "s1_forward.cfg", line)
+    except ValueError:   # s1_forward.cfg has no line of this key
+        write_config(cfg, "s1_forward.cfg", append=line + "\n")
     if not flags:
         with pytest.raises(ConfigError):
-            fl.parse_config_text(text)
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
+            fl.load_config(cfg)
     assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)]
                 + flags) == 2
     err = capsys.readouterr().err
@@ -105,8 +104,7 @@ def test_out_of_range_scan_keys_exit_2(tmp_path, capsys, command, line):
     # a centre outside the open omega or a radius above the bulk scan's
     # r0 = dist(x0, boundary)/10 is a config error that names the key
     name = {"ucp-scan": "s1_ucp_scan.cfg", "stability": "s1_stability.cfg"}
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text((CONFIGS / name[command]).read_text() + line + "\n")
+    cfg = write_config(tmp_path / "bad.cfg", name[command], line)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ConfigError: ") and err.count("Error") == 1
@@ -118,32 +116,29 @@ def test_out_of_range_scan_keys_exit_2(tmp_path, capsys, command, line):
     ("q1.amplitude = 0", "forward")])
 def test_boundary_values_run(tmp_path, line, command):
     name = {"forward": "s1_forward.cfg", "stability": "s1_stability.cfg"}
-    cfg = tmp_path / "edge.cfg"
-    cfg.write_text((CONFIGS / name[command]).read_text() + line + "\n")
+    cfg = write_config(tmp_path / "edge.cfg", name[command], line)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("line", [
-    "extension.n_levels = 64", "f.smoothness = 1", "q1.smoothness = 1",
-    "q2.smoothness = 1"])
+    "f.smoothness = 1", "q1.smoothness = 1", "q2.smoothness = 1"])
 def test_removed_keys_are_unknown(tmp_path, capsys, line):
-    # the extension depth and the bump sharpness are fixed: they are not
-    # keys, even at the values every run uses
-    cfg = tmp_path / "removed.cfg"
-    cfg.write_text((CONFIGS / "s1_ucp_scan.cfg").read_text() + line + "\n")
+    # the bump sharpness is fixed: it is not a key, even at the value
+    # every run uses
+    cfg = write_config(tmp_path / "removed.cfg", "s1_ucp_scan.cfg",
+                       append=line + "\n")
     assert main(["ucp-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ConfigError: ") and "unknown key" in err
     assert repr(line.split(" =")[0]) in err
 
 
-@pytest.mark.parametrize("key", ["f.center", "q1.center", "q2.center"])
+@pytest.mark.parametrize("key", ["f.center", "q2.center"])
 def test_nan_bump_centre_exits_2(tmp_path, capsys, key):
     # a NaN centre is a config error that names its key, not a zero
     # potential, a runtime error or an error about f's values
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text((CONFIGS / "s1_stability.cfg").read_text()
-                   + f"{key} = nan\n")
+    cfg = write_config(tmp_path / "nan.cfg", "s1_stability.cfg",
+                       f"{key} = nan")
     assert main(["stability", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ConfigError: ") and err.count("Error") == 1
@@ -156,9 +151,8 @@ def test_nan_bump_centre_exits_2(tmp_path, capsys, key):
 def test_certify_rejects_non_finite_constants(tmp_path, capsys, name, value):
     # a non-finite constant is a config error, never a nan or inf bound,
     # an ignored r0 or a traceback from the arithmetic
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text((CONFIGS / "certify_example.cfg").read_text()
-                   + f"cert.{name} = {value}\n")
+    cfg = write_config(tmp_path / "bad.cfg", "certify_example.cfg",
+                       f"cert.{name} = {value}")
     assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ConfigError: ") and "Traceback" not in err
@@ -166,21 +160,20 @@ def test_certify_rejects_non_finite_constants(tmp_path, capsys, name, value):
     assert not (tmp_path / "certificate.txt").exists()
 
 
-def test_cmd_forward_files(tmp_path):
+def test_cmd_forward_files(tmp_path, s1):
     assert main(["forward", "--config", str(CONFIGS / "s1_forward.cfg"),
                  "--out", str(tmp_path)]) == 0
     for name in ("u.csv", "measurement.csv", "apriori_report.txt"):
         assert (tmp_path / name).exists()
     lines = (tmp_path / "measurement.csv").read_text().splitlines()
-    geom = fl.build_geometry((-1, 1), (2, 3), 0.5)
+    geom, _ = s1
     n_w = int(np.count_nonzero(fl.support_mask(geom, "w")))
     assert len(lines) == 3 + n_w   # hash comment, header keys, column row
 
 
 def test_cmd_forward_overlap_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text((CONFIGS / "s1_forward.cfg").read_text().replace(
-        "geometry.w = 2, 3", "geometry.w = 0.5, 2"))
+    bad = write_config(tmp_path / "bad.cfg", "s1_forward.cfg",
+                       "geometry.w = 0.5, 2")
     assert main(["forward", "--config", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "OverlapError" in err
@@ -203,9 +196,8 @@ def test_cmd_forward_deterministic(tmp_path):
 
 def test_cmd_forward_noisy(tmp_path):
     # no shipped config draws noise: switch it on and fix the seed
-    cfg = tmp_path / "noisy.cfg"
-    cfg.write_text((CONFIGS / "s1_forward.cfg").read_text().replace(
-        "noise.epsilon = 0\n", "noise.epsilon = 1e-3\n"))
+    cfg = write_config(tmp_path / "noisy.cfg", "s1_forward.cfg",
+                       "noise.epsilon = 1e-3")
     clean, noisy = tmp_path / "clean", tmp_path / "noisy"
     assert main(["forward", "--config", str(CONFIGS / "s1_forward.cfg"),
                  "--out", str(clean)]) == 0
@@ -219,8 +211,8 @@ def test_cmd_forward_noisy(tmp_path):
     lam_ref = [float(ln.split(",")[1]) for ln in ref[3:]]
     assert len(lam) == len(lam_ref) and lam != lam_ref
     # the config's seed key draws the same noise as --seed
-    keyed = tmp_path / "keyed.cfg"
-    keyed.write_text(cfg.read_text().replace("seed = 0\n", "seed = 7\n"))
+    keyed = write_config(tmp_path / "keyed.cfg", "s1_forward.cfg",
+                         "noise.epsilon = 1e-3", "seed = 7")
     assert main(["forward", "--config", str(keyed),
                  "--out", str(tmp_path / "keyed")]) == 0
     assert (tmp_path / "keyed" / "measurement.csv").read_text() \
@@ -275,22 +267,19 @@ def test_curve_model_value_is_the_fit(tmp_path):
     assert sup == pytest.approx(float(fit["fit_residual"]), rel=1e-9)
 
 
-def test_cmd_stability_empty_sweep_exit_2(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text((CONFIGS / "sweep_benchmark.cfg").read_text().replace(
-        "sweep.epsilons = 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8\n", ""))
-    rc = main(["stability", "--config", str(bad), "--out", str(tmp_path)])
+def test_cmd_stability_empty_sweep_exit_2(tmp_path, capsys):
+    # s1_forward.cfg has no noise ladder
+    rc = main(["stability", "--config", str(CONFIGS / "s1_forward.cfg"),
+               "--out", str(tmp_path)])
     assert rc == 2
+    assert "sweep.epsilons" in capsys.readouterr().err
 
 
 def test_cmd_stability_repeated_noise_level_fits_nothing(tmp_path):
     # two copies of one level are one sample: neither the modulus nor the
     # smallness constants can be fitted, so nothing is certified
-    ladder = "sweep.epsilons = 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8\n"
-    text = (CONFIGS / "s1_stability.cfg").read_text()
-    assert ladder in text
-    cfg = tmp_path / "repeated.cfg"
-    cfg.write_text(text.replace(ladder, "sweep.epsilons = 1e-3, 1e-3\n"))
+    cfg = write_config(tmp_path / "repeated.cfg", "s1_stability.cfg",
+                       "sweep.epsilons = 1e-3, 1e-3")
     rc = main(["stability", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     fit = (tmp_path / "fit.txt").read_text().splitlines()[1:]
@@ -307,11 +296,8 @@ def test_cmd_stability_nonpositive_fit_certifies_nothing(tmp_path, levels):
     # on these noisy ladders the q and u errors fall as eps grows, so both
     # fitted exponents are negative: the run writes its curve and fit and
     # a note in place of a certificate
-    ladder = "sweep.epsilons = 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8\n"
-    text = (CONFIGS / "s1_stability.cfg").read_text()
-    assert ladder in text
-    cfg = tmp_path / "noisy.cfg"
-    cfg.write_text(text.replace(ladder, f"sweep.epsilons = {levels}\n"))
+    cfg = write_config(tmp_path / "noisy.cfg", "s1_stability.cfg",
+                       f"sweep.epsilons = {levels}")
     rc = main(["stability", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     fit = dict(line.split("=", 1) for line in
@@ -359,22 +345,8 @@ def test_shipped_systems_certified_without_eigen_gap(config, resolution):
 
 
 def test_cmd_stability_identical_potentials_notice(tmp_path):
-    cfg = tmp_path / "same.cfg"
-    cfg.write_text("""
-geometry.omega = -1, 1
-geometry.w = 2, 3
-geometry.s = 0.5
-f.center = 2.5
-f.width = 0.4
-f.amplitude = 1
-q1.center = 0.0
-q1.width = 0.5
-q1.amplitude = 0.3
-q2.center = 0.0
-q2.width = 0.5
-q2.amplitude = 0.3
-sweep.epsilons = 1e-3, 1e-5
-""")
+    cfg = write_config(tmp_path / "same.cfg", "s1_stability.cfg",
+                       "q2.amplitude = 0.4", "sweep.epsilons = 1e-3, 1e-5")
     rc = main(["stability", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     fit = (tmp_path / "fit.txt").read_text()
@@ -432,9 +404,8 @@ def test_certify_inputs_are_the_cert_keys(tmp_path, capsys):
 
 
 def test_cmd_certify_bad_epsilon_exit_2(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text((CONFIGS / "certify_example.cfg").read_text().replace(
-        "cert.epsilon = 4.5399929762484854e-5", "cert.epsilon = 0.7"))
+    bad = write_config(tmp_path / "bad.cfg", "certify_example.cfg",
+                       "cert.epsilon = 0.7")
     assert main(["certify", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 

@@ -328,13 +328,12 @@ def test_doubling_uniformity_across_potentials(s1, s1_op, s1_f, golden):
         stats = []
         rng = np.random.default_rng(seed)
         for _ in range(10):
-            gf = fl.sample_profile(
+            q = fl.sample_profile(
                 geom,
                 fl.bump_profile(rng.uniform(-0.2, 0.2),
                                 rng.uniform(0.3, 0.5),
                                 rng.uniform(-0.5, 0.5)),
                 "omega_prime", mode="average")
-            q = fl.make_potential(geom, gf)
             assert fl.holder_norm(geom, q.values) <= 2.0
             assert np.max(np.abs(q.values)) <= 0.5
             sol = fl.solve_forward(s1_op, q, s1_f)

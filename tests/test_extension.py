@@ -256,7 +256,8 @@ def test_region_must_stay_in_box(s1, s1_field):
         fl.weighted_norm(s1_field, fl.Region("half_ball", (0.0, 0.0), 50.0))
 
 
-def test_energy_bound_and_refinement_stability(s1, s1_f, s1_field):
+def test_energy_bound_and_refinement_stability(s1, s1_f, s1_field,
+                                               s1_r2_scenario):
     # weighted gradient energy over the box, relative to the data norm;
     # the ratio must be stable under doubling the x resolution
     geom, spec = s1
@@ -266,21 +267,11 @@ def test_energy_bound_and_refinement_stability(s1, s1_f, s1_field):
     e1 = fl.weighted_gradient_norm(s1_field, box)
     c1 = e1 / fl.sobolev_norm(s1_f, s)
 
-    geom2 = fl.build_geometry(omega=geom.omega, w=geom.w, s=s,
-                              box_halfwidth=geom.box_halfwidth,
-                              n_super=2 * spec.n_super,
-                              omega_prime=geom.omega_prime)
-    spec2 = geom2.spec
-    op2 = fl.assemble_dense(geom2)
-    f2 = fl.sample_profile(geom2, fl.bump_profile(2.5, 0.4), "w",
-                           mode="average")
-    q0 = fl.make_potential(
-        geom2, fl.make_grid_function(geom2,
-                                     np.zeros(spec2.n_super), "omega_prime"))
-    sol2 = fl.solve_forward(op2, q0, f2)
+    sc2 = s1_r2_scenario
+    sol2 = fl.solve_forward(sc2.op, sc2.q2, sc2.f)
     field2 = fl.extend(sol2.u, s, fl.default_y_grid(s, n_levels=128))
     e2 = fl.weighted_gradient_norm(field2, box)
-    c2 = e2 / fl.sobolev_norm(f2, s)
+    c2 = e2 / fl.sobolev_norm(sc2.f, s)
     assert c1 > 0 and c2 > 0
     assert abs(c2 - c1) <= 0.2 * c1, (c1, c2)
 

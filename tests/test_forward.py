@@ -6,12 +6,6 @@ from fraclab.errors import DomainError, EigenvalueError, SupportError
 from fraclab.forward import local_term, system_matrix
 
 
-def _zero_potential(geom, spec):
-    return fl.make_potential(
-        geom, fl.make_grid_function(geom, np.zeros(spec.n_super),
-                                    "omega_prime"))
-
-
 def test_zero_data_zero_solution(s1, s1_op, s1_q0):
     geom, spec = s1
     f0 = fl.make_grid_function(geom, np.zeros(spec.n_super), "w")
@@ -59,7 +53,8 @@ def test_mirror_symmetry(s1_op, s1_q0, s1_f):
                                n_super=4096,
                                omega_prime=(-0.75, 0.75))
     op_m = fl.assemble_dense(geom_m)
-    q0_m = _zero_potential(geom_m, geom_m.spec)
+    q0_m = fl.make_grid_function(geom_m, np.zeros(geom_m.spec.n_super),
+                                 "omega_prime")
     f_m = fl.sample_profile(geom_m, fl.bump_profile(-2.5, 0.4), "w",
                             mode="average")
     sol_m = fl.solve_forward(op_m, q0_m, f_m)
@@ -72,12 +67,11 @@ def test_wellposedness_random_scenarios(s1, s1_op):
     geom, spec = s1
     rng = np.random.default_rng(77)
     for _ in range(20):
-        qgf = fl.sample_profile(
+        q = fl.sample_profile(
             geom,
             fl.bump_profile(rng.uniform(-0.2, 0.2), rng.uniform(0.3, 0.6),
                             rng.uniform(-1.0, 1.0)),
             "omega_prime", mode="average")
-        q = fl.make_potential(geom, qgf)
         f = fl.sample_profile(
             geom,
             fl.bump_profile(rng.uniform(2.3, 2.7), rng.uniform(0.2, 0.35),
@@ -158,7 +152,7 @@ def test_eigen_gap_positive_at_zero_potential(s1_op, s1_q0):
     assert fl.eigen_gap(system_matrix(s1_op, s1_q0)) > 1e-4
 
 
-def test_eigen_gap_resonant_shift(s1, s1_op):
+def test_eigen_gap_resonant_shift(s1, s1_op, s1_f):
     # shifting by the smallest eigenvalue of the restricted operator
     # (in nodal scaling) collapses the gap
     geom, spec = s1
@@ -171,10 +165,8 @@ def test_eigen_gap_resonant_shift(s1, s1_op):
     q_res = fl.make_grid_function(geom, shift, "omega")
     gap = fl.eigen_gap(system_matrix(s1_op, q_res))
     assert gap < 1e-10
-    f = fl.sample_profile(geom, fl.bump_profile(2.5, 0.4), "w",
-                          mode="average")
     with pytest.raises(EigenvalueError):
-        fl.solve_forward(s1_op, q_res, f)
+        fl.solve_forward(s1_op, q_res, s1_f)
 
 
 def test_eigen_gap_monotone_under_nonnegative_shift(s1, s1_op, s1_q0):

@@ -1,9 +1,10 @@
 """What each entry point imports, each checked in a fresh interpreter.
 
-``import fraclab`` and ``import fraclab.cli`` load no numpy, ``certify``
-runs on the standard library alone, and the numeric subcommands finish
-importing the package in ``build_scenario``, so the import cost falls
-in set-up and not in the run that follows it.
+``import fraclab`` and ``import fraclab.cli`` load no numpy, and the
+numeric subcommands finish importing the package in ``build_scenario``,
+so the import cost falls in set-up and not in the run that follows it.
+That ``certify`` runs on the standard library alone is the row
+``certify-no-numpy`` of ``tools/cli_cases.py``.
 """
 
 import json
@@ -15,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import fraclab as fl
-from fraclab.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIGS
+
 SRC = Path(fl.__file__).resolve().parents[1]
 
 
@@ -40,21 +41,6 @@ def test_lazy_names_resolve():
     assert "certify_bound" in dir(fl)
     with pytest.raises(AttributeError, match="no_such_name"):
         fl.no_such_name
-
-
-def test_certify_without_numpy(tmp_path):
-    code = ("import sys; sys.modules['numpy'] = None\n"
-            "from fraclab.cli import main\n"
-            "print(main(['certify', '--config', sys.argv[1], '--out', 'blocked']))\n")
-    cfg = CONFIGS / "certify_example.cfg"
-    assert _python(code, cfg, cwd=tmp_path) == "0"
-    assert main(["certify", "--config", str(cfg),
-                 "--out", str(tmp_path / "normal")]) == 0
-    blocked = sorted(p.name for p in (tmp_path / "blocked").iterdir())
-    assert blocked == sorted(p.name for p in (tmp_path / "normal").iterdir())
-    for name in blocked:
-        assert ((tmp_path / "blocked" / name).read_bytes()
-                == (tmp_path / "normal" / name).read_bytes())
 
 
 # numpy itself loads these subpackages on first attribute access; the

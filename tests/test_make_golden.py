@@ -3,11 +3,10 @@ boundary-bulk checks, still reproduces the locked values it once wrote to
 golden/v1/s1.json."""
 
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import GOLDEN_DIR
 
 
 def test_make_golden_reproduces_locked_values(make_golden, tmp_path,
@@ -16,7 +15,7 @@ def test_make_golden_reproduces_locked_values(make_golden, tmp_path,
     monkeypatch.setattr(make_golden, "OUT", tmp_path / "s1.json")
     make_golden.main()
     fresh = json.loads((tmp_path / "s1.json").read_text())
-    locked = json.loads((ROOT / "golden" / "v1" / "s1.json").read_text())
+    locked = json.loads((GOLDEN_DIR / "s1.json").read_text())
     assert fresh.keys() == locked.keys()
     for key, value in locked.items():
         assert fresh[key] == pytest.approx(value, rel=1e-6), key

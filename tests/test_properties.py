@@ -214,9 +214,9 @@ def test_reciprocity_and_residual(placement, amp):
                              n_super=n_super)
     op = fl.assemble_dense(geom)
     (a, b), (c, d) = geom.omega_prime, geom.w
-    q = fl.make_potential(geom, fl.sample_profile(
+    q = fl.sample_profile(
         geom, fl.bump_profile((a + b) / 2, (b - a) / 2, amp), "omega_prime",
-        mode="average"))
+        mode="average")
     sols = [fl.solve_forward(op, q, fl.sample_profile(
         geom, fl.bump_profile(c + t * (d - c), 0.3 * (d - c)), "w",
         mode="average")) for t in (0.4, 0.6)]

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from fraclab.fracop import symmetric_toeplitz
 from fraclab import reconstruction
 from fraclab.reconstruction import _continuation, hs_gram_row
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from conftest import scenario, write_config
 
 
 def _holder(op, sol):
@@ -196,19 +194,12 @@ def test_continuation_is_deterministic(fresh_continuation, s1_op):
         assert not a.flags.writeable
 
 
-def test_recover_u_cache_keyed_by_operator(s1_op, s1_f, s1_bump_problem):
+def test_recover_u_cache_keyed_by_operator(s1_op, s1_f, s1_bump_problem,
+                                           s1_r2_scenario):
     # alternating operators never reuse the other's factorization
     _, meas = s1_bump_problem
-    geom2 = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
-                              box_halfwidth=32.0, n_super=8192,
-                              omega_prime=(-0.75, 0.75))
-    op2 = fl.assemble_dense(geom2)
-    f2 = fl.sample_profile(geom2, fl.bump_profile(2.5, 0.4), "w",
-                           mode="average")
-    q2 = fl.make_potential(geom2, fl.sample_profile(
-        geom2, fl.bump_profile(0.0, 0.5, 0.5), "omega_prime",
-        mode="average"))
-    meas2 = fl.dtn_map(op2, fl.solve_forward(op2, q2, f2))
+    op2, f2 = s1_r2_scenario.op, s1_r2_scenario.f
+    meas2 = fl.dtn_map(op2, fl.solve_forward(op2, s1_r2_scenario.q1, f2))
     cases = [(s1_op, s1_f, meas), (op2, f2, meas2)]
     for args in cases + cases:
         u = fl.recover_u(*args, strategy=("fixed", 1e-10)).u_rec.values
@@ -462,7 +453,7 @@ def test_noise_sweep_undefined_errors_raise(s1_op, s1_f, s1_q0):
                        seed=3)
     # on sweep_benchmark.cfg at threshold 1 the one kept node, the
     # maximizer of |u_rec|, lies outside omega' at this noise draw
-    sc = fl.build_scenario(fl.load_config(CONFIGS / "sweep_benchmark.cfg"))
+    sc = scenario("sweep_benchmark.cfg")
     sol = fl.solve_forward(sc.op, sc.q2, sc.f)
     with pytest.raises(AllExcludedError):
         fl.noise_sweep(sc.op, sol, fl.dtn_map(sc.op, sol), [1e-3],
@@ -471,29 +462,12 @@ def test_noise_sweep_undefined_errors_raise(s1_op, s1_f, s1_q0):
 
 
 def test_noise_sweep_benchmark(golden):
-    # gentler benchmark scenario locked in the golden file
-    cfg = fl.parse_config_text("""
-geometry.omega = -1, 1
-geometry.w = 1.5, 2.5
-geometry.omega_prime = -0.75, 0.75
-geometry.s = 0.25
-grid.L = 32
-grid.n_super = 4096
-f.center = 2.0
-f.width = 0.4
-f.amplitude = 1
-q2.center = -0.1
-q2.width = 0.5
-q2.amplitude = 0.5
-""")
-    sc = fl.build_scenario(cfg)
-    eps = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-    sol = fl.solve_forward(sc.op, sc.q2, sc.f)
-    curve = fl.noise_sweep(sc.op, sol, fl.dtn_map(sc.op, sol), eps,
-                           threshold=1e-3, holder_bound=_holder(sc.op, sol),
-                           seed=1234)
+    # the stability run's sweep on the gentler benchmark scenario, locked
+    # in the golden file
+    rep = fl.end_to_end(scenario("sweep_benchmark.cfg"))
+    curve = rep.curve
     assert np.allclose(curve.errors, golden["sweep_errors"], rtol=1e-8)
-    gamma, _, resid = fl.fit_log_modulus(curve.t_values, curve.errors)
+    gamma, _, resid = rep.fit
     assert gamma > 0
     assert resid < 0.2
     p = fit_loglog(curve.t_values, curve.errors)[0]
@@ -504,40 +478,18 @@ q2.amplitude = 0.5
 
 
 def test_end_to_end_s1(golden):
-    cfg = fl.parse_config_text("""
-geometry.omega = -1, 1
-geometry.w = 2, 3
-geometry.omega_prime = -0.75, 0.75
-geometry.s = 0.5
-grid.L = 32
-grid.n_super = 4096
-f.center = 2.5
-f.width = 0.4
-f.amplitude = 1
-q1.center = -0.1
-q1.width = 0.5
-q1.amplitude = 0.4
-q2.center = -0.1
-q2.width = 0.5
-q2.amplitude = 0.5
-scan.x0 = 0.0
-sweep.epsilons = 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8
-""")
-    sc = fl.build_scenario(cfg)
-    rep = fl.end_to_end(sc)
+    rep = fl.end_to_end(scenario("s1_stability.cfg"))
     assert rep.certificate is not None
     assert rep.certificate.bound >= rep.actual_sup_gap
     assert rep.certificate.bound == pytest.approx(golden["e2e_bound"], rel=0.1)
     assert rep.actual_sup_gap == pytest.approx(golden["e2e_actual"], rel=1e-6)
 
 
-def test_end_to_end_shares_one_a_priori_bound(monkeypatch):
+def test_end_to_end_shares_one_a_priori_bound(monkeypatch, tmp_path):
     # E bounds the class, so the sweep's cap on q_rec and the certificate
     # read one value; here q1 holds the larger Hoelder norm
-    text = (CONFIGS / "s1_stability.cfg").read_text()
-    assert "q1.amplitude = 0.4\n" in text
-    sc = fl.build_scenario(fl.parse_config_text(
-        text.replace("q1.amplitude = 0.4\n", "q1.amplitude = 0.6\n")))
+    sc = scenario(write_config(tmp_path / "q1_larger.cfg", "s1_stability.cfg",
+                               "q1.amplitude = 0.6"))
     assert (fl.holder_norm(sc.geom, sc.q1.values)
             > fl.holder_norm(sc.geom, sc.q2.values))
     seen, real = [], fl.noise_sweep
@@ -549,26 +501,10 @@ def test_end_to_end_shares_one_a_priori_bound(monkeypatch):
     assert seen == [rep.certificate.E]
 
 
-def test_end_to_end_identical_potentials(s1):
-    cfg = fl.parse_config_text("""
-geometry.omega = -1, 1
-geometry.w = 2, 3
-geometry.omega_prime = -0.75, 0.75
-geometry.s = 0.5
-grid.L = 32
-grid.n_super = 4096
-f.center = 2.5
-f.width = 0.4
-f.amplitude = 1
-q1.center = 0.0
-q1.width = 0.5
-q1.amplitude = 0.3
-q2.center = 0.0
-q2.width = 0.5
-q2.amplitude = 0.3
-sweep.epsilons = 1e-3, 1e-5
-""")
-    sc = fl.build_scenario(cfg)
+def test_end_to_end_identical_potentials(tmp_path):
+    sc = scenario(write_config(tmp_path / "same.cfg", "s1_stability.cfg",
+                               "q2.amplitude = 0.4",
+                               "sweep.epsilons = 1e-3, 1e-5"))
     rep = fl.end_to_end(sc)
     assert rep.actual_sup_gap == 0.0
     assert rep.certificate is None

@@ -5,15 +5,17 @@
 
 runs every row of CASES as its own ``python`` process, WORKERS at a time,
 with ``PYTHONPATH`` set to DIR (default: this checkout's ``src``), one
-BLAS thread and scipy made unimportable.  It prints ``ok`` or ``FAIL``
-and the broken rules for each row, and exits 1 if a row fails.
-``tests/test_cli_cases.py`` runs the same rows in tier-1.
+BLAS thread and the row's ``blocked`` modules (scipy by default) made
+unimportable.  It prints ``ok`` or ``FAIL`` and the broken rules for each
+row, and exits 1 if a row fails.  ``tests/test_cli_cases.py`` runs the
+same rows in tier-1.
 
-A row runs its command on a copy of ``configs/<config>`` in which each
-edit ``key = value`` replaces the line of that key and ``append`` is
-added at the end.  ``dir_at`` first makes a directory of that name under
-``--out``; ``out_is_file`` makes ``--out`` an empty file.  Every row is
-held to the same rules:
+A row runs its command on ``config_text(config, edits, append)``: a copy
+of ``configs/<config>`` in which each edit ``key = value`` replaces the
+line of that key and ``append`` is added at the end.  The tests build
+their variants of a shipped config the same way.  ``dir_at`` first makes
+a directory of that name under ``--out``; ``out_is_file`` makes
+``--out`` an empty file.  Every row is held to the same rules:
 
 - each edit matches exactly one line of the config;
 - the process exits with ``exit`` within TIMEOUT seconds;
@@ -46,8 +48,8 @@ WRITES = {"forward": ("u.csv", "measurement.csv", "apriori_report.txt"),
           "certify": ("certificate.txt",)}
 # a CSV field or key=value that the run failed to compute
 NON_FINITE = re.compile(r"(^|[,=])[-+]?(nan|inf)($|,)", re.I | re.M)
-# numpy is the one runtime dependency; scipy serves only the tests
-CHILD = ("import sys; sys.modules['scipy'] = None\n"
+# the CLI in a process where the modules {blocked} cannot be imported
+CHILD = ("import sys; sys.modules.update(dict.fromkeys({blocked!r}))\n"
          "from fraclab.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
@@ -65,6 +67,8 @@ class Case:
     dir_at: str = ""
     out_is_file: bool = False
     same_as: str = ""
+    # numpy is the one runtime dependency; scipy serves only the tests
+    blocked: tuple = ("scipy",)
 
 
 CASES = (
@@ -84,6 +88,9 @@ CASES = (
     Case("stability-zero-eps", "stability", "s1_stability.cfg",
          ("sweep.epsilons = 0, 1e-3",)),
     Case("certify", "certify", "certify_example.cfg"),
+    # certify is scalar arithmetic on the standard library
+    Case("certify-no-numpy", "certify", "certify_example.cfg",
+         blocked=("scipy", "numpy"), same_as="certify"),
     # the continuation's range sketch draws from a fixed stream of its own
     Case("stability-r4-a", "stability", "sweep_benchmark.cfg",
          flags=("--resolution", "4")),
@@ -103,6 +110,11 @@ CASES = (
          exit=2, error="ConfigError", says="grid.L"),
     Case("not-utf8", "forward", "s1_forward.cfg", append=b"\xff\n",
          exit=2, error="ConfigError", says="UTF-8"),
+    # a second line of a key does not override the first
+    Case("duplicate-key", "forward", "s1_forward.cfg",
+         append=b"f.amplitude = 7\n", exit=2, error="ConfigError",
+         says="line 21: key 'f.amplitude' is given again "
+              "(first on line 12)"),
     # the relative q error is undefined
     Case("zero-q2", "stability", "s1_stability.cfg", ("q2.amplitude = 0",),
          exit=3, error="ZeroDataError"),
@@ -130,27 +142,39 @@ def _files(root: Path) -> dict:
             for p in root.rglob("*") if p.is_file()}
 
 
-def check(case: Case, src: Path, root: Path) -> list:
-    """Run one row in root/<name>/ and list the rules it breaks, all but
-    same_as, which run_table checks."""
-    lines = (ROOT / "configs" / case.config).read_bytes().split(b"\n")
-    for edit in case.edits:
+def config_text(config: str, edits=(), append: bytes = b"") -> bytes:
+    """configs/<config> with each edit ``key = value`` in place of the
+    line of that key, and append added at the end.  An edit that matches
+    no line or more than one raises ValueError."""
+    lines = (ROOT / "configs" / config).read_bytes().split(b"\n")
+    for edit in edits:
         key = edit.split(" =")[0].encode() + b" ="
         hits = [i for i, line in enumerate(lines) if line.startswith(key)]
         if len(hits) != 1:
-            return [f"edit {edit!r} matches {len(hits)} config lines"]
+            raise ValueError(f"edit {edit!r} matches {len(hits)} config lines")
         lines[hits[0]] = edit.encode()
+    return b"\n".join(lines) + append
+
+
+def check(case: Case, src: Path, root: Path) -> list:
+    """Run one row in root/<name>/ and list the rules it breaks, all but
+    same_as, which run_table checks."""
+    try:
+        text = config_text(case.config, case.edits, case.append)
+    except ValueError as exc:
+        return [str(exc)]
     run_dir, out = root / case.name, root / case.name / "out"
     run_dir.mkdir(parents=True)
-    (run_dir / "case.cfg").write_bytes(b"\n".join(lines) + case.append)
+    (run_dir / "case.cfg").write_bytes(text)
     if case.out_is_file:
         out.touch()
     elif case.dir_at:
         (out / case.dir_at).mkdir(parents=True)
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD, case.command, "--config",
-             "case.cfg", "--out", str(out), *case.flags], cwd=run_dir,
+            [sys.executable, "-c", CHILD.format(blocked=case.blocked),
+             case.command, "--config", "case.cfg", "--out", str(out),
+             *case.flags], cwd=run_dir,
             env=child_env(src), capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return [f"no exit within {TIMEOUT} s"]

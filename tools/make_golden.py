@@ -3,8 +3,14 @@
 
 Run from the repository root after any intentional change to the
 numerics; tests compare against these values inside stated envelopes.
-Reference quantities that certify stability under refinement are
-computed at twice the S1 resolution.
+The tool reads its scenarios from three shipped configs:
+
+- ``configs/s1_forward.cfg``, S1: its q1 is the bump potential and its
+  q2 is zero.  Reference quantities that certify stability under
+  refinement are computed on it at ``--resolution 2``;
+- ``configs/sweep_benchmark.cfg``, the noise-sweep benchmark: the
+  ``stability`` run's sweep, with its ladder, threshold and seed;
+- ``configs/s1_stability.cfg``, the end-to-end certificate on S1.
 
 The three-ball exponent and the boundary-bulk interpolation check live
 here, not in the library: no command runs them, only this tool (for
@@ -26,8 +32,6 @@ from fraclab.geometry import Geometry, GridFunction
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "golden" / "v1" / "s1.json"
-
-EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
 def three_balls_exponent(field: ExtensionField, center: tuple[float, float],
@@ -74,36 +78,34 @@ def boundary_bulk_check(geom: Geometry, field: ExtensionField,
     return LemmaCheck("boundary_bulk", lhs, rhs_core, implied)
 
 
-def s1_objects(n_super=4096, n_levels=64):
-    geom = fl.build_geometry(omega=(-1.0, 1.0), w=(2.0, 3.0), s=0.5,
-                             box_halfwidth=32.0, n_super=n_super,
-                             omega_prime=(-0.75, 0.75))
-    spec = geom.spec
-    op = fl.assemble_dense(geom)
-    f = fl.sample_profile(geom, fl.bump_profile(2.5, 0.4), "w",
-                          mode="average")
-    q0 = fl.make_potential(
-        geom, fl.make_grid_function(geom, np.zeros(spec.n_super),
-                                    "omega_prime"))
-    sol = fl.solve_forward(op, q0, f)
-    field = fl.extend(sol.u, geom.s, fl.default_y_grid(geom.s,
-                                                       n_levels=n_levels))
-    return geom, spec, op, f, q0, sol, field
+def scenario(config, resolution=1):
+    """The scenario of a config: a name in configs/ or a path."""
+    return fl.build_scenario(fl.load_config(ROOT / "configs" / config),
+                             resolution)
+
+
+def zero_potential_field(sc, n_levels):
+    """The solution for S1's zero q2 and its extension on n_levels."""
+    sol = fl.solve_forward(sc.op, sc.q2, sc.f)
+    y = fl.default_y_grid(sc.geom.s, n_levels=n_levels)
+    return sol, fl.extend(sol.u, sc.geom.s, y)
 
 
 def main():
     golden = {}
 
-    geom, spec, op, f, q0, sol, field = s1_objects()
+    s1 = scenario("s1_forward.cfg")
+    geom, op, f = s1.geom, s1.op, s1.f
+    sol, field = zero_potential_field(s1, n_levels=64)
 
     # refined-reference diagnostics (stability envelopes)
-    geom2, spec2, op2, f2, q02, sol2, field2 = s1_objects(n_super=8192,
-                                                          n_levels=128)
-    chk = fl.caccioppoli_check(geom2, field2, 0.0, 0.0, 0.2)
+    s1_r2 = scenario("s1_forward.cfg", resolution=2)
+    sol2, field2 = zero_potential_field(s1_r2, n_levels=128)
+    chk = fl.caccioppoli_check(s1_r2.geom, field2, 0.0, 0.0, 0.2)
     golden["caccioppoli_implied_refined"] = chk.implied_constant
     tb = three_balls_exponent(field2, (0.0, 0.5), 0.2)
     golden["three_balls_alpha_refined"] = tb.implied_constant
-    bb = boundary_bulk_check(geom2, field2, sol2.u, 0.0, 0.2)
+    bb = boundary_bulk_check(s1_r2.geom, field2, sol2.u, 0.0, 0.2)
     golden["boundary_bulk_implied_refined"] = bb.implied_constant
 
     # boundary doubling on S1
@@ -124,13 +126,12 @@ def main():
         rng = np.random.default_rng(seed)
         stats = []
         for _ in range(10):
-            gf = fl.sample_profile(
+            q = fl.sample_profile(
                 geom,
                 fl.bump_profile(rng.uniform(-0.2, 0.2),
                                 rng.uniform(0.3, 0.5),
                                 rng.uniform(-0.5, 0.5)),
                 "omega_prime", mode="average")
-            q = fl.make_potential(geom, gf)
             solq = fl.solve_forward(op, q, f)
             repq = fl.doubling_scan_boundary(geom, solq.u, 0.0,
                                              np.geomspace(0.02, 0.24, 8))
@@ -139,11 +140,8 @@ def main():
     golden["doubling_uniformity_spreads"] = spreads
     golden["doubling_uniformity_factor"] = max(spreads) * 1.5
 
-    # exact-data recovery error (fixed tiny regularization)
-    qb = fl.make_potential(
-        geom, fl.sample_profile(geom, fl.bump_profile(0.0, 0.5, 0.5),
-                                "omega_prime", mode="average"))
-    solq = fl.solve_forward(op, qb, f)
+    # exact-data recovery error (fixed tiny regularization) for S1's q1
+    solq = fl.solve_forward(op, s1.q1, f)
     lamq = fl.dtn_map(op, solq)
     rec = fl.recover_u(op, f, lamq, strategy=("fixed", 1e-14))
     om = geom.omega_nodes
@@ -159,25 +157,19 @@ def main():
         1e-6, 1.0)
     golden["q_zero_floor"] = float(np.max(np.abs(res0.q_rec.values)))
 
-    # noise-sweep benchmark scenario (gentler window, s = 1/4)
-    cfg = fl.parse_config_text(SWEEP_CONFIG)
-    sc = fl.build_scenario(cfg)
-    sol = fl.solve_forward(sc.op, sc.q2, sc.f)
-    curve = fl.noise_sweep(sc.op, sol, fl.dtn_map(sc.op, sol), EPSILONS,
-                           threshold=1e-3,
-                           holder_bound=fl.holder_norm(sc.geom, sc.q2.values),
-                           seed=1234)
+    # noise-sweep benchmark scenario (gentler window, s = 1/4): the sweep
+    # and fit of its stability run
+    sweep = fl.end_to_end(scenario("sweep_benchmark.cfg"))
+    curve = sweep.curve
     golden["sweep_errors"] = [float(v) for v in curve.errors]
-    gamma, _, resid = fl.fit_log_modulus(curve.t_values, curve.errors)
+    gamma, _, resid = sweep.fit
     golden["sweep_gamma_hat"] = gamma
     golden["sweep_fit_residual"] = resid
     golden["sweep_power_exponent"] = fit_loglog(curve.t_values,
                                                 curve.errors)[0]
 
     # end-to-end certificate on S1 with a perturbed second potential
-    cfg2 = fl.parse_config_text(E2E_CONFIG)
-    sc2 = fl.build_scenario(cfg2)
-    rep_e2e = fl.end_to_end(sc2)
+    rep_e2e = fl.end_to_end(scenario("s1_stability.cfg"))
     golden["e2e_actual"] = rep_e2e.actual_sup_gap
     golden["e2e_bound"] = rep_e2e.certificate.bound
     golden["e2e_fudge"] = rep_e2e.certificate.bound / rep_e2e.actual_sup_gap
@@ -190,42 +182,6 @@ def main():
     print(f"wrote {OUT}")
     for k, v in sorted(golden.items()):
         print(f"  {k} = {v}")
-
-
-SWEEP_CONFIG = """
-geometry.omega = -1, 1
-geometry.w = 1.5, 2.5
-geometry.omega_prime = -0.75, 0.75
-geometry.s = 0.25
-grid.L = 32
-grid.n_super = 4096
-f.center = 2.0
-f.width = 0.4
-f.amplitude = 1
-q2.center = -0.1
-q2.width = 0.5
-q2.amplitude = 0.5
-"""
-
-E2E_CONFIG = """
-geometry.omega = -1, 1
-geometry.w = 2, 3
-geometry.omega_prime = -0.75, 0.75
-geometry.s = 0.5
-grid.L = 32
-grid.n_super = 4096
-f.center = 2.5
-f.width = 0.4
-f.amplitude = 1
-q1.center = -0.1
-q1.width = 0.5
-q1.amplitude = 0.4
-q2.center = -0.1
-q2.width = 0.5
-q2.amplitude = 0.5
-scan.x0 = 0.0
-sweep.epsilons = 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8
-"""
 
 
 if __name__ == "__main__":
