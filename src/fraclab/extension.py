@@ -22,6 +22,8 @@ is K_mu for n = 0 and K_{mu+1} for n = 1.  Against 40-digit mpmath the
 multiplier is within 1e-13 relative for s in [1e-3, 1 - 1e-3] and t in
 [1e-40, 700].  theta_s(0) = 1 is set exactly.  Arguments beyond t = 700
 underflow (e^-700 ~ 1e-304) and the multiplier is clamped to zero there.
+extend evaluates it only up to t = MODE_CUT = 40, beyond which
+theta_s(t) < eps/4 for every s, and drops the modes past that cut.
 
 Region quadrature: the y axis carries exact integrals of the weight
 y^(1-2s) against the piecewise-linear hat functions of the graded grid,
@@ -43,6 +45,8 @@ from .geometry import GridFunction, GridSpec, frequencies
 
 #: multiplier argument beyond which K_s underflows; columns clamp to zero
 BESSEL_CLAMP = 700.0
+#: extend drops modes with t = |xi| y beyond it: theta_s < 3.4e-17 < eps/4
+MODE_CUT = 40.0
 #: largest relative L2 gap between neumann_trace's two routes
 MAX_TRACE_GAP = 0.05
 
@@ -165,22 +169,25 @@ class ExtensionField:
 def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> ExtensionField:
     """Evaluate the extension at every height via the exact multiplier.
 
-    The multiplier table over (y, |xi| of the real half spectrum) is built
-    at once, one height level per row; inverse real FFTs of 8 rows at a
-    time fill one (levels, n) table.  ``values`` is its transpose, a
-    view: each height column is contiguous in memory.
+    Level y_j keeps the modes with t = |xi| y_j <= MODE_CUT, a prefix of
+    the real half spectrum; one multiplier call covers every level's t,
+    and each level is the zero-padded inverse real FFT of its modes.
+    ``values`` is the transpose of the (levels, n) table, a view.
     """
     if y_grid is None:
         y_grid = default_y_grid(s)
     y = np.asarray(y_grid, dtype=float)
-    if y.ndim != 1 or len(y) < 2 or np.any(np.diff(y) <= 0) or y[0] < 0:
-        raise GeometryError("y grid must be strictly increasing and nonnegative")
+    if (y.ndim != 1 or len(y) < 2 or not np.all(np.isfinite(y))
+            or np.any(np.diff(y) <= 0) or y[0] < 0):
+        raise GeometryError("y grid must be finite, strictly increasing, nonnegative")
     n = u.spec.n_super
     xi = np.abs(frequencies(u.spec)[: n // 2 + 1])
-    mult = extension_multiplier(np.outer(y, xi), s)
+    live = [np.searchsorted(xi * yj, MODE_CUT, side="right") for yj in y]
+    mult = extension_multiplier(
+        np.concatenate([xi[:k] * yj for k, yj in zip(live, y)]), s)
     u_hat, levels = np.fft.rfft(u.values), np.empty((len(y), n))
-    for k in range(0, len(y), 8):
-        levels[k:k + 8] = np.fft.irfft(u_hat * mult[k:k + 8], n=n)
+    for j, m in enumerate(np.split(mult, np.cumsum(live[:-1]))):
+        levels[j] = np.fft.irfft(u_hat[: len(m)] * m, n=n)
     return ExtensionField(spec=u.spec, y_grid=y, values=levels.T, s=s,
                           boundary=u.values.copy())
 
@@ -311,8 +318,10 @@ def _region_mass_sq(field_values: np.ndarray, spec: GridSpec, y: np.ndarray,
     if region.kind in ("half_ball", "annulus"):
         yw = y_quadrature_weights(y, s)
         x0, y0 = region.center
-        # only rows with |x - x0| < r can hold nodes of the ball
-        rows = np.abs(x - x0) < region.radius
+        # only rows with |x - x0| < r, one slice of the sorted nodes, can
+        # hold nodes of the ball
+        near = np.flatnonzero(np.abs(x - x0) < region.radius)
+        rows = slice(near[0], near[-1] + 1) if near.size else slice(0)
         rr = (x[rows, None] - x0) ** 2 + (y[None, :] - y0) ** 2
         if region.kind == "half_ball":
             mask = rr < region.radius ** 2

@@ -10,8 +10,8 @@ from scipy import special
 
 import fraclab as fl
 from fraclab.errors import EmptyRegionError, GeometryError, ResolutionError
-from fraclab.extension import (extension_multiplier, gradient_components,
-                               y_quadrature_weights)
+from fraclab.extension import (MODE_CUT, extension_multiplier,
+                               gradient_components, y_quadrature_weights)
 from fraclab.geometry import frequencies
 
 
@@ -99,15 +99,59 @@ def test_extend_matches_per_column_complex_fft(s1, s1_solution):
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("n_levels", [12, 15, 64])
 def test_extend_blocked_matches_one_shot_irfft(s1_solution, s, n_levels):
-    # 13, 16 and 65 heights: the last block of levels is partial or full;
-    # each level's inverse FFT is that of the one-shot batched transform
+    # 13, 16 and 65 heights; each level's zero-padded inverse FFT of its
+    # live modes is that level of the one-shot batched transform with the
+    # multiplier zeroed beyond MODE_CUT
     u = s1_solution.u
     n = u.spec.n_super
     y = fl.default_y_grid(s, height=8.5, n_levels=n_levels)
     xi = np.abs(frequencies(u.spec)[: n // 2 + 1])
-    ref = np.fft.irfft(np.fft.rfft(u.values)
-                       * extension_multiplier(np.outer(y, xi), s), n=n)
+    t = np.outer(y, xi)
+    mult = np.where(t <= MODE_CUT, extension_multiplier(t, s), 0.0)
+    ref = np.fft.irfft(np.fft.rfft(u.values) * mult, n=n)
     assert fl.extend(u, s, y).values.T.tobytes() == ref.tobytes()
+
+
+def test_mode_cut_below_quarter_eps():
+    # theta_s decreases in t, so every mode extend drops has theta_s below
+    # 2^-54 = eps/4; the maximum over s, 3.39e-17, is reached as s -> 1
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for s in np.linspace(1e-3, 1 - 1e-3, 41):
+            ms, t = mpmath.mpf(s), mpmath.mpf(MODE_CUT)
+            theta = (2 ** (1 - ms) / mpmath.gamma(ms) * t ** ms
+                     * mpmath.besselk(ms, t))
+            assert theta < mpmath.mpf(2) ** -54, s
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_extend_cut_against_uncut_transform(s1_solution, s):
+    # the dropped modes move no level by more than 1e-15 of the field's
+    # largest value (measured: at most 2.8e-17 of it)
+    u = s1_solution.u
+    n = u.spec.n_super
+    y = fl.default_y_grid(s, height=8.5)
+    xi = np.abs(frequencies(u.spec)[: n // 2 + 1])
+    ref = np.fft.irfft(np.fft.rfft(u.values)
+                       * extension_multiplier(np.outer(y, xi), s), n=n).T
+    dev = np.max(np.abs(fl.extend(u, s, y).values - ref))
+    assert dev <= 1e-15 * np.max(np.abs(ref)), (s, dev)
+
+
+def test_extend_tall_level_keeps_only_the_mean(s1_solution):
+    # at y = 1e4 every nonzero |xi| y exceeds MODE_CUT: the level is the
+    # constant transform of the zero mode alone
+    u = s1_solution.u
+    field = fl.extend(u, 0.5, np.array([0.0, 1e4]))
+    mean = np.fft.irfft(np.fft.rfft(u.values)[:1], n=u.spec.n_super)
+    assert field.values[:, 1].tobytes() == mean.tobytes()
+
+
+@pytest.mark.parametrize("y", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+                               [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0]])
+def test_extend_rejects_bad_y_grid(s1_solution, y):
+    with pytest.raises(GeometryError):
+        fl.extend(s1_solution.u, 0.5, np.array(y))
 
 
 def test_gradient_dx_matches_complex_fft(s1_field):

@@ -16,8 +16,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import fraclab as fl
-from fraclab.extension import (_region_mass_sq, extension_multiplier,
-                               gradient_components)
+from fraclab.extension import (MODE_CUT, _region_mass_sq,
+                               extension_multiplier, gradient_components)
 from fraclab.geometry import CELL_AVERAGE_SUBSAMPLES, frequencies
 
 
@@ -54,11 +54,12 @@ def holder_norm_all_pairs(geom, spec, values, s):
 
 
 def extend_frequency_major(u, s, y):
-    """The extension with the multiplier table over (|xi|, y) and the
-    inverse FFT taken down its columns."""
+    """The extension with the multiplier table over (|xi|, y), zeroed
+    beyond MODE_CUT, and the inverse FFT taken down its columns."""
     n = u.spec.n_super
     xi = np.abs(frequencies(u.spec)[: n // 2 + 1])
-    mult = extension_multiplier(np.outer(xi, y), s)
+    t = np.outer(xi, y)
+    mult = np.where(t <= MODE_CUT, extension_multiplier(t, s), 0.0)
     return np.fft.irfft(np.fft.rfft(u.values)[:, None] * mult, n=n, axis=0)
 
 

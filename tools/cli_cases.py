@@ -77,6 +77,9 @@ CASES = (
     Case("forward-noisy", "forward", "s1_forward.cfg",
          ("noise.epsilon = 1e-3",), flags=("--seed", "7")),
     Case("ucp-scan", "ucp-scan", "s1_ucp_scan.cfg"),
+    # at s = 1/2 Steed's CF2 ends after one term; here it runs
+    Case("ucp-scan-s025", "ucp-scan", "s1_ucp_scan.cfg",
+         ("geometry.s = 0.25",)),
     Case("stability", "stability", "s1_stability.cfg"),
     # one noise level leaves both fits too few points
     Case("stability-fit-skipped", "stability", "s1_stability.cfg",
