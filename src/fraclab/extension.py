@@ -29,7 +29,8 @@ Region quadrature: the y axis carries exact integrals of the weight
 y^(1-2s) against the piecewise-linear hat functions of the graded grid,
 which handles the weight singularity at y = 0 for every s in (0,1); the
 x axis carries trapezoid weights.  Slab bounds are clipped exactly; ball
-masks select whole nodes with no partial-cell correction.
+masks select whole nodes with no partial-cell correction, and their masses
+are summed level by level over each level's nodes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from math import gamma, pi, sin
 
 import numpy as np
 
-from .errors import EmptyRegionError, GeometryError, ResolutionError
+from .errors import DomainError, EmptyRegionError, GeometryError, ResolutionError
 from .fracop import apply_spectral
 from .geometry import GridFunction, GridSpec, frequencies
 
@@ -118,13 +119,16 @@ def _bessel_k_steed(x: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
 def extension_multiplier(t, s: float) -> np.ndarray:
     """theta_s(t) for t >= 0, clamped to zero beyond BESSEL_CLAMP.
 
-    theta_s(t) = 2^(1-s)/Gamma(s) t^s K_s(t) with theta_s(0) = 1 exactly.
+    theta_s(t) = 2^(1-s)/Gamma(s) t^s K_s(t) with theta_s(0) = 1 exactly,
+    and 0 at t = +inf.  A nan or negative t raises DomainError.
     K_s comes from Temme's series below t = 2 and Steed's CF2 from t = 2
     on (see the module docstring).  The live points are taken in ascending
     order, in blocks of _BLOCK: CF2 needs fewer terms as t grows, and each
     block iterates only as long as its smallest point needs.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(t >= 0):
+        raise DomainError(f"multiplier needs t >= 0, got {t[~(t >= 0)][0]}")
     out = np.zeros(t.shape)
     flat, tf = out.reshape(-1), t.reshape(-1)
     flat[tf == 0] = 1.0
@@ -157,7 +161,8 @@ def default_y_grid(s: float, height: float = 4.0, n_levels: int = 64) -> np.ndar
 @dataclass(frozen=True, eq=False)
 class ExtensionField:
     """v(x_i, y_j) on the tensor grid, plus the data defining it; the
-    trace constant d_s is trace_constant(s)."""
+    trace constant d_s is trace_constant(s).  Region sums read ``values.T``
+    by level, a contiguous row per level for every field extend returns."""
 
     spec: GridSpec
     y_grid: np.ndarray
@@ -318,19 +323,24 @@ def _region_mass_sq(field_values: np.ndarray, spec: GridSpec, y: np.ndarray,
     if region.kind in ("half_ball", "annulus"):
         yw = y_quadrature_weights(y, s)
         x0, y0 = region.center
+        r2 = region.radius ** 2
+        # squared hole radius: 0 for a half-ball, which every rr >= 0 clears
+        hole2 = (region.radius / 2) ** 2 if region.kind == "annulus" else 0.0
         # only rows with |x - x0| < r, one slice of the sorted nodes, can
         # hold nodes of the ball
         near = np.flatnonzero(np.abs(x - x0) < region.radius)
         rows = slice(near[0], near[-1] + 1) if near.size else slice(0)
-        rr = (x[rows, None] - x0) ** 2 + (y[None, :] - y0) ** 2
-        if region.kind == "half_ball":
-            mask = rr < region.radius ** 2
-        else:
-            mask = (rr < region.radius ** 2) & (rr >= (region.radius / 2) ** 2)
-        if not np.any(mask):
+        dx2, dy2 = (x[rows] - x0) ** 2, (y - y0) ** 2
+        mass, hit = 0.0, False
+        # sum level by level; levels with (y_j - y0)^2 >= r^2 hold no node
+        for j in np.flatnonzero(dy2 < r2):
+            rr = dx2 + dy2[j]
+            seg = field_values.T[j, rows][(rr < r2) & (rr >= hole2)]
+            hit = hit or seg.size > 0
+            mass += yw[j] * (seg @ seg)
+        if not hit:
             raise EmptyRegionError(f"no tensor nodes in {region}")
-        w2 = field_values[rows, :] ** 2
-        return float(spec.h * np.sum((w2 * yw[None, :])[mask]))
+        return float(spec.h * mass)
     raise ValueError(f"unknown region kind {region.kind!r}")
 
 

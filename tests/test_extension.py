@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from math import gamma
 from scipy import special
 
 import fraclab as fl
-from fraclab.errors import EmptyRegionError, GeometryError, ResolutionError
+from fraclab.errors import (DomainError, EmptyRegionError, GeometryError,
+                            ResolutionError)
 from fraclab.extension import (MODE_CUT, extension_multiplier,
                                gradient_components, y_quadrature_weights)
 from fraclab.geometry import frequencies
@@ -55,7 +57,14 @@ def test_multiplier_bounds_and_monotone():
 
 
 def test_multiplier_clamps_beyond_underflow():
-    assert extension_multiplier(np.array([701.0, 1e4]), 0.5).tolist() == [0, 0]
+    t = np.array([701.0, 1e4, np.inf])
+    assert extension_multiplier(t, 0.5).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, -1e-300])
+def test_multiplier_rejects_nan_and_negative_t(bad):
+    with pytest.raises(DomainError, match=str(bad)):
+        extension_multiplier(np.array([0.5, bad, np.inf]), 0.25)
 
 
 def test_extend_zero(s1):
@@ -293,6 +302,21 @@ def test_weighted_norm_constant_slab(s1, s1_field):
 def test_weighted_norm_empty_region(s1, s1_field):
     with pytest.raises(EmptyRegionError):
         fl.weighted_norm(s1_field, fl.Region("half_ball", (0.0, 3.9), 0.0005))
+
+
+@pytest.mark.parametrize("region", [fl.Region("half_ball", (0.0, 0.0), 8.0),
+                                    fl.Region("annulus", (0.0, 0.0), 4.0)])
+def test_weighted_norm_memory_independent_of_levels(s1_field_tall, region):
+    # annulus_ratio's regions at R = 4 on the 65-level grid: the masses are
+    # summed one level at a time, so no (rows x levels) array is built
+    n = s1_field_tall.spec.n_super
+    tracemalloc.start()
+    try:
+        fl.weighted_norm(s1_field_tall, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * 8, peak / (8 * n)
 
 
 def test_region_must_stay_in_box(s1, s1_field):

@@ -4,7 +4,9 @@ sample_profile evaluates only on the declared support, holder_norm forms
 each pair once on the band |x - y| <= 1, weighted_gradient_norm
 differentiates only the heights its region reaches, and extend transforms
 one height level per contiguous row.  Each must agree bit for bit with
-the whole-grid computation kept here as the oracle.
+the whole-grid computation kept here as the oracle.  Half-ball and annulus
+masses, summed one height level at a time, select the oracle's nodes and
+differ from its one-shot sum only by the order of the additions.
 """
 
 from dataclasses import replace
@@ -16,8 +18,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import fraclab as fl
+from fraclab.errors import EmptyRegionError
 from fraclab.extension import (MODE_CUT, _region_mass_sq,
-                               extension_multiplier, gradient_components)
+                               extension_multiplier, gradient_components,
+                               y_quadrature_weights)
 from fraclab.geometry import CELL_AVERAGE_SUBSAMPLES, frequencies
 
 
@@ -69,6 +73,22 @@ def gradient_norm_whole_field(field, region):
     m2 = (_region_mass_sq(dx, field.spec, field.y_grid, field.s, region)
           + _region_mass_sq(dy, field.spec, field.y_grid, field.s, region))
     return float(np.sqrt(m2))
+
+
+def region_mass_tensor(field, region):
+    """A half-ball or annulus mass from the (nodes x levels) mask of the
+    whole grid, summed at once."""
+    x, y = field.spec.nodes(), field.y_grid
+    yw = y_quadrature_weights(y, field.s)
+    x0, y0 = region.center
+    rr = (x[:, None] - x0) ** 2 + (y[None, :] - y0) ** 2
+    mask = rr < region.radius ** 2
+    if region.kind == "annulus":
+        mask &= rr >= (region.radius / 2) ** 2
+    if not np.any(mask):
+        raise EmptyRegionError(f"no tensor nodes in {region}")
+    w2 = field.values ** 2
+    return float(field.spec.h * np.sum((w2 * yw[None, :])[mask]))
 
 
 PROFILES = {
@@ -179,6 +199,29 @@ def test_weighted_gradient_norm_matches_whole_field(request, which):
     for region in _regions(field.y_grid):
         got = fl.weighted_gradient_norm(field, region)
         assert got == gradient_norm_whole_field(field, region), region
+
+
+@pytest.mark.parametrize("which", ["s1_field", "random_field"])
+def test_region_mass_matches_tensor_mask(request, which):
+    # s1_field's level view is contiguous, random_field's is strided
+    field = request.getfixturevalue(which)
+    for region in _regions(field.y_grid):
+        if region.kind == "slab":
+            continue
+        got = _region_mass_sq(field.values, field.spec, field.y_grid,
+                              field.s, region)
+        assert got == pytest.approx(region_mass_tensor(field, region),
+                                    rel=1e-14, abs=0), region
+
+
+def test_empty_region_matches_tensor_mask(s1_field):
+    # test_weighted_norm_empty_region's ball falls between nodes
+    ball = fl.Region("half_ball", (0.0, 3.9), 0.0005)
+    with pytest.raises(EmptyRegionError):
+        region_mass_tensor(s1_field, ball)
+    with pytest.raises(EmptyRegionError):
+        _region_mass_sq(s1_field.values, s1_field.spec, s1_field.y_grid,
+                        s1_field.s, ball)
 
 
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])

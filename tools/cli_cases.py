@@ -80,6 +80,10 @@ CASES = (
     # at s = 1/2 Steed's CF2 ends after one term; here it runs
     Case("ucp-scan-s025", "ucp-scan", "s1_ucp_scan.cfg",
          ("geometry.s = 0.25",)),
+    # the bulk half-balls centred away from the annulus at x = 0; from
+    # x0 = 0.3 the bulk radii must stay below dist/10 = 0.07
+    Case("ucp-scan-off-centre", "ucp-scan", "s1_ucp_scan.cfg",
+         ("scan.x0 = 0.3", "scan.r_max = 0.07")),
     Case("stability", "stability", "s1_stability.cfg"),
     # one noise level leaves both fits too few points
     Case("stability-fit-skipped", "stability", "s1_stability.cfg",
