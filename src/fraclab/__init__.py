@@ -23,14 +23,13 @@ _EXPORTS = {
                  "support_mask"),
     "spaces": ("dual_norm_on_window", "holder_norm", "make_potential",
                "oscillation_ratio", "sobolev_norm"),
-    "fracop": ("FracLapDense", "apply_dense", "apply_spectral",
-               "assemble_dense", "symbol_constant"),
+    "fracop": ("FracLapDense", "apply_dense", "assemble_dense",
+               "symbol_constant"),
     "forward": ("ForwardSolution", "add_noise", "dtn_map", "eigen_gap",
                 "export_measurement_csv", "solve_forward"),
     "extension": ("ExtensionField", "Region", "default_y_grid", "extend",
-                  "extension_multiplier", "neumann_trace", "neumann_trace_fd",
-                  "trace_constant", "trace_mass_sq", "weighted_gradient_norm",
-                  "weighted_norm"),
+                  "extension_multiplier", "trace_mass_sq",
+                  "weighted_gradient_norm", "weighted_norm"),
     "diagnostics": ("DoublingReport", "LemmaCheck", "annulus_ratio",
                     "caccioppoli_check", "carleman_weight",
                     "doubling_scan_boundary", "doubling_scan_bulk",

@@ -155,6 +155,15 @@ def fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), resid
 
 
+def _doubling_report(radii, masses, doubled, r0, mode) -> DoublingReport:
+    """Masses at r and 2r with the power-law fit of mass against radius;
+    the fit rejects non-finite masses before the ratios are formed."""
+    beta, log_c, resid = fit_loglog(radii, masses)
+    return DoublingReport(radii=radii, masses=masses, ratios=doubled / masses,
+                          beta_hat=beta, c_hat=float(np.exp(log_c)),
+                          fit_residual=resid, r0=r0, mode=mode)
+
+
 def doubling_scan_bulk(geom: Geometry, field: ExtensionField, x0: float,
                        radii) -> DoublingReport:
     """Doubling ratios of weighted half-ball masses centered at (x0, 0).
@@ -169,10 +178,7 @@ def doubling_scan_bulk(geom: Geometry, field: ExtensionField, x0: float,
                         for r in radii])
     if np.any(masses <= 0):
         raise ZeroMassError("a half-ball mass of the bulk scan is zero")
-    beta, log_c, resid = fit_loglog(radii, masses)
-    return DoublingReport(radii=radii, masses=masses, ratios=doubled / masses,
-                          beta_hat=beta, c_hat=float(np.exp(log_c)),
-                          fit_residual=resid, r0=r0, mode="bulk")
+    return _doubling_report(radii, masses, doubled, r0, "bulk")
 
 
 def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,
@@ -188,8 +194,5 @@ def doubling_scan_boundary(geom: Geometry, u: GridFunction, x0: float,
     total = float(np.sqrt(u.spec.h * np.sum(u_omega ** 2)))
     if total == 0.0 or masses[0] < 1e-14 * total:
         raise ZeroMassError("smallest-radius trace mass is numerically zero")
-    ratios = np.sqrt(trace_mass_sq(u.spec, u.values, x0, 2 * radii)) / masses
-    beta, log_c, resid = fit_loglog(radii, masses)
-    return DoublingReport(radii=radii, masses=masses, ratios=ratios,
-                          beta_hat=beta, c_hat=float(np.exp(log_c)),
-                          fit_residual=resid, r0=r0, mode="boundary")
+    doubled = np.sqrt(trace_mass_sq(u.spec, u.values, x0, 2 * radii))
+    return _doubling_report(radii, masses, doubled, r0, "boundary")

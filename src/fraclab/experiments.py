@@ -86,9 +86,14 @@ def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
     """Doubling scans, lemma checks and the radial-weight scan for q1."""
     x0 = sc.config["scan.x0"]
     radii = scan_radii(sc)
+    s = sc.geom.s
+    try:
+        # tall extension so the annulus check at R = 4 stays inside the box
+        y = default_y_grid(s, height=8.5)
+    except GeometryError as exc:
+        raise ConfigError(f"geometry.s: {exc}") from exc
     sol = solve_forward(sc.op, sc.q1, sc.f)
-    # tall extension so the annulus check at R = 4 stays inside the box
-    field = extend(sol.u, sc.geom.s, default_y_grid(sc.geom.s, height=8.5))
+    field = extend(sol.u, s, y)
 
     bulk = doubling_scan_bulk(sc.geom, field, x0, radii)
     boundary = doubling_scan_boundary(sc.geom, sol.u, x0, radii)

@@ -7,11 +7,9 @@ computed exactly in x through the Fourier-Bessel multiplier
 
 with theta_s(0) = 1 and K_s the modified Bessel function of the second
 kind.  For s = 1/2 the multiplier is exp(-t), the classical Poisson
-kernel.  The weighted normal derivative at y = 0 recovers the fractional
-Laplacian:
-
-    lim_{y->0} y^(1-2s) d_y v = -d_s (-Lap)^s u,
-    d_s = 2^(1-2s) Gamma(1-s) / Gamma(s).
+kernel.  The trace identity lim_{y->0} y^(1-2s) d_y v = -d_s (-Lap)^s u
+checks this discretization and is not a stage of any run; the tests
+evaluate it in tests/oracles.py.
 
 t^s K_s(t) is evaluated in numpy by the standard route for K at
 non-integer order (N. M. Temme, J. Comput. Phys. 19 (1975) 324; Numerical
@@ -41,20 +39,12 @@ from math import gamma, pi, sin
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, GeometryError, ResolutionError
-from .fracop import apply_spectral
 from .geometry import GridFunction, GridSpec, frequencies
 
 #: multiplier argument beyond which K_s underflows; columns clamp to zero
 BESSEL_CLAMP = 700.0
 #: extend drops modes with t = |xi| y beyond it: theta_s < 3.4e-17 < eps/4
 MODE_CUT = 40.0
-#: largest relative L2 gap between neumann_trace's two routes
-MAX_TRACE_GAP = 0.05
-
-
-def trace_constant(s: float) -> float:
-    """d_s = 2^(1-2s) Gamma(1-s) / Gamma(s); equals 1 at s = 1/2."""
-    return 2.0 ** (1 - 2 * s) * gamma(1 - s) / gamma(s)
 
 
 #: Taylor coefficients in mu^2, highest first, of Temme's
@@ -152,23 +142,28 @@ def default_y_grid(s: float, height: float = 4.0, n_levels: int = 64) -> np.ndar
 
     kappa = max(2, 2/(2-2s)) keeps the trapezoid error of the weighted
     quadrature uniform in s as the weight y^(1-2s) degenerates at y = 0.
+    GeometryError, naming s, when the heights do not strictly increase:
+    close to s = 1 the first ones underflow to 0.
     """
     kappa = max(2.0, 2.0 / (2.0 - 2.0 * s))
     j = np.arange(n_levels + 1, dtype=float)
-    return height * (j / n_levels) ** kappa
+    y = height * (j / n_levels) ** kappa
+    if np.any(np.diff(y) <= 0):
+        raise GeometryError(f"at s = {s} the graded heights y_j = {height} "
+                            f"(j/{n_levels})^{kappa:.6g} underflow to 0")
+    return y
 
 
 @dataclass(frozen=True, eq=False)
 class ExtensionField:
-    """v(x_i, y_j) on the tensor grid, plus the data defining it; the
-    trace constant d_s is trace_constant(s).  Region sums read ``values.T``
-    by level, a contiguous row per level for every field extend returns."""
+    """v(x_i, y_j) on the tensor grid of ``spec``'s nodes and the heights
+    ``y_grid``, for the exponent s.  Region sums read ``values.T`` by
+    level, a contiguous row per level for every field extend returns."""
 
     spec: GridSpec
     y_grid: np.ndarray
     values: np.ndarray          # shape (n_super, len(y_grid))
     s: float
-    boundary: np.ndarray        # trace values u(x_i)
 
 
 def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> ExtensionField:
@@ -193,51 +188,7 @@ def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> Exten
     u_hat, levels = np.fft.rfft(u.values), np.empty((len(y), n))
     for j, m in enumerate(np.split(mult, np.cumsum(live[:-1]))):
         levels[j] = np.fft.irfft(u_hat[: len(m)] * m, n=n)
-    return ExtensionField(spec=u.spec, y_grid=y, values=levels.T, s=s,
-                          boundary=u.values.copy())
-
-
-def neumann_trace_fd(field: ExtensionField) -> np.ndarray:
-    """Finite-difference estimate of (-Lap)^s u from three small heights.
-
-    Graded differences D_k = (col_{k+1} - col_k) * 2s / (y_{k+1}^2s - y_k^2s)
-    tend to -d_s (-Lap)^s u with leading correction O(y^(2-2s)); the two
-    are Richardson-extrapolated in that power.  The heights are the three
-    largest positive ones below 1e-2: the graded grid's first heights fall
-    below 1e-11 at s = 0.85 and to ~1e-36 at s = 0.95, where the column
-    differences are pure rounding.
-    """
-    s = field.s
-    y = field.y_grid
-    idx = np.nonzero((y > 0) & (y < 1e-2))[0][-3:]
-    if len(idx) < 3:
-        raise ResolutionError("need at least 3 positive heights below 1e-2")
-    cols = [field.values[:, i] for i in idx]
-    ys = y[idx]
-    d1 = (cols[1] - cols[0]) * 2 * s / (ys[1] ** (2 * s) - ys[0] ** (2 * s))
-    d2 = (cols[2] - cols[1]) * 2 * s / (ys[2] ** (2 * s) - ys[1] ** (2 * s))
-    p1 = (0.5 * (ys[0] + ys[1])) ** (2 - 2 * s)
-    p2 = (0.5 * (ys[1] + ys[2])) ** (2 - 2 * s)
-    d0 = d1 - (d2 - d1) * p1 / (p2 - p1)
-    return -d0 / trace_constant(s)
-
-
-def neumann_trace(field: ExtensionField) -> GridFunction:
-    """Weighted normal derivative at y = 0, normalized to (-Lap)^s u.
-
-    The exact multiplier limit reproduces the spectral fractional
-    Laplacian; the graded finite-difference estimate cross-checks it and
-    a ResolutionError is raised when the two routes disagree by more than
-    MAX_TRACE_GAP in relative L2.
-    """
-    trace = apply_spectral(GridFunction(field.spec, field.boundary), field.s)
-    spectral, fd = trace.values, neumann_trace_fd(field)
-    ref = np.linalg.norm(spectral)
-    gap = np.linalg.norm(fd - spectral) / ref if ref > 0 else np.linalg.norm(fd)
-    if gap > MAX_TRACE_GAP:
-        raise ResolutionError(
-            f"finite-difference trace deviates from spectral by {gap:.3g}")
-    return trace
+    return ExtensionField(spec=u.spec, y_grid=y, values=levels.T, s=s)
 
 
 @dataclass(frozen=True)
@@ -397,15 +348,22 @@ def weighted_gradient_norm(field: ExtensionField, region: Region) -> float:
     Only the heights the region reaches are differentiated: the levels up
     to the first one at or above the region's top, and one more so that
     this level keeps its centered y difference.  The levels left out lie
-    above the region and carry none of its mass.
+    above the region and carry none of its mass.  ResolutionError when
+    the mass is not finite: close to s = 1 the first heights are so small
+    that the y differences overflow.
     """
     _check_region_in_box(field, region)
     top = (region.y_interval[1] if region.kind == "slab"
            else region.center[1] + region.radius)
     keep = min(int(np.searchsorted(field.y_grid, top)) + 2, len(field.y_grid))
     y = field.y_grid[:keep]
-    dx, dy = gradient_components(
-        replace(field, y_grid=y, values=field.values[:, :keep]))
-    m2 = (_region_mass_sq(dx, field.spec, y, field.s, region)
-          + _region_mass_sq(dy, field.spec, y, field.s, region))
+    with np.errstate(all="ignore"):
+        dx, dy = gradient_components(
+            replace(field, y_grid=y, values=field.values[:, :keep]))
+        m2 = (_region_mass_sq(dx, field.spec, y, field.s, region)
+              + _region_mass_sq(dy, field.spec, y, field.s, region))
+    if not np.isfinite(m2):
+        raise ResolutionError(f"weighted gradient mass {m2} at s = {field.s}:"
+                              f" the heights from y_1 = {y[1]:.3g} on are "
+                              "too small to difference")
     return float(np.sqrt(m2))

@@ -81,8 +81,8 @@ def solve_forward(op: FracLapDense, q: GridFunction,
                   f: GridFunction) -> ForwardSolution:
     """Solve the exterior-value problem for data f on the window.
 
-    q is any GridFunction of nodal values: a potential from
-    make_potential, or a shift such as a constant that probes resonance.
+    q is any GridFunction of nodal values: a scenario's potential, or a
+    shift such as a constant that probes resonance.
     Raises EigenvalueError when the relative spectral gap of the
     restricted operator, certified by Gershgorin discs (_gap_certified) or
     else computed by eigen_gap, falls below GAP_TOL (zero too close to an
@@ -164,19 +164,19 @@ def add_noise(geom: Geometry, lam: GridFunction, epsilons, seed: int):
 
 
 def export_measurement_csv(geom: Geometry, lam: GridFunction, path,
-                           epsilon: float = 0.0, seed: int | None = None,
-                           header_comment: str = "") -> None:
+                           epsilon: float, seed: int | None,
+                           header_comment: str) -> None:
     """CSV with one row per window node: node_x, lambda_value.
 
-    A comment line records s and the noise level epsilon and seed that
-    produced lam; the seed is left empty when it is None (no noise drawn).
+    Two comment lines come first: header_comment, then s and the noise
+    level epsilon and seed that produced lam; the seed is left empty when
+    it is None (no noise drawn).
     """
     x = geom.spec.nodes()[geom.w_nodes]
     vals = lam.values[geom.w_nodes]
     seed = "" if seed is None else str(seed)
     with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
+        fh.write(f"# {header_comment}\n")
         fh.write(f"# s={geom.s:.17g} epsilon={epsilon:.17g} seed={seed}\n")
         fh.write("node_x,lambda_value\n")
         for xx, vv in zip(x, vals):

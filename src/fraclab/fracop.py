@@ -1,13 +1,7 @@
-"""The fractional Laplacian on the supergrid: two independent backends.
+"""The fractional Laplacian on the supergrid: a dense Galerkin operator.
 
-Spectral backend: multiply the DFT by the exact symbol |xi|^(2s) on the
-periodic supergrid.  This is the sinc-quadrature discretization of the
-singular integral; it is kept unfiltered because the near-cancellation
-between band truncation and sampling aliasing is delicate and any band-edge
-modification measurably worsens accuracy near support-edge singularities.
-
-Dense backend (the oracle): Galerkin stiffness matrix of piecewise-linear
-hat elements for the bilinear form
+It is the stiffness matrix of piecewise-linear hat elements for the
+bilinear form
 
     (c_s / 2) * integral integral (u(x)-u(y)) (v(x)-v(y)) / |x-y|^(1+2s),
 
@@ -19,7 +13,8 @@ a scaled cubic B-spline, that integral is in closed form a fourth
 difference of |k|^(3-2s) (see stiffness_lags).  The matrix is therefore
 never stored: it is a read-only strided view of its 2n-1 mirrored lags
 (see symmetric_toeplitz), and its product with a vector is a correlation
-with that lag row.
+with that lag row.  The tests check it against the periodic spectral
+symbol |xi|^(2s), which lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -31,30 +26,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SupportError
-from .geometry import Geometry, GridFunction, frequencies
-
-#: nodes within this count of the box edge must be empty (periodization guard)
-EDGE_GUARD_NODES = 8
+from .geometry import Geometry, GridFunction
 
 
 def symbol_constant(s: float) -> float:
     """Normalizing constant c_s of the 1D singular-integral form."""
     return 2.0 ** (2 * s) * s * gamma((1 + 2 * s) / 2) / (sqrt(pi) * gamma(1 - s))
-
-
-def apply_spectral(u: GridFunction, s: float) -> GridFunction:
-    """Apply the fractional Laplacian through its Fourier symbol.
-
-    Raises SupportError if the input carries mass within EDGE_GUARD_NODES
-    of the box edge, where periodization would silently corrupt the result.
-    """
-    vals = u.values
-    guard = EDGE_GUARD_NODES
-    if np.any(vals[:guard] != 0.0) or np.any(vals[-guard:] != 0.0):
-        raise SupportError("input has mass within the periodization guard band")
-    xi = frequencies(u.spec)
-    out = np.real(np.fft.ifft(np.abs(xi) ** (2 * s) * np.fft.fft(vals)))
-    return GridFunction(spec=u.spec, values=out)
 
 
 #: terms of the far-field series; successive terms shrink by about

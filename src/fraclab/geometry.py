@@ -50,19 +50,17 @@ class GridSpec:
 class Geometry:
     """Intervals, exponent and grid defining one scenario.
 
-    ``omega``, ``w`` and ``omega_prime`` are closed intervals (a, b);
-    ``box_halfwidth`` is the truncation halfwidth L of the periodic
-    supergrid ``spec``.  ``omega_nodes``, ``w_nodes`` and ``prime_nodes``
-    are the supergrid indices of each interval's nodes, fixed once by the
-    snap rule in ``build_geometry``; ``active_nodes``, one contiguous run,
-    are those the dense operator acts on.
+    ``omega``, ``w`` and ``omega_prime`` are closed intervals (a, b) on
+    the periodic supergrid ``spec``.  ``omega_nodes``, ``w_nodes`` and
+    ``prime_nodes`` are the supergrid indices of each interval's nodes,
+    fixed once by the snap rule in ``build_geometry``; ``active_nodes``,
+    one contiguous run, are those the dense operator acts on.
     """
 
     s: float
     omega: tuple[float, float]
     w: tuple[float, float]
     omega_prime: tuple[float, float]
-    box_halfwidth: float
     spec: GridSpec
     omega_nodes: slice
     w_nodes: slice
@@ -140,7 +138,7 @@ def build_geometry(omega, w, s, box_halfwidth=32.0, n_super=4096,
         int(np.searchsorted(x, min(a, c) - gap - tol, side="left")),
         int(np.searchsorted(x, max(b, d) + gap + tol, side="right")))
     geom = Geometry(s=float(s), omega=(a, b), w=(c, d),
-                    omega_prime=(ap, bp), box_halfwidth=L, spec=spec,
+                    omega_prime=(ap, bp), spec=spec,
                     omega_nodes=nodes(a, b), w_nodes=nodes(c, d),
                     prime_nodes=nodes(ap, bp), active_nodes=active)
     # snapping moves an endpoint by up to h/2, so a gap below 2h lets the
@@ -214,13 +212,12 @@ def sample_profile(geom: Geometry, profile, support: str,
     return make_grid_function(geom, out, support)
 
 
-def bump_profile(center: float, width: float, amplitude: float = 1.0,
-                 sharpness: float = 1.0):
+def bump_profile(center: float, width: float, amplitude: float = 1.0):
     """Smooth compactly supported bump on (center-width, center+width).
 
-    The profile is amplitude * exp(-p z^2 / (1 - z^2)) with z the rescaled
-    coordinate and p the sharpness; it equals amplitude at the center and
-    vanishes with all derivatives at the support edge.
+    The profile is amplitude * exp(-z^2 / (1 - z^2)) with z the rescaled
+    coordinate; it equals amplitude at the center and vanishes with all
+    derivatives at the support edge.
     """
     if width <= 0:
         raise ValueError("bump width must be positive")
@@ -231,7 +228,7 @@ def bump_profile(center: float, width: float, amplitude: float = 1.0,
         zz = np.where(inside, z, 0.0)
         return np.where(
             inside,
-            amplitude * np.exp(-sharpness * zz * zz / (1.0 - zz * zz)),
+            amplitude * np.exp(-zz * zz / (1.0 - zz * zz)),
             0.0,
         )
 

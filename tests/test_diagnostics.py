@@ -41,8 +41,7 @@ def test_carleman_weight_domain():
 def test_caccioppoli_zero_field(s1, s1_field):
     geom, spec = s1
     zero = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
-                             values=np.zeros_like(s1_field.values), s=0.5,
-                             boundary=np.zeros(spec.n_super))
+                             values=np.zeros_like(s1_field.values), s=0.5)
     chk = fl.caccioppoli_check(geom, zero, 0.0, 0.0, 0.2)
     assert chk.lhs == 0.0
 
@@ -57,8 +56,7 @@ def test_caccioppoli_homogeneity(s1, s1_field, s1_solution):
     geom, spec = s1
     chk1 = fl.caccioppoli_check(geom, s1_field, 0.0, 0.0, 0.2)
     scaled = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
-                               values=10.0 * s1_field.values, s=0.5,
-                               boundary=10.0 * s1_field.boundary)
+                               values=10.0 * s1_field.values, s=0.5)
     chk10 = fl.caccioppoli_check(geom, scaled, 0.0, 0.0, 0.2)
     assert chk10.implied_constant == \
         pytest.approx(chk1.implied_constant, rel=1e-10)
@@ -105,8 +103,7 @@ def test_annulus_homogeneity(s1, s1_field_tall, s1_f):
     geom, spec = s1
     chk1 = fl.annulus_ratio(geom, s1_field_tall, s1_f, R=4.0)
     scaled = fl.ExtensionField(spec=spec, y_grid=s1_field_tall.y_grid,
-                               values=10.0 * s1_field_tall.values, s=0.5,
-                               boundary=10.0 * s1_field_tall.boundary)
+                               values=10.0 * s1_field_tall.values, s=0.5)
     chk10 = fl.annulus_ratio(geom, scaled, s1_f, R=4.0)
     assert chk10.lhs == pytest.approx(chk1.lhs, rel=1e-10)
 
@@ -115,7 +112,7 @@ def test_annulus_zero_mass(s1, s1_field_tall, s1_f):
     geom, spec = s1
     zero = fl.ExtensionField(spec=spec, y_grid=s1_field_tall.y_grid,
                              values=np.zeros_like(s1_field_tall.values),
-                             s=0.5, boundary=np.zeros(spec.n_super))
+                             s=0.5)
     with pytest.raises(ZeroMassError):
         fl.annulus_ratio(geom, zero, s1_f, R=4.0)
 
@@ -130,13 +127,12 @@ def test_three_balls_interior_guard(make_golden, s1_field):
 def test_three_balls_degenerate(make_golden, s1, s1_field):
     geom, spec = s1
     ones = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
-                             values=np.ones_like(s1_field.values), s=0.5,
-                             boundary=np.ones(spec.n_super))
+                             values=np.ones_like(s1_field.values), s=0.5)
     # constant field: all three masses scale by measure, never equal;
     # build a field constant in the mass sense by zeroing outside a shell
     vals = np.zeros_like(s1_field.values)
     field = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid, values=vals,
-                              s=0.5, boundary=np.zeros(spec.n_super))
+                              s=0.5)
     with pytest.raises((DegenerateError, ZeroMassError)):
         make_golden.three_balls_exponent(field, (0.0, 1.0), 0.1)
 
@@ -191,8 +187,7 @@ def test_bulk_doubling_zero_field_raises(s1, s1_field):
     # the boundary scan's policy: a zero mass has no doubling ratio or fit
     geom, spec = s1
     zero = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
-                             values=np.zeros_like(s1_field.values), s=0.5,
-                             boundary=np.zeros(spec.n_super))
+                             values=np.zeros_like(s1_field.values), s=0.5)
     with pytest.raises(ZeroMassError):
         fl.doubling_scan_bulk(geom, zero, 0.0, np.geomspace(0.02, 0.099, 8))
 
@@ -228,8 +223,7 @@ def test_bulk_doubling_homogeneity(s1, s1_field):
     radii = np.geomspace(0.02, 0.099, 8)
     rep1 = fl.doubling_scan_bulk(geom, s1_field, 0.0, radii)
     scaled = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
-                               values=-7.0 * s1_field.values, s=0.5,
-                               boundary=-7.0 * s1_field.boundary)
+                               values=-7.0 * s1_field.values, s=0.5)
     rep2 = fl.doubling_scan_bulk(geom, scaled, 0.0, radii)
     assert np.allclose(rep1.ratios, rep2.ratios, rtol=1e-12)
 
@@ -288,8 +282,7 @@ def test_boundary_doubling_vanishing_order_self_consistency(s1, s1_solution):
 def test_boundary_bulk_zero(make_golden, s1, s1_field):
     geom, spec = s1
     zero = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
-                             values=np.zeros_like(s1_field.values), s=0.5,
-                             boundary=np.zeros(spec.n_super))
+                             values=np.zeros_like(s1_field.values), s=0.5)
     u0 = fl.make_grid_function(geom, np.zeros(spec.n_super), "omega")
     with pytest.raises(ZeroMassError):
         make_golden.boundary_bulk_check(geom, zero, u0, 0.0, 0.2)
@@ -300,8 +293,7 @@ def test_boundary_bulk_homogeneity(make_golden, s1, s1_field, s1_solution):
     chk1 = make_golden.boundary_bulk_check(geom, s1_field, s1_solution.u,
                                              0.0, 0.2)
     scaled_f = fl.ExtensionField(spec=spec, y_grid=s1_field.y_grid,
-                                 values=3.0 * s1_field.values, s=0.5,
-                                 boundary=3.0 * s1_field.boundary)
+                                 values=3.0 * s1_field.values, s=0.5)
     scaled_u = fl.GridFunction(spec=spec, values=3.0 * s1_solution.u.values)
     chk3 = make_golden.boundary_bulk_check(geom, scaled_f, scaled_u, 0.0, 0.2)
     assert chk3.implied_constant == \

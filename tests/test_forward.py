@@ -209,9 +209,10 @@ def test_measurement_csv(tmp_path, s1, s1_op, s1_q0, s1_f):
     geom, spec = s1
     m = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_q0, s1_f))
     path = tmp_path / "m.csv"
-    fl.export_measurement_csv(geom, m, path)
+    fl.export_measurement_csv(geom, m, path, 0.0, None, "config_hash=x")
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# s=0.5 epsilon=0")
-    assert lines[1] == "node_x,lambda_value"
+    assert lines[0] == "# config_hash=x"
+    assert lines[1] == "# s=0.5 epsilon=0 seed="
+    assert lines[2] == "node_x,lambda_value"
     n_w = int(np.count_nonzero(fl.support_mask(geom, "w")))
-    assert len(lines) == 2 + n_w
+    assert len(lines) == 3 + n_w

@@ -14,6 +14,8 @@ import fraclab as fl
 from fraclab.errors import SupportError
 from fraclab.fracop import MASS_PAD, _nodal_from_dual, stiffness_lags
 
+from oracles import apply_spectral
+
 
 def getoor_constant(s):
     """(-Lap)^s of (1-x^2)^s_+ on (-1,1); equals 1 exactly at s = 1/2."""
@@ -61,7 +63,7 @@ def test_quad_oracle_matches_analytic_constant():
 def test_apply_spectral_zero(s1):
     geom, spec = s1
     z = fl.make_grid_function(geom, np.zeros(spec.n_super), "box")
-    assert np.all(fl.apply_spectral(z, 0.5).values == 0.0)
+    assert np.all(apply_spectral(z, 0.5).values == 0.0)
 
 
 @pytest.mark.parametrize("s,tol", [(0.25, 0.01), (0.5, 0.01), (0.75, 0.02)])
@@ -69,7 +71,7 @@ def test_getoor_identity_spectral(s1, s, tol):
     geom, spec = s1
     u = fl.sample_profile(geom, getoor_profile(s), "omega",
                           mode="average")
-    w = fl.apply_spectral(u, s)
+    w = apply_spectral(u, s)
     mask = np.abs(spec.nodes()) < 0.9
     dev = np.max(np.abs(w.values[mask] - getoor_constant(s)))
     assert dev < tol * getoor_constant(s)
@@ -85,9 +87,9 @@ def test_apply_spectral_linearity(s1):
     g1 = fl.make_grid_function(geom, v1, "omega")
     g2 = fl.make_grid_function(geom, v2, "omega")
     combo = fl.make_grid_function(geom, 2.5 * v1 - 1.25 * v2, "omega")
-    lhs = fl.apply_spectral(combo, 0.5).values
-    rhs = 2.5 * fl.apply_spectral(g1, 0.5).values \
-        - 1.25 * fl.apply_spectral(g2, 0.5).values
+    lhs = apply_spectral(combo, 0.5).values
+    rhs = 2.5 * apply_spectral(g1, 0.5).values \
+        - 1.25 * apply_spectral(g2, 0.5).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
@@ -97,7 +99,7 @@ def test_apply_spectral_edge_guard(s1):
     vals[3] = 1.0
     g = fl.GridFunction(spec=spec, values=vals)
     with pytest.raises(SupportError):
-        fl.apply_spectral(g, 0.5)
+        apply_spectral(g, 0.5)
 
 
 def test_symmetry_both_backends(s1, s1_op):
@@ -111,8 +113,8 @@ def test_symmetry_both_backends(s1, s1_op):
         v2[m] = rng.standard_normal(np.count_nonzero(m))
         g1 = fl.make_grid_function(geom, v1, "omega_w")
         g2 = fl.make_grid_function(geom, v2, "omega_w")
-        a1 = fl.apply_spectral(g1, geom.s).values
-        a2 = fl.apply_spectral(g2, geom.s).values
+        a1 = apply_spectral(g1, geom.s).values
+        a2 = apply_spectral(g2, geom.s).values
         lhs = h * np.dot(a1, v2)
         rhs = h * np.dot(v1, a2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -131,7 +133,7 @@ def test_positivity(s1, s1_op):
         v = np.zeros(spec.n_super)
         v[m] = rng.standard_normal(np.count_nonzero(m))
         g = fl.make_grid_function(geom, v, "omega")
-        assert np.dot(fl.apply_spectral(g, geom.s).values, v) >= 0.0
+        assert np.dot(apply_spectral(g, geom.s).values, v) >= 0.0
         assert np.dot(fl.apply_dense(s1_op, g), v[s1_op.active]) >= 0.0
 
 
@@ -140,7 +142,7 @@ def test_parity(s1):
     x = spec.nodes()
     even = fl.sample_profile(geom, lambda t: np.exp(-4 * t * t), "box",
                              mode="point")
-    w = fl.apply_spectral(even, 0.5).values
+    w = apply_spectral(even, 0.5).values
     assert np.max(np.abs(w - w[::-1])) <= 1e-12 * np.max(np.abs(w))
 
 
@@ -153,7 +155,7 @@ def test_symbol_consistency_midband(s1):
     for frac in (0.1, 0.25, 0.5):
         k0 = frac * ximax
         u = fl.make_grid_function(geom, env * np.cos(k0 * x), "box")
-        w = fl.apply_spectral(u, 0.5)
+        w = apply_spectral(u, 0.5)
         sel = np.abs(x) < 3.0
         ratio = np.linalg.norm(w.values[sel]) / np.linalg.norm(u.values[sel])
         assert ratio == pytest.approx(k0, rel=0.02)
@@ -290,11 +292,11 @@ def test_constant_indicator_interior_action(s1, s1_op):
     x = spec.nodes()
     vals = np.where(np.abs(x) <= 1.5, 1.0, 0.0)
     g = fl.make_grid_function(geom, vals, "box")
-    inner = fl.apply_spectral(g, 0.5).values[np.abs(x) < 0.2]
+    inner = apply_spectral(g, 0.5).values[np.abs(x) < 0.2]
     hat_vals = np.zeros(spec.n_super)
     hat_vals[np.argmin(np.abs(x))] = 1.0
     bump = fl.make_grid_function(geom, hat_vals, "box")
-    ref = np.max(np.abs(fl.apply_spectral(bump, 0.5).values))
+    ref = np.max(np.abs(apply_spectral(bump, 0.5).values))
     assert np.max(np.abs(inner)) < 0.05 * ref
 
 
@@ -305,7 +307,7 @@ def _tent_profile(center, halfwidth):
 def _backend_discrepancy(op, u):
     """Relative L2 distance of dense from spectral application on the
     active node set."""
-    spectral = fl.apply_spectral(u, op.geom.s).values[op.active]
+    spectral = apply_spectral(u, op.geom.s).values[op.active]
     dense = fl.apply_dense(op, u)
     return float(np.linalg.norm(dense - spectral) / np.linalg.norm(spectral))
 

@@ -91,11 +91,18 @@ def region_mass_tensor(field, region):
     return float(field.spec.h * np.sum((w2 * yw[None, :])[mask]))
 
 
+def sharp_bump(center, width, amplitude, sharpness):
+    """amplitude exp(-p z^2 / (1 - z^2)) with p = sharpness: bump_profile,
+    whose p is 1, to the power p."""
+    bump = fl.bump_profile(center, width)
+    return lambda x: amplitude * bump(x) ** sharpness
+
+
 PROFILES = {
     # support edges at 2.1 and 2.9 cut cells of the h = 1/64 grid
     "window_bump": fl.bump_profile(2.5, 0.4),
     # edges at -0.53 and 0.73 cut cells; sharper than the default
-    "omega_bump": fl.bump_profile(0.1, 0.63, 0.7, 2.0),
+    "omega_bump": sharp_bump(0.1, 0.63, 0.7, 2.0),
     # nonzero everywhere, so the zeroing outside the support matters
     "cosine": lambda x: np.cos(3.0 * x),
 }
@@ -139,7 +146,7 @@ def _potentials(draw):
         width = draw(st.floats(0.02, 0.75 - abs(center)))
         amp = draw(st.floats(-2.0, 2.0))
         sharp = draw(st.floats(0.3, 3.0))
-        vals = vals + fl.bump_profile(center, width, amp, sharp)(x)
+        vals = vals + sharp_bump(center, width, amp, sharp)(x)
     return geom, spec, vals
 
 

@@ -134,6 +134,13 @@ CASES = (
          ("f.amplitude = 1e300",), exit=3, error="DomainError"),
     Case("huge-f-ucp-scan", "ucp-scan", "s1_ucp_scan.cfg",
          ("f.amplitude = 1e300",), exit=3, error="DomainError"),
+    # the first heights, 1e-300 and less, are too small to difference
+    Case("ucp-scan-s0994", "ucp-scan", "s1_ucp_scan.cfg",
+         ("geometry.s = 0.994",), exit=3, error="ResolutionError"),
+    # the first graded heights underflow to 0 once 1/(1-s) > 179
+    Case("ucp-scan-s0999", "ucp-scan", "s1_ucp_scan.cfg",
+         ("geometry.s = 0.999",), exit=2, error="ConfigError",
+         says="geometry.s"),
     # an unusable output location is a runtime error, not a config error
     Case("u-csv-is-a-dir", "forward", "s1_forward.cfg", dir_at="u.csv",
          exit=3, error="IsADirectoryError"),
