@@ -169,7 +169,7 @@ def _bump_from_block(cfg: ScenarioConfig, block: str, geom, support):
             f"{block} bump support [{center - width}, {center + width}] "
             f"leaves its interval [{lo}, {hi}]")
     prof = bump_profile(center, width, amp)
-    return sample_profile(geom, prof, support, mode="average")
+    return sample_profile(geom, prof, support)
 
 
 def build_scenario(cfg: ScenarioConfig, resolution_multiplier: int = 1) -> Scenario:

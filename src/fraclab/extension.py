@@ -27,13 +27,15 @@ Region quadrature: the y axis carries exact integrals of the weight
 y^(1-2s) against the piecewise-linear hat functions of the graded grid,
 which handles the weight singularity at y = 0 for every s in (0,1); the
 x axis carries trapezoid weights.  Slab bounds are clipped exactly; ball
-masks select whole nodes with no partial-cell correction, and their masses
-are summed level by level over each level's nodes.
+masks select whole nodes with no partial-cell correction.  Every region,
+for the field and for its gradient alike, is summed in one loop over the
+height levels it reaches, reading each level on the region's contiguous
+node rows only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gamma, pi, sin
 
 import numpy as np
@@ -157,8 +159,9 @@ def default_y_grid(s: float, height: float = 4.0, n_levels: int = 64) -> np.ndar
 @dataclass(frozen=True, eq=False)
 class ExtensionField:
     """v(x_i, y_j) on the tensor grid of ``spec``'s nodes and the heights
-    ``y_grid``, for the exponent s.  Region sums read ``values.T`` by
-    level, a contiguous row per level for every field extend returns."""
+    ``y_grid``, for the exponent s.  Region sums read ``values.T`` one
+    level at a time, on the region's rows; each level is a contiguous row
+    for every field extend returns."""
 
     spec: GridSpec
     y_grid: np.ndarray
@@ -207,13 +210,6 @@ class Region:
     y_interval: tuple[float, float] | None = None
 
 
-def _weight_primitive(a, b, s):
-    """(integral_a^b y^(1-2s) dy, integral_a^b y^(2-2s) dy), vectorized."""
-    p = (b ** (2 - 2 * s) - a ** (2 - 2 * s)) / (2 - 2 * s)
-    q = (b ** (3 - 2 * s) - a ** (3 - 2 * s)) / (3 - 2 * s)
-    return p, q
-
-
 def y_quadrature_weights(y: np.ndarray, s: float,
                          clip: tuple[float, float] | None = None) -> np.ndarray:
     """Exact integrals of y^(1-2s) against the hat functions of the y grid.
@@ -223,9 +219,12 @@ def y_quadrature_weights(y: np.ndarray, s: float,
     clipped interval, so slab quadrature is exact for constants.
     """
     lo, hi = (y[0], y[-1]) if clip is None else clip
-    # each cell [y_{j-1}, y_j] clipped to [lo, hi]; a cell outside it
-    # collapses to a point and contributes exactly zero
-    p, q = _weight_primitive(np.clip(y[:-1], lo, hi), np.clip(y[1:], lo, hi), s)
+    # each cell [a, b] = [y_{j-1}, y_j] clipped to [lo, hi], where p and q
+    # integrate y^(1-2s) and y^(2-2s); a cell outside [lo, hi] collapses
+    # to a point and contributes exactly zero
+    a, b = np.clip(y[:-1], lo, hi), np.clip(y[1:], lo, hi)
+    p = (b ** (2 - 2 * s) - a ** (2 - 2 * s)) / (2 - 2 * s)
+    q = (b ** (3 - 2 * s) - a ** (3 - 2 * s)) / (3 - 2 * s)
     dy = np.diff(y)
     wts = np.zeros(len(y))
     wts[1:] += (q - y[:-1] * p) / dy    # rising flank of hat j on cell j
@@ -248,120 +247,101 @@ def trace_mass_sq(spec: GridSpec, values: np.ndarray, x0: float, r):
                       0.0)
 
 
-def _region_mass_sq(field_values: np.ndarray, spec: GridSpec, y: np.ndarray,
-                    s: float, region: Region) -> float:
-    x = spec.nodes()
+def _region_mass_sq(field: ExtensionField, region: Region, level) -> float:
+    """Weighted mass over the region, where ``level(j, rows)`` gives the
+    field at height j on the node slice ``rows``.  GeometryError when the
+    region leaves the computational box."""
+    spec, y, s, h = field.spec, field.y_grid, field.s, field.spec.h
+    L = -spec.origin + h / 2
     if region.kind == "slab":
-        xa, xb = region.x_interval
-        ya, yb = region.y_interval
+        (xa, xb), (ya, yb) = region.x_interval, region.y_interval
+        inside = -L <= xa < xb <= L and 0 <= ya < yb <= y[-1]
+    elif region.kind in ("half_ball", "annulus"):
+        (x0, y0), r = region.center, region.radius
+        xa, xb = x0 - r, x0 + r
+        inside = -L <= xa and xb <= L and y0 + r <= y[-1] and y0 >= 0
+    else:
+        raise ValueError(f"unknown region kind {region.kind!r}")
+    if not inside:
+        raise GeometryError(f"region {region} leaves the computational box")
+    # the rows pass the exact predicate (|x - x0| < r, or a clipped cell
+    # width > 0) on the nodes one cell beyond [xa, xb]; x equals
+    # spec.nodes()[first:last] bit for bit
+    first = max(int(np.floor((xa - spec.origin) / h)) - 1, 0)
+    last = min(int(np.ceil((xb - spec.origin) / h)) + 2, spec.n_super)
+    x = spec.origin + h * np.arange(first, last)
+    if region.kind == "slab":
         # exact cell clipping: weights sum to the interval length always
-        cell_lo = np.maximum(x - spec.h / 2, xa)
-        cell_hi = np.minimum(x + spec.h / 2, xb)
-        xw_full = np.maximum(cell_hi - cell_lo, 0.0)
-        xmask = xw_full > 0
-        if not np.any(xmask):
-            raise EmptyRegionError(f"no x nodes in {region}")
-        xw = xw_full[xmask]
+        xw = np.maximum(np.minimum(x + h / 2, xb) - np.maximum(x - h / 2, xa),
+                        0.0)
+        near = np.flatnonzero(xw > 0)
+    else:
+        near = np.flatnonzero(np.abs(x - x0) < r)
+    if not near.size:
+        raise EmptyRegionError(f"no tensor nodes in {region}")
+    cut = slice(near[0], near[-1] + 1)
+    rows = slice(first + near[0], first + near[-1] + 1)
+    if region.kind == "slab":
         yw = y_quadrature_weights(y, s, clip=(ya, yb))
         levels = np.flatnonzero(yw)
         if not levels.size:
             raise EmptyRegionError(f"y interval {region.y_interval} empty")
-        # only the levels the slab reaches, so the sum is the same however
-        # many levels lie above it (weighted_gradient_norm drops those)
-        cols = slice(levels[0], levels[-1] + 1)
-        block = field_values[xmask, cols] ** 2
-        return float(xw @ block @ yw[cols])
-    if region.kind in ("half_ball", "annulus"):
-        yw = y_quadrature_weights(y, s)
-        x0, y0 = region.center
-        r2 = region.radius ** 2
-        # squared hole radius: 0 for a half-ball, which every rr >= 0 clears
-        hole2 = (region.radius / 2) ** 2 if region.kind == "annulus" else 0.0
-        # only rows with |x - x0| < r, one slice of the sorted nodes, can
-        # hold nodes of the ball
-        near = np.flatnonzero(np.abs(x - x0) < region.radius)
-        rows = slice(near[0], near[-1] + 1) if near.size else slice(0)
-        dx2, dy2 = (x[rows] - x0) ** 2, (y - y0) ** 2
-        mass, hit = 0.0, False
-        # sum level by level; levels with (y_j - y0)^2 >= r^2 hold no node
-        for j in np.flatnonzero(dy2 < r2):
-            rr = dx2 + dy2[j]
-            seg = field_values.T[j, rows][(rr < r2) & (rr >= hole2)]
-            hit = hit or seg.size > 0
-            mass += yw[j] * (seg @ seg)
-        if not hit:
-            raise EmptyRegionError(f"no tensor nodes in {region}")
-        return float(spec.h * mass)
-    raise ValueError(f"unknown region kind {region.kind!r}")
+        mass = 0.0
+        for j in levels:
+            mass += yw[j] * (xw[cut] @ level(j, rows) ** 2)
+        return float(mass)
+    yw = y_quadrature_weights(y, s)
+    r2 = r ** 2
+    # squared hole radius: 0 for a half-ball, which every rr >= 0 clears
+    hole2 = (r / 2) ** 2 if region.kind == "annulus" else 0.0
+    dx2, dy2 = (x[cut] - x0) ** 2, (y - y0) ** 2
+    mass, hit = 0.0, False
+    # levels with (y_j - y0)^2 >= r^2 hold no node
+    for j in np.flatnonzero(dy2 < r2):
+        rr = dx2 + dy2[j]
+        seg = level(j, rows)[(rr < r2) & (rr >= hole2)]
+        hit = hit or seg.size > 0
+        mass += yw[j] * (seg @ seg)
+    if not hit:
+        raise EmptyRegionError(f"no tensor nodes in {region}")
+    return float(h * mass)
 
 
 def weighted_norm(field: ExtensionField, region: Region) -> float:
     """L2 norm of the field over the region with weight y^(1-2s)."""
-    _check_region_in_box(field, region)
-    return float(np.sqrt(_region_mass_sq(field.values, field.spec,
-                                         field.y_grid, field.s, region)))
-
-
-def _check_region_in_box(field: ExtensionField, region: Region) -> None:
-    L = -field.spec.origin + field.spec.h / 2
-    Y = field.y_grid[-1]
-    if region.kind == "slab":
-        xa, xb = region.x_interval
-        ya, yb = region.y_interval
-        ok = -L <= xa < xb <= L and 0 <= ya < yb <= Y
-    else:
-        x0, y0 = region.center
-        ok = (-L <= x0 - region.radius and x0 + region.radius <= L
-              and y0 + region.radius <= Y and y0 >= 0)
-    if not ok:
-        raise GeometryError(f"region {region} leaves the computational box")
-
-
-def gradient_components(field: ExtensionField) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy) of the field: spectral in x, graded differences in y.
-
-    The y derivative uses non-uniform centered differences at interior
-    heights and one-sided stencils at the first and last height.
-    """
-    n = field.spec.n_super
-    xi = frequencies(field.spec)[: n // 2 + 1]
-    # irfft drops the imaginary Nyquist term, as the real part of ifft does;
-    # one expression, so the spectrum is freed before dy is allocated
-    dx = np.fft.irfft(1j * xi[:, None] * np.fft.rfft(field.values, axis=0),
-                      n=n, axis=0)
-    y = field.y_grid
-    v = field.values
-    dy = np.empty_like(v)
-    dy[:, 0] = (v[:, 1] - v[:, 0]) / (y[1] - y[0])
-    dy[:, -1] = (v[:, -1] - v[:, -2]) / (y[-1] - y[-2])
-    for j in range(1, len(y) - 1):
-        hl = y[j] - y[j - 1]
-        hr = y[j + 1] - y[j]
-        dy[:, j] = (hl * hl * v[:, j + 1] - hr * hr * v[:, j - 1]
-                    + (hr * hr - hl * hl) * v[:, j]) / (hl * hr * (hl + hr))
-    return dx, dy
+    return float(np.sqrt(_region_mass_sq(
+        field, region, lambda j, rows: field.values.T[j, rows])))
 
 
 def weighted_gradient_norm(field: ExtensionField, region: Region) -> float:
     """Weighted L2 norm of the gradient over the region.
 
-    Only the heights the region reaches are differentiated: the levels up
-    to the first one at or above the region's top, and one more so that
-    this level keeps its centered y difference.  The levels left out lie
-    above the region and carry none of its mass.  ResolutionError when
-    the mass is not finite: close to s = 1 the first heights are so small
-    that the y differences overflow.
+    Each level's derivatives are formed when the region quadrature reads
+    it, on the region's rows only: d/dx spectrally from the level's full
+    FFT, d/dy by graded differences on the whole y grid (centred at
+    interior heights, one-sided at the first and last).  ResolutionError
+    when the mass is not finite: close to s = 1 the first heights are so
+    small that the y differences overflow.
     """
-    _check_region_in_box(field, region)
-    top = (region.y_interval[1] if region.kind == "slab"
-           else region.center[1] + region.radius)
-    keep = min(int(np.searchsorted(field.y_grid, top)) + 2, len(field.y_grid))
-    y = field.y_grid[:keep]
+    n, y, v = field.spec.n_super, field.y_grid, field.values.T
+    xi = frequencies(field.spec)[: n // 2 + 1]
+
+    def dx(j, rows):
+        # irfft drops the imaginary Nyquist term, as ifft's real part does
+        return np.fft.irfft(1j * xi * np.fft.rfft(v[j]), n=n)[rows]
+
+    def dy(j, rows):
+        if j == 0:
+            return (v[1, rows] - v[0, rows]) / (y[1] - y[0])
+        if j == len(y) - 1:
+            return (v[j, rows] - v[j - 1, rows]) / (y[j] - y[j - 1])
+        hl, hr = y[j] - y[j - 1], y[j + 1] - y[j]
+        return (hl * hl * v[j + 1, rows] - hr * hr * v[j - 1, rows]
+                + (hr * hr - hl * hl) * v[j, rows]) / (hl * hr * (hl + hr))
+
     with np.errstate(all="ignore"):
-        dx, dy = gradient_components(
-            replace(field, y_grid=y, values=field.values[:, :keep]))
-        m2 = (_region_mass_sq(dx, field.spec, y, field.s, region)
-              + _region_mass_sq(dy, field.spec, y, field.s, region))
+        m2 = (_region_mass_sq(field, region, dx)
+              + _region_mass_sq(field, region, dy))
     if not np.isfinite(m2):
         raise ResolutionError(f"weighted gradient mass {m2} at s = {field.s}:"
                               f" the heights from y_1 = {y[1]:.3g} on are "

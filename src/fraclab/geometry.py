@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import OverlapError, ResolutionError, GeometryError, SupportError
 
-#: subsamples per cell used by average-mode sampling
+#: subsamples per cell of sample_profile's cell averages
 CELL_AVERAGE_SUBSAMPLES = 64
 
 
@@ -183,32 +183,25 @@ def make_grid_function(geom: Geometry, values, support: str) -> GridFunction:
     return GridFunction(spec=spec, values=vals)
 
 
-def sample_profile(geom: Geometry, profile, support: str,
-                   mode: str = "point") -> GridFunction:
-    """Sample a callable onto the supergrid.
+def sample_profile(geom: Geometry, profile, support: str) -> GridFunction:
+    """Sample a callable onto the supergrid as exact cell averages.
 
-    ``mode="point"`` evaluates at the nodes; ``mode="average"`` takes exact
-    cell averages (midpoint-composite with CELL_AVERAGE_SUBSAMPLES points),
-    which suppresses aliasing from support-edge singularities.  The profile
-    is evaluated only at the nodes of the declared support and the values
-    are written into a zero array, so they are zero outside it either way.
+    Each node gets the midpoint-composite average of the profile over its
+    cell with CELL_AVERAGE_SUBSAMPLES points, which suppresses aliasing
+    from support-edge singularities.  The profile is evaluated only in
+    the cells of the declared support and the values are written into a
+    zero array, so they are zero outside it.
     """
     spec = geom.spec
     mask = support_mask(geom, support)
     x = spec.nodes()[mask]
-    if mode == "point":
-        vals = np.asarray(profile(x), dtype=float)
-    elif mode == "average":
-        m = CELL_AVERAGE_SUBSAMPLES
-        offs = -spec.h / 2 + spec.h / m * (np.arange(m) + 0.5)
-        vals = np.zeros_like(x)
-        for o in offs:
-            vals += np.asarray(profile(x + o), dtype=float)
-        vals /= m
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
+    m = CELL_AVERAGE_SUBSAMPLES
+    offs = -spec.h / 2 + spec.h / m * (np.arange(m) + 0.5)
+    vals = np.zeros_like(x)
+    for o in offs:
+        vals += np.asarray(profile(x + o), dtype=float)
     out = np.zeros(spec.n_super)
-    out[mask] = vals
+    out[mask] = vals / m
     return make_grid_function(geom, out, support)
 
 

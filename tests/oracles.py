@@ -12,6 +12,10 @@ weighted normal derivative at y = 0 recovers the fractional Laplacian,
 
     lim_{y->0} y^(1-2s) d_y v = -d_s (-Lap)^s u,
     d_s = 2^(1-2s) Gamma(1-s) / Gamma(s).
+
+gradient_components differentiates a whole extension field at once, every
+row and every height; the library forms each level's derivatives on a
+region's rows only, and must agree with it bit for bit.
 """
 
 from math import gamma
@@ -90,3 +94,26 @@ def neumann_trace(field: ExtensionField, u: GridFunction) -> GridFunction:
         raise ResolutionError(
             f"finite-difference trace deviates from spectral by {gap:.3g}")
     return trace
+
+
+def gradient_components(field: ExtensionField) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx, d/dy) of the field: spectral in x, graded differences in y.
+
+    The y derivative uses non-uniform centered differences at interior
+    heights and one-sided stencils at the first and last height.
+    """
+    n = field.spec.n_super
+    xi = frequencies(field.spec)[: n // 2 + 1]
+    dx = np.fft.irfft(1j * xi[:, None] * np.fft.rfft(field.values, axis=0),
+                      n=n, axis=0)
+    y = field.y_grid
+    v = field.values
+    dy = np.empty_like(v)
+    dy[:, 0] = (v[:, 1] - v[:, 0]) / (y[1] - y[0])
+    dy[:, -1] = (v[:, -1] - v[:, -2]) / (y[-1] - y[-2])
+    for j in range(1, len(y) - 1):
+        hl = y[j] - y[j - 1]
+        hr = y[j + 1] - y[j]
+        dy[:, j] = (hl * hl * v[:, j + 1] - hr * hr * v[:, j - 1]
+                    + (hr * hr - hl * hl) * v[:, j]) / (hl * hr * (hl + hr))
+    return dx, dy

@@ -325,7 +325,7 @@ def test_doubling_uniformity_across_potentials(s1, s1_op, s1_f, golden):
                 fl.bump_profile(rng.uniform(-0.2, 0.2),
                                 rng.uniform(0.3, 0.5),
                                 rng.uniform(-0.5, 0.5)),
-                "omega_prime", mode="average")
+                "omega_prime")
             assert fl.holder_norm(geom, q.values) <= 2.0
             assert np.max(np.abs(q.values)) <= 0.5
             sol = fl.solve_forward(s1_op, q, s1_f)

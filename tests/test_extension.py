@@ -13,11 +13,11 @@ import fraclab as fl
 from fraclab.errors import (DomainError, EmptyRegionError, GeometryError,
                             ResolutionError)
 from fraclab.extension import (MODE_CUT, extension_multiplier,
-                               gradient_components, y_quadrature_weights)
+                               y_quadrature_weights)
 from fraclab.geometry import frequencies
 
-from oracles import (apply_spectral, neumann_trace, neumann_trace_fd,
-                     trace_constant)
+from oracles import (apply_spectral, gradient_components, neumann_trace,
+                     neumann_trace_fd, trace_constant)
 
 
 def test_multiplier_against_library_bessel():
@@ -81,8 +81,8 @@ def test_extend_poisson_half(s1):
     # s = 1/2 extension is the classical Poisson multiplier exp(-|xi| y)
     geom, spec = s1
     from fraclab.geometry import frequencies
-    u = fl.sample_profile(geom, lambda x: np.exp(-x * x), "box",
-                          mode="point")
+    x = spec.nodes()
+    u = fl.make_grid_function(geom, np.exp(-x * x), "box")
     y = np.array([0.0, 0.05, 0.3, 1.0, 2.5])
     field = fl.extend(u, 0.5, y)
     xi = np.abs(frequencies(spec))
@@ -188,8 +188,8 @@ def test_import_leaves_scipy_special_unloaded():
 
 def test_trace_recovery(s1):
     geom, spec = s1
-    u = fl.sample_profile(geom, lambda x: np.exp(-x * x), "box",
-                          mode="point")
+    x = spec.nodes()
+    u = fl.make_grid_function(geom, np.exp(-x * x), "box")
     y = np.concatenate([[0.0], np.geomspace(1e-4, 4.0, 40)])
     field = fl.extend(u, 0.5, y)
     dev = np.max(np.abs(field.values[:, 1] - u.values))
@@ -208,8 +208,8 @@ def test_trace_constant_half():
 def test_neumann_consistency(s1):
     # finite-difference route against the exact spectral route
     geom, spec = s1
-    u = fl.sample_profile(geom, lambda x: np.exp(-x * x), "box",
-                          mode="point")
+    x = spec.nodes()
+    u = fl.make_grid_function(geom, np.exp(-x * x), "box")
     for s in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
         field = fl.extend(u, s)
         fd = neumann_trace_fd(field)
@@ -305,19 +305,34 @@ def test_weighted_norm_empty_region(s1, s1_field):
         fl.weighted_norm(s1_field, fl.Region("half_ball", (0.0, 3.9), 0.0005))
 
 
-@pytest.mark.parametrize("region", [fl.Region("half_ball", (0.0, 0.0), 8.0),
-                                    fl.Region("annulus", (0.0, 0.0), 4.0)])
-def test_weighted_norm_memory_independent_of_levels(s1_field_tall, region):
-    # annulus_ratio's regions at R = 4 on the 65-level grid: the masses are
-    # summed one level at a time, so no (rows x levels) array is built
+@pytest.mark.parametrize("norm, region, bound", [
+    # annulus_ratio's regions at R = 4 on the 65-level grid
+    pytest.param(fl.weighted_norm, fl.Region("half_ball", (0.0, 0.0), 8.0), 4,
+                 id="region0"),
+    pytest.param(fl.weighted_norm, fl.Region("annulus", (0.0, 0.0), 4.0), 4,
+                 id="region1"),
+    # seven rows: the peak follows the region, not the grid
+    pytest.param(fl.weighted_norm, fl.Region("half_ball", (0.0, 0.0), 0.05),
+                 0.5, id="small_ball"),
+    # the Caccioppoli ball and a slab to the top of the grid
+    pytest.param(fl.weighted_gradient_norm,
+                 fl.Region("half_ball", (0.0, 0.0), 4.0), 4,
+                 id="gradient_ball"),
+    pytest.param(fl.weighted_gradient_norm,
+                 fl.Region("slab", x_interval=(-0.5, 0.5),
+                           y_interval=(0.0, 8.0)), 4, id="gradient_slab")])
+def test_weighted_norm_memory_independent_of_levels(s1_field_tall, norm,
+                                                    region, bound):
+    # every region is summed one level at a time on its own rows, so no
+    # (rows x levels) array and no whole-grid row array is built
     n = s1_field_tall.spec.n_super
     tracemalloc.start()
     try:
-        fl.weighted_norm(s1_field_tall, region)
+        norm(s1_field_tall, region)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * n * 8, peak / (8 * n)
+    assert peak <= bound * n * 8, peak / (8 * n)
 
 
 def test_region_must_stay_in_box(s1, s1_field):

@@ -31,8 +31,7 @@ def test_forward_window_values_imposed(s1, s1_f, s1_solution):
 
 def test_forward_rejects_bad_data_support(s1, s1_op, s1_q0):
     geom, spec = s1
-    f_bad = fl.sample_profile(geom, fl.bump_profile(0.0, 0.5), "omega",
-                              mode="average")
+    f_bad = fl.sample_profile(geom, fl.bump_profile(0.0, 0.5), "omega")
     with pytest.raises(SupportError):
         fl.solve_forward(s1_op, s1_q0, f_bad)
 
@@ -55,8 +54,7 @@ def test_mirror_symmetry(s1_op, s1_q0, s1_f):
     op_m = fl.assemble_dense(geom_m)
     q0_m = fl.make_grid_function(geom_m, np.zeros(geom_m.spec.n_super),
                                  "omega_prime")
-    f_m = fl.sample_profile(geom_m, fl.bump_profile(-2.5, 0.4), "w",
-                            mode="average")
+    f_m = fl.sample_profile(geom_m, fl.bump_profile(-2.5, 0.4), "w")
     sol_m = fl.solve_forward(op_m, q0_m, f_m)
     # cell-centered grid maps node i to node n-1-i under x -> -x
     mirrored = sol_m.u.values[::-1]
@@ -71,12 +69,12 @@ def test_wellposedness_random_scenarios(s1, s1_op):
             geom,
             fl.bump_profile(rng.uniform(-0.2, 0.2), rng.uniform(0.3, 0.6),
                             rng.uniform(-1.0, 1.0)),
-            "omega_prime", mode="average")
+            "omega_prime")
         f = fl.sample_profile(
             geom,
             fl.bump_profile(rng.uniform(2.3, 2.7), rng.uniform(0.2, 0.35),
                             rng.uniform(0.5, 2.0)),
-            "w", mode="average")
+            "w")
         sol = fl.solve_forward(s1_op, q, f)
         assert sol.residual < 1e-8
         assert np.isfinite(fl.sobolev_norm(sol.u, geom.s)
@@ -91,12 +89,10 @@ def test_reciprocity(s1, s1_op, s1_qbump):
     for _ in range(5):
         f1 = fl.sample_profile(
             geom, fl.bump_profile(rng.uniform(2.2, 2.8),
-                                  rng.uniform(0.15, 0.3)), "w",
-            mode="average")
+                                  rng.uniform(0.15, 0.3)), "w")
         f2 = fl.sample_profile(
             geom, fl.bump_profile(rng.uniform(2.2, 2.8),
-                                  rng.uniform(0.15, 0.3)), "w",
-            mode="average")
+                                  rng.uniform(0.15, 0.3)), "w")
         m1 = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, f1))
         m2 = fl.dtn_map(s1_op, fl.solve_forward(s1_op, s1_qbump, f2))
         lhs = h * np.dot(m1.values[wmask], f2.values[wmask])
@@ -106,10 +102,8 @@ def test_reciprocity(s1, s1_op, s1_qbump):
 
 def test_dtn_linearity(s1, s1_op, s1_q0):
     geom, spec = s1
-    f1 = fl.sample_profile(geom, fl.bump_profile(2.4, 0.3), "w",
-                           mode="average")
-    f2 = fl.sample_profile(geom, fl.bump_profile(2.7, 0.2), "w",
-                           mode="average")
+    f1 = fl.sample_profile(geom, fl.bump_profile(2.4, 0.3), "w")
+    f2 = fl.sample_profile(geom, fl.bump_profile(2.7, 0.2), "w")
     combo = fl.make_grid_function(geom,
                                   1.5 * f1.values - 0.5 * f2.values, "w")
     lam = lambda f: fl.dtn_map(

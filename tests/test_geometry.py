@@ -100,11 +100,11 @@ def test_grid_function_rejects_nan(s1):
 def test_sample_profile_modes_agree_for_smooth(s1):
     geom, spec = s1
     prof = fl.bump_profile(2.5, 0.4)
-    pt = fl.sample_profile(geom, prof, "w", mode="point")
-    av = fl.sample_profile(geom, prof, "w", mode="average")
+    pt = np.where(fl.support_mask(geom, "w"), prof(spec.nodes()), 0.0)
+    av = fl.sample_profile(geom, prof, "w")
     # cell averaging is a second-order perturbation for smooth profiles
-    scale = np.max(np.abs(pt.values))
-    assert np.max(np.abs(pt.values - av.values)) < 5e-3 * scale
+    scale = np.max(np.abs(pt))
+    assert np.max(np.abs(pt - av.values)) < 5e-3 * scale
 
 
 def test_bump_profile_support_and_peak():
@@ -124,7 +124,7 @@ def test_potential_bounds_measured(s1, s1_qbump):
 
 def test_potential_support_enforced(s1):
     geom, spec = s1
-    gf = fl.sample_profile(geom, fl.bump_profile(0.0, 0.9), "omega",
-                           mode="point")
+    gf = fl.make_grid_function(geom, fl.bump_profile(0.0, 0.9)(spec.nodes()),
+                               "omega")
     with pytest.raises(SupportError):
         fl.make_potential(geom, gf)

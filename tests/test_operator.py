@@ -69,8 +69,7 @@ def test_apply_spectral_zero(s1):
 @pytest.mark.parametrize("s,tol", [(0.25, 0.01), (0.5, 0.01), (0.75, 0.02)])
 def test_getoor_identity_spectral(s1, s, tol):
     geom, spec = s1
-    u = fl.sample_profile(geom, getoor_profile(s), "omega",
-                          mode="average")
+    u = fl.sample_profile(geom, getoor_profile(s), "omega")
     w = apply_spectral(u, s)
     mask = np.abs(spec.nodes()) < 0.9
     dev = np.max(np.abs(w.values[mask] - getoor_constant(s)))
@@ -140,8 +139,7 @@ def test_positivity(s1, s1_op):
 def test_parity(s1):
     geom, spec = s1
     x = spec.nodes()
-    even = fl.sample_profile(geom, lambda t: np.exp(-4 * t * t), "box",
-                             mode="point")
+    even = fl.make_grid_function(geom, np.exp(-4 * x * x), "box")
     w = apply_spectral(even, 0.5).values
     assert np.max(np.abs(w - w[::-1])) <= 1e-12 * np.max(np.abs(w))
 
@@ -315,8 +313,7 @@ def _backend_discrepancy(op, u):
 def test_cross_validate_tent(s1, s1_op):
     # macroscopic tent at the domain center
     geom, spec = s1
-    u = fl.sample_profile(geom, _tent_profile(0.0, 0.7), "omega",
-                          mode="average")
+    u = fl.sample_profile(geom, _tent_profile(0.0, 0.7), "omega")
     disc = _backend_discrepancy(s1_op, u)
     assert disc <= 5e-3, disc
 
@@ -330,8 +327,7 @@ def test_backend_agreement_random_bumps(s1, s1_op):
         width = rng.uniform(0.5, 0.8)
         amp = rng.uniform(0.5, 2.0)
         u = fl.sample_profile(geom,
-                              fl.bump_profile(center, width, amp), "omega",
-                              mode="average")
+                              fl.bump_profile(center, width, amp), "omega")
         disc = _backend_discrepancy(s1_op, u)
         worst = max(worst, disc)
         assert disc <= 1e-3, disc
@@ -343,8 +339,7 @@ def test_getoor_identity_dense(s1, s):
     # dense Galerkin route nails the identity well inside the support
     geom, spec = s1
     op = fl.assemble_dense(replace(geom, s=s))
-    u = fl.sample_profile(geom, getoor_profile(s), "omega",
-                          mode="average")
+    u = fl.sample_profile(geom, getoor_profile(s), "omega")
     vals = fl.apply_dense(op, u)
     x = spec.nodes()[op.active]
     dev = np.max(np.abs(vals[np.abs(x) < 0.9] - getoor_constant(s)))

@@ -215,11 +215,10 @@ def test_reciprocity_and_residual(placement, amp):
     op = fl.assemble_dense(geom)
     (a, b), (c, d) = geom.omega_prime, geom.w
     q = fl.sample_profile(
-        geom, fl.bump_profile((a + b) / 2, (b - a) / 2, amp), "omega_prime",
-        mode="average")
+        geom, fl.bump_profile((a + b) / 2, (b - a) / 2, amp), "omega_prime")
     sols = [fl.solve_forward(op, q, fl.sample_profile(
-        geom, fl.bump_profile(c + t * (d - c), 0.3 * (d - c)), "w",
-        mode="average")) for t in (0.4, 0.6)]
+        geom, fl.bump_profile(c + t * (d - c), 0.3 * (d - c)), "w"))
+        for t in (0.4, 0.6)]
     m1, m2 = (fl.dtn_map(op, sol).values[geom.w_nodes]
               for sol in sols)
     f1, f2 = (sol.f.values[geom.w_nodes] for sol in sols)
@@ -244,8 +243,8 @@ def test_solve_forward_raises_iff_exact_gap_below_tol(s, c, band, frac,
     geom = fl.build_geometry(omega=(-1.0, 1.0), w=(1.5, 2.0), s=s,
                              box_halfwidth=8.0, n_super=512)
     op, h, om = fl.assemble_dense(geom), geom.spec.h, geom.omega_nodes
-    bump = c * fl.sample_profile(geom, fl.bump_profile(0.0, 0.5), "omega",
-                                 mode="average").values
+    bump = c * fl.sample_profile(geom, fl.bump_profile(0.0, 0.5),
+                                 "omega").values
     ev = np.linalg.eigvalsh(system_matrix(op, fl.make_grid_function(
         geom, bump, "omega")))
     lo, hi = _GAP_BANDS[band]
@@ -262,8 +261,7 @@ def test_solve_forward_raises_iff_exact_gap_below_tol(s, c, band, frac,
             gap > 2 * GAP_TOL) == (band == "below", band == "inside",
                                    band == "above")
     assert not _gap_certified(M) or gap >= GAP_TOL
-    f = fl.sample_profile(geom, fl.bump_profile(1.75, 0.2), "w",
-                          mode="average")
+    f = fl.sample_profile(geom, fl.bump_profile(1.75, 0.2), "w")
     try:
         fl.solve_forward(op, q, f)
         raised = False

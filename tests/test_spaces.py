@@ -40,8 +40,8 @@ def test_gaussian_half_order_norm_vs_quadrature(s1):
     # oracle: unitary Fourier transform of exp(-x^2) is exp(-xi^2/4)/sqrt(2),
     # integrate (1+xi^2)^(1/2) |ghat|^2 by adaptive quadrature
     geom, spec = s1
-    g = fl.sample_profile(geom, lambda x: np.exp(-x * x), "box",
-                          mode="point")
+    x = spec.nodes()
+    g = fl.make_grid_function(geom, np.exp(-x * x), "box")
     val = fl.sobolev_norm(g, 0.5)
     integrand = lambda xi: (1 + xi * xi) ** 0.5 * 0.5 * np.exp(-xi * xi / 2)
     ref2, _ = integrate.quad(integrand, -np.inf, np.inf)
@@ -73,8 +73,8 @@ def test_interpolation_inequality(s1):
 def test_dual_norm_zero_and_homogeneity(s1):
     geom, spec = s1
     assert fl.dual_norm_on_window(geom, _zero(geom, spec)) == 0.0
-    g = fl.sample_profile(geom, fl.bump_profile(2.5, 0.3), "w",
-                          mode="point")
+    g = fl.make_grid_function(geom, fl.bump_profile(2.5, 0.3)(spec.nodes()),
+                              "w")
     g2 = fl.make_grid_function(geom, 2.0 * g.values, "w")
     a = fl.dual_norm_on_window(geom, g)
     b = fl.dual_norm_on_window(geom, g2)
@@ -83,8 +83,8 @@ def test_dual_norm_zero_and_homogeneity(s1):
 
 def test_dual_norm_support_error(s1):
     geom, spec = s1
-    g = fl.sample_profile(geom, fl.bump_profile(0.0, 0.5), "omega",
-                          mode="point")
+    g = fl.make_grid_function(geom, fl.bump_profile(0.0, 0.5)(spec.nodes()),
+                              "omega")
     with pytest.raises(SupportError):
         fl.dual_norm_on_window(geom, g)
 
@@ -129,8 +129,8 @@ def test_oscillation_ratio_zero_data(s1):
 
 def test_oscillation_ratio_scale_invariant(s1):
     geom, spec = s1
-    f = fl.sample_profile(geom, fl.bump_profile(2.5, 0.4), "w",
-                          mode="point")
+    f = fl.make_grid_function(geom, fl.bump_profile(2.5, 0.4)(spec.nodes()),
+                              "w")
     f2 = fl.make_grid_function(geom, -3.7 * f.values, "w")
     r1 = fl.oscillation_ratio(geom, f)
     r2 = fl.oscillation_ratio(geom, f2)
@@ -141,9 +141,9 @@ def test_oscillation_ratio_scale_invariant(s1):
 def test_oscillation_chirp_above_bump(s1):
     geom, spec = s1
     bump = fl.bump_profile(2.5, 0.4)
-    f_smooth = fl.sample_profile(geom, bump, "w", mode="point")
-    chirp = lambda x: bump(x) * np.cos(40.0 * x)
-    f_chirp = fl.sample_profile(geom, chirp, "w", mode="point")
+    x = spec.nodes()
+    f_smooth = fl.make_grid_function(geom, bump(x), "w")
+    f_chirp = fl.make_grid_function(geom, bump(x) * np.cos(40.0 * x), "w")
     assert fl.oscillation_ratio(geom, f_chirp) > \
         fl.oscillation_ratio(geom, f_smooth)
 
@@ -151,8 +151,8 @@ def test_oscillation_chirp_above_bump(s1):
 def test_holder_norm_zero_and_scaling(s1):
     geom, spec = s1
     assert fl.holder_norm(geom, np.zeros(spec.n_super)) == 0.0
-    gf = fl.sample_profile(geom, fl.bump_profile(0.0, 0.5, 1.0),
-                           "omega_prime", mode="point")
+    gf = fl.make_grid_function(
+        geom, fl.bump_profile(0.0, 0.5, 1.0)(spec.nodes()), "omega_prime")
     n1 = fl.holder_norm(geom, gf.values)
     n2 = fl.holder_norm(geom, 2.0 * gf.values)
     assert n2 == pytest.approx(2 * n1, rel=1e-12)

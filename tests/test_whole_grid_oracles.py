@@ -2,11 +2,14 @@
 
 sample_profile evaluates only on the declared support, holder_norm forms
 each pair once on the band |x - y| <= 1, weighted_gradient_norm
-differentiates only the heights its region reaches, and extend transforms
-one height level per contiguous row.  Each must agree bit for bit with
-the whole-grid computation kept here as the oracle.  Half-ball and annulus
-masses, summed one height level at a time, select the oracle's nodes and
-differ from its one-shot sum only by the order of the additions.
+differentiates one height level at a time on its region's rows, and
+extend transforms one height level per contiguous row.  Each must agree
+bit for bit with the whole-grid computation kept here as the oracle; the
+whole-field gradient is tests/oracles.py's gradient_components.  Region
+masses, summed one height level at a time on a window of rows, select the
+oracle's nodes (the (nodes x levels) mask of a ball, the clipped cells of
+a slab over the whole grid) and differ from its one-shot sum only by the
+order of the additions.
 """
 
 from dataclasses import replace
@@ -20,9 +23,10 @@ from hypothesis import example, given, settings, strategies as st
 import fraclab as fl
 from fraclab.errors import EmptyRegionError
 from fraclab.extension import (MODE_CUT, _region_mass_sq,
-                               extension_multiplier, gradient_components,
-                               y_quadrature_weights)
+                               extension_multiplier, y_quadrature_weights)
 from fraclab.geometry import CELL_AVERAGE_SUBSAMPLES, frequencies
+
+from oracles import gradient_components
 
 
 def sample_whole_grid(geom, spec, profile, support, mode):
@@ -70,15 +74,23 @@ def extend_frequency_major(u, s, y):
 def gradient_norm_whole_field(field, region):
     """The weighted gradient norm with every height level differentiated."""
     dx, dy = gradient_components(field)
-    m2 = (_region_mass_sq(dx, field.spec, field.y_grid, field.s, region)
-          + _region_mass_sq(dy, field.spec, field.y_grid, field.s, region))
+    m2 = (_region_mass_sq(field, region, lambda j, rows: dx.T[j, rows])
+          + _region_mass_sq(field, region, lambda j, rows: dy.T[j, rows]))
     return float(np.sqrt(m2))
 
 
 def region_mass_tensor(field, region):
-    """A half-ball or annulus mass from the (nodes x levels) mask of the
-    whole grid, summed at once."""
-    x, y = field.spec.nodes(), field.y_grid
+    """A region's mass summed at once over the whole grid: a slab from
+    every node's clipped cell width, a half-ball or annulus from the
+    (nodes x levels) mask."""
+    x, y, h = field.spec.nodes(), field.y_grid, field.spec.h
+    if region.kind == "slab":
+        (xa, xb), (ya, yb) = region.x_interval, region.y_interval
+        xw = np.maximum(np.minimum(x + h / 2, xb) - np.maximum(x - h / 2, xa),
+                        0.0)
+        yw = y_quadrature_weights(y, field.s, clip=(ya, yb))
+        block = field.values[xw > 0] ** 2
+        return float(xw[xw > 0] @ block @ yw)
     yw = y_quadrature_weights(y, field.s)
     x0, y0 = region.center
     rr = (x[:, None] - x0) ** 2 + (y[None, :] - y0) ** 2
@@ -113,11 +125,17 @@ PROFILES = {
                                      "box"])
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_sample_profile_matches_whole_grid(s1, name, support, mode):
+    # sample_profile takes cell averages: those of the whole grid bit for
+    # bit, and the whole grid's node values to second order in h, which
+    # pins the cells' offsets
     geom, spec = s1
     prof = PROFILES[name]
-    got = fl.sample_profile(geom, prof, support, mode=mode)
+    got = fl.sample_profile(geom, prof, support).values
     ref = sample_whole_grid(geom, spec, prof, support, mode)
-    assert got.values.tobytes() == ref.tobytes()
+    if mode == "average":
+        assert got.tobytes() == ref.tobytes()
+    else:
+        assert np.max(np.abs(got - ref)) <= 5e-3 * np.max(np.abs(ref))
 
 
 def test_holder_norm_interval_shorter_than_cap():
@@ -178,8 +196,11 @@ def random_field(s1):
     return replace(field, values=vals)
 
 
-def _regions(y):
-    """Regions of each kind, with tops between and on height levels."""
+def _regions(spec, y):
+    """Regions of each kind, with tops between and on height levels, and
+    x extents on nodes, on cell boundaries and at the box edge."""
+    x, h, L = spec.nodes(), spec.h, -spec.origin + spec.h / 2
+    mid = spec.n_super // 2
     return [
         fl.Region("half_ball", (0.0, 0.0), 0.05),
         fl.Region("half_ball", (0.3, 0.0), 0.6),
@@ -197,13 +218,25 @@ def _regions(y):
         fl.Region("slab", x_interval=(-0.5, 0.5), y_interval=(0.01, 0.3)),
         fl.Region("slab", x_interval=(-0.5, 0.5),
                   y_interval=(0.0, float(y[12]))),
+        # x0 - r and x0 + r are nodes, which |x - x0| < r leaves out
+        fl.Region("half_ball", (float(x[mid + 40]), 0.0), 3 * h),
+        fl.Region("half_ball", (0.0, 0.0), float(x[mid + 5])),
+        # edges on the cell boundaries x_k -+ h/2, and edges inside cells
+        fl.Region("slab", x_interval=(float(x[mid - 7] - h / 2),
+                                      float(x[mid + 9] + h / 2)),
+                  y_interval=(0.02, 0.5)),
+        fl.Region("slab", x_interval=(-0.3 + h / 3, 0.6 - h / 5),
+                  y_interval=(0.02, 0.5)),
+        # touching x = -L, where the row window is clipped to the grid
+        fl.Region("half_ball", (-L + 0.25, 0.0), 0.25),
+        fl.Region("slab", x_interval=(-L, -L + 0.5), y_interval=(0.0, 0.3)),
     ]
 
 
 @pytest.mark.parametrize("which", ["s1_field", "random_field"])
 def test_weighted_gradient_norm_matches_whole_field(request, which):
     field = request.getfixturevalue(which)
-    for region in _regions(field.y_grid):
+    for region in _regions(field.spec, field.y_grid):
         got = fl.weighted_gradient_norm(field, region)
         assert got == gradient_norm_whole_field(field, region), region
 
@@ -212,11 +245,9 @@ def test_weighted_gradient_norm_matches_whole_field(request, which):
 def test_region_mass_matches_tensor_mask(request, which):
     # s1_field's level view is contiguous, random_field's is strided
     field = request.getfixturevalue(which)
-    for region in _regions(field.y_grid):
-        if region.kind == "slab":
-            continue
-        got = _region_mass_sq(field.values, field.spec, field.y_grid,
-                              field.s, region)
+    values = field.values.T
+    for region in _regions(field.spec, field.y_grid):
+        got = _region_mass_sq(field, region, lambda j, rows: values[j, rows])
         assert got == pytest.approx(region_mass_tensor(field, region),
                                     rel=1e-14, abs=0), region
 
@@ -227,8 +258,8 @@ def test_empty_region_matches_tensor_mask(s1_field):
     with pytest.raises(EmptyRegionError):
         region_mass_tensor(s1_field, ball)
     with pytest.raises(EmptyRegionError):
-        _region_mass_sq(s1_field.values, s1_field.spec, s1_field.y_grid,
-                        s1_field.s, ball)
+        _region_mass_sq(s1_field, ball,
+                        lambda j, rows: s1_field.values.T[j, rows])
 
 
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])

@@ -131,7 +131,7 @@ def main():
                 fl.bump_profile(rng.uniform(-0.2, 0.2),
                                 rng.uniform(0.3, 0.5),
                                 rng.uniform(-0.5, 0.5)),
-                "omega_prime", mode="average")
+                "omega_prime")
             solq = fl.solve_forward(op, q, f)
             repq = fl.doubling_scan_boundary(geom, solq.u, 0.0,
                                              np.geomspace(0.02, 0.24, 8))
