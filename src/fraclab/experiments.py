@@ -18,7 +18,7 @@ from .errors import ConfigError, GeometryError
 from .extension import default_y_grid, extend
 from .forward import (ForwardSolution, add_noise, dtn_map, eigen_gap,
                       solve_forward, system_matrix)
-from .geometry import GridFunction, make_grid_function
+from .geometry import GridFunction, GridSpec, make_grid_function
 from .reconstruction import StabilityCurve, fit_log_modulus, noise_sweep
 from .spaces import dual_norm_on_window, holder_norm, sobolev_norm
 from .config import Scenario
@@ -53,6 +53,11 @@ def run_forward(sc: Scenario) -> ForwardArtifacts:
     return ForwardArtifacts(solution=sol, measurement=meas, report_lines=lines)
 
 
+#: radius R of ucp-scan's annulus check at x = 0; its outer ball B_2R sets
+#: the height of the tall y grid and bounds the rows the extension holds
+ANNULUS_R = 4.0
+
+
 @dataclass(frozen=True, eq=False)
 class UcpScanArtifacts:
     bulk: DoublingReport
@@ -82,18 +87,33 @@ def scan_radii(sc: Scenario) -> np.ndarray:
     return radii
 
 
+def scan_rows(spec: GridSpec) -> slice:
+    """The nodes ucp-scan's regions read: |x| <= max(L/4, 2 ANNULUS_R),
+    L the box halfwidth, and one node beyond each end.
+
+    build_geometry keeps omega and w in [-L/4, L/4], and every scan ball
+    lies there too, since radii <= dist/10 keep B_2r in omega; B_2R about
+    0 is the annulus check's outer ball.  The extra node keeps a region
+    that ends at that bound inside the held cells whatever the rounding.
+    """
+    half = max(spec.n_super * spec.h / 8, 2 * ANNULUS_R)
+    first = int(np.ceil((-half - spec.origin) / spec.h)) - 1
+    last = int(np.floor((half - spec.origin) / spec.h)) + 2
+    return slice(max(first, 0), min(last, spec.n_super))
+
+
 def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
     """Doubling scans, lemma checks and the radial-weight scan for q1."""
     x0 = sc.config["scan.x0"]
     radii = scan_radii(sc)
     s = sc.geom.s
     try:
-        # tall extension so the annulus check at R = 4 stays inside the box
-        y = default_y_grid(s, height=8.5)
+        # tall extension: B_2R of the annulus check fits below its top
+        y = default_y_grid(s, height=2 * ANNULUS_R + 0.5)
     except GeometryError as exc:
         raise ConfigError(f"geometry.s: {exc}") from exc
     sol = solve_forward(sc.op, sc.q1, sc.f)
-    field = extend(sol.u, s, y)
+    field = extend(sol.u, s, y, scan_rows(sc.geom.spec))
 
     bulk = doubling_scan_bulk(sc.geom, field, x0, radii)
     boundary = doubling_scan_boundary(sc.geom, sol.u, x0, radii)
@@ -101,7 +121,7 @@ def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
     checks = [
         caccioppoli_check(sc.geom, field, q_sup, x0, float(radii[-1])),
         persistence_check(sc.geom, field, sc.f, h=0.1),
-        annulus_ratio(sc.geom, field, sc.f, R=4.0),
+        annulus_ratio(sc.geom, field, sc.f, R=ANNULUS_R),
     ]
     rs = np.geomspace(1e-8, 1.0, 240)
     rows = np.array([[r, carleman_weight(r),

@@ -30,7 +30,11 @@ x axis carries trapezoid weights.  Slab bounds are clipped exactly; ball
 masks select whole nodes with no partial-cell correction.  Every region,
 for the field and for its gradient alike, is summed in one loop over the
 height levels it reaches, reading each level on the region's contiguous
-node rows only.
+node rows only.  A field holds its levels on one contiguous run of nodes
+(extend's ``rows``, the whole box by default), and a region must lie in
+their cells.  Each level is still transformed over the whole box, so the
+held values are the whole-box field's rows bit for bit, and the x
+derivative reads the level's spectrum, which the field keeps.
 """
 
 from __future__ import annotations
@@ -158,24 +162,32 @@ def default_y_grid(s: float, height: float = 4.0, n_levels: int = 64) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class ExtensionField:
-    """v(x_i, y_j) on the tensor grid of ``spec``'s nodes and the heights
-    ``y_grid``, for the exponent s.  Region sums read ``values.T`` one
-    level at a time, on the region's rows; each level is a contiguous row
-    for every field extend returns."""
+    """v(x_i, y_j) on the supergrid nodes ``rows`` of ``spec`` and the
+    heights ``y_grid``, for the exponent s.  Region sums read ``values.T``
+    one level at a time, on the region's rows; each level is a contiguous
+    row for every field extend returns.  Level j over the whole box is
+    irfft(u_hat[:K_j] * theta[j], n_super), where theta[j] holds the
+    multipliers of the level's K_j live modes; the x derivative reads it."""
 
     spec: GridSpec
     y_grid: np.ndarray
-    values: np.ndarray          # shape (n_super, len(y_grid))
+    values: np.ndarray          # shape (len(rows), len(y_grid))
     s: float
+    rows: slice                 # the held nodes, contiguous
+    u_hat: np.ndarray           # real half spectrum of the trace
+    theta: tuple                # per level: multipliers of its live modes
 
 
-def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> ExtensionField:
-    """Evaluate the extension at every height via the exact multiplier.
+def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None,
+           rows: slice = slice(None)) -> ExtensionField:
+    """Evaluate the extension at every height via the exact multiplier,
+    and hold it on the node slice ``rows`` (default: the whole box).
 
     Level y_j keeps the modes with t = |xi| y_j <= MODE_CUT, a prefix of
     the real half spectrum; one multiplier call covers every level's t,
-    and each level is the zero-padded inverse real FFT of its modes.
-    ``values`` is the transpose of the (levels, n) table, a view.
+    and each level is the zero-padded inverse real FFT of its modes over
+    the whole box, of which only ``rows`` is stored.  ``values`` is the
+    transpose of the (levels, rows) table, a view.
     """
     if y_grid is None:
         y_grid = default_y_grid(s)
@@ -184,14 +196,18 @@ def extend(u: GridFunction, s: float, y_grid: np.ndarray | None = None) -> Exten
             or np.any(np.diff(y) <= 0) or y[0] < 0):
         raise GeometryError("y grid must be finite, strictly increasing, nonnegative")
     n = u.spec.n_super
+    first, last, _ = rows.indices(n)
+    rows = slice(first, last)
     xi = np.abs(frequencies(u.spec)[: n // 2 + 1])
     live = [np.searchsorted(xi * yj, MODE_CUT, side="right") for yj in y]
     mult = extension_multiplier(
         np.concatenate([xi[:k] * yj for k, yj in zip(live, y)]), s)
-    u_hat, levels = np.fft.rfft(u.values), np.empty((len(y), n))
-    for j, m in enumerate(np.split(mult, np.cumsum(live[:-1]))):
-        levels[j] = np.fft.irfft(u_hat[: len(m)] * m, n=n)
-    return ExtensionField(spec=u.spec, y_grid=y, values=levels.T, s=s)
+    theta = tuple(np.split(mult, np.cumsum(live[:-1])))
+    u_hat, levels = np.fft.rfft(u.values), np.empty((len(y), last - first))
+    for j, m in enumerate(theta):
+        levels[j] = np.fft.irfft(u_hat[: len(m)] * m, n=n)[rows]
+    return ExtensionField(spec=u.spec, y_grid=y, values=levels.T, s=s,
+                          rows=rows, u_hat=u_hat, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -249,26 +265,31 @@ def trace_mass_sq(spec: GridSpec, values: np.ndarray, x0: float, r):
 
 def _region_mass_sq(field: ExtensionField, region: Region, level) -> float:
     """Weighted mass over the region, where ``level(j, rows)`` gives the
-    field at height j on the node slice ``rows``.  GeometryError when the
-    region leaves the computational box."""
+    field at height j on the node slice ``rows`` of the field's held
+    rows.  GeometryError when the region leaves the cells of those rows
+    (for a whole-box field, the box) or the y grid."""
     spec, y, s, h = field.spec, field.y_grid, field.s, field.spec.h
-    L = -spec.origin + h / 2
+    held = field.rows
+    lo = spec.origin + h * held.start - h / 2
+    hi = spec.origin + h * (held.stop - 1) + h / 2
     if region.kind == "slab":
         (xa, xb), (ya, yb) = region.x_interval, region.y_interval
-        inside = -L <= xa < xb <= L and 0 <= ya < yb <= y[-1]
+        inside = lo <= xa < xb <= hi and 0 <= ya < yb <= y[-1]
     elif region.kind in ("half_ball", "annulus"):
         (x0, y0), r = region.center, region.radius
         xa, xb = x0 - r, x0 + r
-        inside = -L <= xa and xb <= L and y0 + r <= y[-1] and y0 >= 0
+        inside = lo <= xa and xb <= hi and y0 + r <= y[-1] and y0 >= 0
     else:
         raise ValueError(f"unknown region kind {region.kind!r}")
     if not inside:
-        raise GeometryError(f"region {region} leaves the computational box")
+        raise GeometryError(f"region {region} leaves the field's cells "
+                            f"[{lo:.6g}, {hi:.6g}] x [0, {y[-1]:.6g}]")
     # the rows pass the exact predicate (|x - x0| < r, or a clipped cell
-    # width > 0) on the nodes one cell beyond [xa, xb]; x equals
-    # spec.nodes()[first:last] bit for bit
-    first = max(int(np.floor((xa - spec.origin) / h)) - 1, 0)
-    last = min(int(np.ceil((xb - spec.origin) / h)) + 2, spec.n_super)
+    # width > 0) on the nodes one cell beyond [xa, xb], clamped to the
+    # held rows, which drops no node of a region inside their cells; x
+    # equals spec.nodes()[first:last] bit for bit
+    first = max(int(np.floor((xa - spec.origin) / h)) - 1, held.start)
+    last = min(int(np.ceil((xb - spec.origin) / h)) + 2, held.stop)
     x = spec.origin + h * np.arange(first, last)
     if region.kind == "slab":
         # exact cell clipping: weights sum to the interval length always
@@ -280,7 +301,8 @@ def _region_mass_sq(field: ExtensionField, region: Region, level) -> float:
     if not near.size:
         raise EmptyRegionError(f"no tensor nodes in {region}")
     cut = slice(near[0], near[-1] + 1)
-    rows = slice(first + near[0], first + near[-1] + 1)
+    off = first - held.start        # rows count from the first held node
+    rows = slice(off + near[0], off + near[-1] + 1)
     if region.kind == "slab":
         yw = y_quadrature_weights(y, s, clip=(ya, yb))
         levels = np.flatnonzero(yw)
@@ -317,18 +339,21 @@ def weighted_gradient_norm(field: ExtensionField, region: Region) -> float:
     """Weighted L2 norm of the gradient over the region.
 
     Each level's derivatives are formed when the region quadrature reads
-    it, on the region's rows only: d/dx spectrally from the level's full
-    FFT, d/dy by graded differences on the whole y grid (centred at
-    interior heights, one-sided at the first and last).  ResolutionError
-    when the mass is not finite: close to s = 1 the first heights are so
-    small that the y differences overflow.
+    it, on the region's rows only: d/dx spectrally from the level's own
+    modes, u_hat[:K_j] * theta[j], which the held rows alone do not give;
+    d/dy by graded differences on the whole y grid (centred at interior
+    heights, one-sided at the first and last).  ResolutionError when the
+    mass is not finite: close to s = 1 the first heights are so small that
+    the y differences overflow.
     """
     n, y, v = field.spec.n_super, field.y_grid, field.values.T
     xi = frequencies(field.spec)[: n // 2 + 1]
 
     def dx(j, rows):
+        m = field.theta[j]
         # irfft drops the imaginary Nyquist term, as ifft's real part does
-        return np.fft.irfft(1j * xi * np.fft.rfft(v[j]), n=n)[rows]
+        return np.fft.irfft(1j * (xi[: len(m)] * m * field.u_hat[: len(m)]),
+                            n=n)[field.rows][rows]
 
     def dy(j, rows):
         if j == 0:

@@ -14,6 +14,7 @@ A test that needs a variant of a shipped config writes one with
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,12 @@ def write_config(path, config, *edits, append=""):
     of the one line of that key, append at the end; return path."""
     path.write_bytes(config_text(config, edits, append.encode()))
     return path
+
+
+def scaled_field(field, c):
+    """The extension field times c: its held values and the trace spectrum
+    its x derivative reads alike."""
+    return replace(field, values=c * field.values, u_hat=c * field.u_hat)
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,10 @@ weighted normal derivative at y = 0 recovers the fractional Laplacian,
     lim_{y->0} y^(1-2s) d_y v = -d_s (-Lap)^s u,
     d_s = 2^(1-2s) Gamma(1-s) / Gamma(s).
 
-gradient_components differentiates a whole extension field at once, every
-row and every height; the library forms each level's derivatives on a
-region's rows only, and must agree with it bit for bit.
+gradient_components differentiates a whole-box extension field at once,
+every row and every height, in x by transforming the stored levels; the
+library forms each level's derivatives on a region's rows only, in x from
+the level's spectrum, and must agree with it to 1e-13 relative.
 """
 
 from math import gamma

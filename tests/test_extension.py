@@ -12,10 +12,12 @@ from scipy import special
 import fraclab as fl
 from fraclab.errors import (DomainError, EmptyRegionError, GeometryError,
                             ResolutionError)
+from fraclab.experiments import scan_rows
 from fraclab.extension import (MODE_CUT, extension_multiplier,
                                y_quadrature_weights)
 from fraclab.geometry import frequencies
 
+from conftest import scaled_field
 from oracles import (apply_spectral, gradient_components, neumann_trace,
                      neumann_trace_fd, trace_constant)
 
@@ -284,8 +286,7 @@ def test_y_weights_match_per_hat_loop():
 
 
 def test_weighted_norm_zero_and_monotone(s1, s1_field):
-    zero = fl.ExtensionField(spec=s1_field.spec, y_grid=s1_field.y_grid,
-                             values=np.zeros_like(s1_field.values), s=0.5)
+    zero = scaled_field(s1_field, 0.0)
     assert fl.weighted_norm(zero, fl.Region("half_ball", (0.0, 0.0), 0.05)) == 0.0
     n1 = fl.weighted_norm(s1_field, fl.Region("half_ball", (0.0, 0.0), 0.05))
     n2 = fl.weighted_norm(s1_field, fl.Region("half_ball", (0.0, 0.0), 0.1))
@@ -293,8 +294,9 @@ def test_weighted_norm_zero_and_monotone(s1, s1_field):
 
 
 def test_weighted_norm_constant_slab(s1, s1_field):
-    ones = fl.ExtensionField(spec=s1_field.spec, y_grid=s1_field.y_grid,
-                             values=np.ones_like(s1_field.values), s=0.5)
+    spec = s1_field.spec
+    ones = fl.extend(fl.GridFunction(spec=spec, values=np.ones(spec.n_super)),
+                     0.5, s1_field.y_grid)
     val = fl.weighted_norm(ones, fl.Region("slab", x_interval=(2.0, 3.0),
                                            y_interval=(0.25, 1.0)))
     assert val == pytest.approx(np.sqrt(0.75), abs=1e-6)
@@ -333,6 +335,25 @@ def test_weighted_norm_memory_independent_of_levels(s1_field_tall, norm,
     finally:
         tracemalloc.stop()
     assert peak <= bound * n * 8, peak / (8 * n)
+
+
+def test_extend_holds_only_its_rows(s1, s1_solution):
+    # ucp-scan's field on the tall S1 grid holds its 65 levels on 1026 of
+    # the 4096 rows, the multipliers of the live modes (9.3 n_super here)
+    # and the trace's half spectrum (n_super + 2 doubles); a table over
+    # every row would be 65 n_super
+    geom, spec = s1
+    n, rows = spec.n_super, scan_rows(spec)
+    y = fl.default_y_grid(geom.s, height=8.5)
+    fl.extend(s1_solution.u, geom.s, y, rows)   # numpy's FFT plans cached
+    tracemalloc.start()
+    try:
+        field = fl.extend(s1_solution.u, geom.s, y, rows)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert field.values.shape == (rows.stop - rows.start, len(y))
+    assert held <= (field.values.size + 12 * n) * 8, held / (8 * n)
 
 
 def test_region_must_stay_in_box(s1, s1_field):

@@ -1,15 +1,16 @@
 """The narrowed layers against the whole-grid code they replaced.
 
 sample_profile evaluates only on the declared support, holder_norm forms
-each pair once on the band |x - y| <= 1, weighted_gradient_norm
-differentiates one height level at a time on its region's rows, and
-extend transforms one height level per contiguous row.  Each must agree
-bit for bit with the whole-grid computation kept here as the oracle; the
-whole-field gradient is tests/oracles.py's gradient_components.  Region
-masses, summed one height level at a time on a window of rows, select the
-oracle's nodes (the (nodes x levels) mask of a ball, the clipped cells of
-a slab over the whole grid) and differ from its one-shot sum only by the
-order of the additions.
+each pair once on the band |x - y| <= 1, and extend transforms one height
+level per contiguous row and may hold only some rows.  Each must agree
+bit for bit with the whole-grid computation kept here as the oracle.
+weighted_gradient_norm differentiates one height level at a time on its
+region's rows, in x from the level's spectrum; it agrees to 1e-13
+relative with tests/oracles.py's gradient_components, which transforms
+the stored whole-box levels.  Region masses, summed one height level at a
+time on a window of rows, select the oracle's nodes (the (nodes x levels)
+mask of a ball, the clipped cells of a slab over the whole grid) and
+differ from its one-shot sum only by the order of the additions.
 """
 
 from dataclasses import replace
@@ -21,7 +22,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import fraclab as fl
-from fraclab.errors import EmptyRegionError
+from fraclab.errors import EmptyRegionError, GeometryError
+from fraclab.experiments import ANNULUS_R, scan_rows
 from fraclab.extension import (MODE_CUT, _region_mass_sq,
                                extension_multiplier, y_quadrature_weights)
 from fraclab.geometry import CELL_AVERAGE_SUBSAMPLES, frequencies
@@ -187,13 +189,14 @@ def test_holder_norm_matches_all_pairs(potential, zero):
 @pytest.fixture(scope="module")
 def random_field(s1):
     # a rough field at s = 1/4, where the y grid is graded with kappa = 2
-    # and any change to a kept level's y difference would show
+    # and any change to a kept level's y difference would show: the
+    # extension of white noise, its values copied row-major so that the
+    # level view is strided
     geom, spec = s1
     y = fl.default_y_grid(0.25)
-    u = fl.make_grid_function(geom, np.zeros(spec.n_super), "box")
-    field = fl.extend(u, 0.25, y)
-    vals = np.random.default_rng(7).standard_normal(field.values.shape)
-    return replace(field, values=vals)
+    noise = np.random.default_rng(7).standard_normal(spec.n_super)
+    field = fl.extend(fl.make_grid_function(geom, noise, "box"), 0.25, y)
+    return replace(field, values=np.ascontiguousarray(field.values))
 
 
 def _regions(spec, y):
@@ -235,10 +238,53 @@ def _regions(spec, y):
 
 @pytest.mark.parametrize("which", ["s1_field", "random_field"])
 def test_weighted_gradient_norm_matches_whole_field(request, which):
+    # the spectrum's dx against the transform of the stored level:
+    # measured at most 3.3e-14 relative, on B_0.05 of s1_field
     field = request.getfixturevalue(which)
     for region in _regions(field.spec, field.y_grid):
         got = fl.weighted_gradient_norm(field, region)
-        assert got == gradient_norm_whole_field(field, region), region
+        ref = gradient_norm_whole_field(field, region)
+        assert abs(got - ref) <= 1e-13 * ref, region
+
+
+def _x_extent(region):
+    if region.kind == "slab":
+        return region.x_interval
+    return region.center[0] - region.radius, region.center[0] + region.radius
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_held_rows_match_whole_box(s1_solution, s):
+    # ucp-scan's field: the tall grid, held on |x| <= 8 and a node beyond
+    u = s1_solution.u
+    spec, h = u.spec, u.spec.h
+    y = fl.default_y_grid(s, height=2 * ANNULUS_R + 0.5)
+    rows = scan_rows(spec)
+    held, whole = fl.extend(u, s, y, rows), fl.extend(u, s, y)
+    assert held.values.tobytes() == whole.values[rows].tobytes()
+    x = spec.nodes()
+    lo, hi = x[rows.start] - h / 2, x[rows.stop - 1] + h / 2
+    inside = [region for region in _regions(spec, y)
+              if lo <= _x_extent(region)[0] and _x_extent(region)[1] <= hi]
+    # B_2R about 0 ends within a cell of the held edge
+    inside.append(fl.Region("half_ball", (0.0, 0.0), 2 * ANNULUS_R))
+    for region in inside:
+        try:
+            ref = fl.weighted_norm(whole, region)
+        except EmptyRegionError:
+            # at s >= 3/4 the regions of radius y_9 (and y_20) hold no node
+            with pytest.raises(EmptyRegionError):
+                fl.weighted_norm(held, region)
+            continue
+        assert fl.weighted_norm(held, region) == ref, region
+        got = fl.weighted_gradient_norm(held, region)
+        ref = gradient_norm_whole_field(whole, region)
+        assert abs(got - ref) <= 1e-13 * ref, region
+    # one cell past the held edge: inside the box, outside the held rows
+    beyond = fl.Region("half_ball", (0.0, 0.0), hi + h)
+    fl.weighted_norm(whole, beyond)
+    with pytest.raises(GeometryError, match="leaves"):
+        fl.weighted_norm(held, beyond)
 
 
 @pytest.mark.parametrize("which", ["s1_field", "random_field"])

@@ -84,6 +84,10 @@ CASES = (
     # x0 = 0.3 the bulk radii must stay below dist/10 = 0.07
     Case("ucp-scan-off-centre", "ucp-scan", "s1_ucp_scan.cfg",
          ("scan.x0 = 0.3", "scan.r_max = 0.07")),
+    # w = [10, 11] lies inside L/4 = 16 but outside the annulus check's
+    # |x| <= 8: the extension must hold the rows of the slab on w
+    Case("ucp-scan-far-window", "ucp-scan", "s1_ucp_scan.cfg",
+         ("grid.L = 64", "geometry.w = 10, 11", "f.center = 10.5")),
     Case("stability", "stability", "s1_stability.cfg"),
     # one noise level leaves both fits too few points
     Case("stability-fit-skipped", "stability", "s1_stability.cfg",
