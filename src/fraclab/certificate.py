@@ -9,6 +9,8 @@ the pre-optimization bound
     ( C_stab^2 C_low^-2 r*^-2beta Ẽ^2 |log(eps/Ẽ)|^-2mu + E^2 r*^2alpha )^(1/2),
 
 which dominates the closed-form product bound it is usually quoted as.
+Its domain is unit-free: eps/Ẽ < 1/2, in any units the two share, and
+every input positive and finite.
 It is scalar arithmetic on the standard library alone, so evaluating a
 certificate from given constants (``fraclab certify``) loads no numpy.
 """
@@ -47,14 +49,13 @@ def certify_bound(E: float, alpha: float, beta: float, c_low: float,
                   c_stab: float, mu: float, e_tilde: float, epsilon: float,
                   r0: float) -> StabilityCertificate:
     """The optimized interpolation bound at the measured CERT_INPUTS."""
-    if not 0 < epsilon < 0.5:
-        raise DomainError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if epsilon >= e_tilde:
-        raise DomainError("epsilon must stay below the a priori bound e_tilde")
     for name, val in zip(CERT_INPUTS, (E, alpha, beta, c_low, c_stab, mu,
                                        e_tilde, epsilon, r0)):
         if not 0 < val < inf:
             raise DomainError(f"{name} must be positive and finite, got {val}")
+    if not epsilon / e_tilde < 0.5:
+        raise DomainError(f"epsilon / e_tilde must lie below 1/2, got "
+                          f"{epsilon} / {e_tilde} = {epsilon / e_tilde}")
     log_term = abs(log(epsilon / e_tilde))
     r_cand = (c_stab * e_tilde / (c_low * E * log_term ** mu)) \
         ** (1.0 / (alpha + beta))

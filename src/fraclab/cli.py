@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import sys
 from pathlib import Path
@@ -34,19 +35,27 @@ def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, (int, float)) else str(x)
 
 
-def _header(sc_or_cfg) -> str:
-    cfg = sc_or_cfg.config if isinstance(sc_or_cfg, Scenario) else sc_or_cfg
-    return f"config_hash={cfg.content_hash} version={__version__}"
+def _csv(names, rows) -> list:
+    """A table's header line and one line per row, each value by _fmt."""
+    return [",".join(names)] + [",".join(map(_fmt, row)) for row in rows]
 
 
-def _write_lines(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _kv(values: dict) -> list:
+    """One key=value line per entry, each value by _fmt."""
+    return [f"{k}={_fmt(v)}" for k, v in values.items()]
 
 
-def _certificate_lines(c: StabilityCertificate) -> list:
-    """key=value lines of a certificate's constants and its bound."""
-    return [f"{f.name}={_fmt(getattr(c, f.name))}"
-            for f in dataclasses.fields(c)]
+def _write(out: Path, name: str, cfg: ScenarioConfig, lines,
+           summary: dict | None = None) -> None:
+    """The one place the CLI writes a file: out/name holds the config hash
+    line, lines, and, given a summary dict, a ``# summary:`` JSON line."""
+    lines = [f"# config_hash={cfg.content_hash} version={__version__}",
+             *lines]
+    if summary is not None:
+        lines.append("# summary: {" + ", ".join(
+            f'"{k}": ' + (json.dumps(v) if isinstance(v, str) else _fmt(v))
+            for k, v in summary.items()) + "}")
+    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_forward(sc: Scenario, out: Path) -> None:
@@ -55,30 +64,14 @@ def cmd_forward(sc: Scenario, out: Path) -> None:
     from .geometry import support_mask
 
     art = run_forward(sc)
-    x = sc.geom.spec.nodes()
     mask = support_mask(sc.geom, "omega_w")
-    rows = [f"# {_header(sc)}", "x,u"]
-    rows += [f"{_fmt(xx)},{_fmt(vv)}"
-             for xx, vv in zip(x[mask], art.solution.u.values[mask])]
-    _write_lines(out / "u.csv", rows)
+    _write(out, "u.csv", sc.config, _csv(("x", "u"), zip(
+        sc.geom.spec.nodes()[mask], art.solution.u.values[mask])))
     eps = sc.config["noise.epsilon"]
     seed = sc.config["seed"] if eps > 0 else None
-    export_measurement_csv(sc.geom, art.measurement, out / "measurement.csv",
-                           eps, seed, header_comment=_header(sc))
-    _write_lines(out / "apriori_report.txt",
-                 [f"# {_header(sc)}"] + art.report_lines)
-
-
-def _doubling_rows(report) -> list:
-    rows = ["r,mass,ratio"]
-    for r, m, d in zip(report.radii, report.masses, report.ratios):
-        rows.append(f"{_fmt(r)},{_fmt(m)},{_fmt(d)}")
-    rows.append(f"# summary: {{\"mode\": \"{report.mode}\", "
-                f"\"beta_hat\": {_fmt(report.beta_hat)}, "
-                f"\"c_hat\": {_fmt(report.c_hat)}, "
-                f"\"fit_residual\": {_fmt(report.fit_residual)}, "
-                f"\"r0\": {_fmt(report.r0)}}}")
-    return rows
+    _write(out, "measurement.csv", sc.config,
+           export_measurement_csv(sc.geom, art.measurement, eps, seed))
+    _write(out, "apriori_report.txt", sc.config, _kv(art.report))
 
 
 def cmd_ucp_scan(sc: Scenario, out: Path) -> None:
@@ -86,20 +79,20 @@ def cmd_ucp_scan(sc: Scenario, out: Path) -> None:
     from .experiments import run_ucp_scan
 
     art = run_ucp_scan(sc)
-    _write_lines(out / "doubling_bulk.csv",
-                 [f"# {_header(sc)}"] + _doubling_rows(art.bulk))
-    _write_lines(out / "doubling_boundary.csv",
-                 [f"# {_header(sc)}"] + _doubling_rows(art.boundary))
-    names = [f.name for f in dataclasses.fields(LemmaCheck)]
-    rows = [f"# {_header(sc)}", ",".join(names)]
-    rows += [",".join(_fmt(getattr(c, n)) for n in names) for c in art.checks]
-    _write_lines(out / "lemma_checks.csv", rows)
-    rows = [f"# {_header(sc)}", "r,psi,gap"]
-    rows += [f"{_fmt(r)},{_fmt(p)},{_fmt(g)}" for r, p, g in art.carleman_rows]
+    for rep in (art.bulk, art.boundary):
+        _write(out, f"doubling_{rep.mode}.csv", sc.config,
+               _csv(("r", "mass", "ratio"),
+                    zip(rep.radii, rep.masses, rep.ratios)),
+               summary={"mode": rep.mode, "beta_hat": rep.beta_hat,
+                        "c_hat": rep.c_hat, "fit_residual": rep.fit_residual,
+                        "r0": rep.r0})
+    _write(out, "lemma_checks.csv", sc.config,
+           _csv([f.name for f in dataclasses.fields(LemmaCheck)],
+                map(dataclasses.astuple, art.checks)))
     gaps = art.carleman_rows[:, 2]
-    rows.append(f"# summary: {{\"gap_min\": {_fmt(gaps.min())}, "
-                f"\"gap_max\": {_fmt(gaps.max())}}}")
-    _write_lines(out / "carleman.csv", rows)
+    _write(out, "carleman.csv", sc.config,
+           _csv(("r", "psi", "gap"), art.carleman_rows),
+           summary={"gap_min": gaps.min(), "gap_max": gaps.max()})
 
 
 def cmd_stability(sc: Scenario, out: Path) -> None:
@@ -112,40 +105,36 @@ def cmd_stability(sc: Scenario, out: Path) -> None:
     # model_value is the fitted modulus on 0 < t < 1, left empty elsewhere
     # and without a fit
     model = np.full_like(t, np.nan)
-    fit_lines = [f"# {_header(sc)}", "mode=noise_sweep"]
+    fit = {"mode": "noise_sweep"}
     if report.fit is None:
-        why = (report.note if report.note == NOTHING_TO_CERTIFY
-               else "fit skipped: fewer than two usable points")
-        fit_lines.append(f"fit_skipped={why}")
+        fit["fit_skipped"] = (report.note if report.note == NOTHING_TO_CERTIFY
+                              else "fit skipped: fewer than two usable points")
     else:
         gamma, c, resid = report.fit
         ok = (t > 0) & (t < 1)
         model[ok] = c * np.abs(np.log(t[ok])) ** (-gamma)
-        fit_lines += [f"gamma_hat={_fmt(gamma)}", f"c_hat={_fmt(c)}",
-                      f"fit_residual={_fmt(resid)}"]
-    rows = [f"# {_header(sc)}", "t,error,model_value"]
-    rows += [f"{_fmt(tt)},{_fmt(e)},{'' if math.isnan(m) else _fmt(m)}"
-             for tt, e, m in zip(t, report.curve.errors, model)]
-    _write_lines(out / "curve.csv", rows)
-    _write_lines(out / "fit.txt", fit_lines)
+        fit.update(gamma_hat=gamma, c_hat=c, fit_residual=resid)
+    _write(out, "curve.csv", sc.config, _csv(
+        ("t", "error", "model_value"),
+        [(tt, e, "" if math.isnan(m) else m)
+         for tt, e, m in zip(t, report.curve.errors, model)]))
+    _write(out, "fit.txt", sc.config, _kv(fit))
 
-    cert_lines = [f"# {_header(sc)}"]
     if report.certificate is None:
-        cert_lines.append(f"note={report.note}")
+        cert = {"note": report.note}
     else:
         bound, actual = report.certificate.bound, report.actual_sup_gap
-        cert_lines += _certificate_lines(report.certificate) + [
-            f"actual_sup_gap={_fmt(actual)}",
-            f"certified_dominates={bound >= actual}",
-            f"fudge={_fmt(bound / actual)}",
-        ]
-    _write_lines(out / "certificate.txt", cert_lines)
+        cert = {**dataclasses.asdict(report.certificate),
+                "actual_sup_gap": actual,
+                # True or False: _fmt would print a bool as 1 or 0
+                "certified_dominates": str(bound >= actual),
+                "fudge": bound / actual}
+    _write(out, "certificate.txt", sc.config, _kv(cert))
 
 
 def cmd_certify(cfg: ScenarioConfig, cert: StabilityCertificate,
                 out: Path) -> None:
-    _write_lines(out / "certificate.txt",
-                 [f"# {_header(cfg)}"] + _certificate_lines(cert))
+    _write(out, "certificate.txt", cfg, _kv(dataclasses.asdict(cert)))
 
 
 def main(argv=None) -> int:

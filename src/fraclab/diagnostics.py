@@ -54,12 +54,12 @@ class DoublingReport:
     mode: str                   # "bulk" or "boundary"
 
 
-def carleman_weight(r: float) -> float:
-    """Radial weight psi(r); psi(1) = 0 and psi is slightly convexified."""
-    if r <= 0:
-        raise DomainError(f"carleman weight needs r > 0, got {r}")
+def carleman_weight(r):
+    """Radial weight psi(r), elementwise; psi(1) = 0, slightly convexified."""
+    if np.min(r) <= 0:
+        raise DomainError(f"carleman weight needs r > 0, got {np.min(r)}")
     lr = np.log(r)
-    return float(-lr + 0.1 * (lr * np.arctan(lr) - 0.5 * np.log1p(lr * lr)))
+    return -lr + 0.1 * (lr * np.arctan(lr) - 0.5 * np.log1p(lr * lr))
 
 
 def check_scan(geom: Geometry, x0: float, radii=(), divisor: float = 1.0):

@@ -14,7 +14,7 @@ from .certificate import StabilityCertificate, certify_bound
 from .diagnostics import (DoublingReport, annulus_ratio, caccioppoli_check,
                           carleman_weight, check_scan, doubling_scan_boundary,
                           doubling_scan_bulk, persistence_check)
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, DomainError, GeometryError
 from .extension import default_y_grid, extend
 from .forward import (ForwardSolution, add_noise, dtn_map, eigen_gap,
                       solve_forward, system_matrix)
@@ -28,7 +28,7 @@ from .config import Scenario
 class ForwardArtifacts:
     solution: ForwardSolution
     measurement: GridFunction    # Lambda f on the window, noisy if configured
-    report_lines: list
+    report: dict                 # a priori quantities by name
 
 
 def run_forward(sc: Scenario) -> ForwardArtifacts:
@@ -41,16 +41,16 @@ def run_forward(sc: Scenario) -> ForwardArtifacts:
         (meas,) = add_noise(sc.geom, meas, [eps], sc.config["seed"])
     s = sc.geom.s
     f_hs, u_hs = sobolev_norm(sc.f, s), sobolev_norm(sol.u, s)
-    lines = [
-        f"residual={sol.residual:.17g}",
-        f"eigen_gap={eigen_gap(system_matrix(sc.op, sc.q1)):.17g}",
-        f"apriori_ratio={u_hs / f_hs if f_hs > 0 else 0.0:.17g}",
-        f"f_hs_norm={f_hs:.17g}",
-        f"f_l2_norm={sobolev_norm(sc.f, 0.0):.17g}",
-        f"u_hs_norm={u_hs:.17g}",
-        f"lambda_dual_norm={dual_norm_on_window(sc.geom, meas):.17g}",
-    ]
-    return ForwardArtifacts(solution=sol, measurement=meas, report_lines=lines)
+    report = {
+        "residual": sol.residual,
+        "eigen_gap": eigen_gap(system_matrix(sc.op, sc.q1)),
+        "apriori_ratio": u_hs / f_hs if f_hs > 0 else 0.0,
+        "f_hs_norm": f_hs,
+        "f_l2_norm": sobolev_norm(sc.f, 0.0),
+        "u_hs_norm": u_hs,
+        "lambda_dual_norm": dual_norm_on_window(sc.geom, meas),
+    }
+    return ForwardArtifacts(solution=sol, measurement=meas, report=report)
 
 
 #: radius R of ucp-scan's annulus check at x = 0; its outer ball B_2R sets
@@ -124,9 +124,8 @@ def run_ucp_scan(sc: Scenario) -> UcpScanArtifacts:
         annulus_ratio(sc.geom, field, sc.f, R=ANNULUS_R),
     ]
     rs = np.geomspace(1e-8, 1.0, 240)
-    rows = np.array([[r, carleman_weight(r),
-                      abs(carleman_weight(r) - carleman_weight(4 * r))]
-                     for r in rs])
+    psi = carleman_weight(rs)
+    rows = np.column_stack([rs, psi, np.abs(psi - carleman_weight(4 * rs))])
     return UcpScanArtifacts(bulk=bulk, boundary=boundary, checks=checks,
                             carleman_rows=rows)
 
@@ -164,8 +163,10 @@ def end_to_end(sc: Scenario) -> EndToEndReport:
     gap.  When that gap is zero there is nothing to certify: the sweep
     samples are returned without either fit, and note is
     NOTHING_TO_CERTIFY.  A fitted gamma_hat or mu <= 0 certifies nothing
-    and note names it.  The noise ladder is sweep.epsilons, drawn with the
-    config seed + 1234, and the boundary scan is centred at scan.x0.
+    and note names it, as it names the DomainError of a gap at or above
+    e_tilde/2 or of any other constant that certify_bound rejects.  The
+    noise ladder is sweep.epsilons, drawn with the config seed + 1234,
+    and the boundary scan is centred at scan.x0.
     """
     cfg = sc.config
     if not cfg.get("sweep.epsilons"):
@@ -195,6 +196,7 @@ def end_to_end(sc: Scenario) -> EndToEndReport:
 
     e_tilde = sobolev_norm(sol1.u, s) + sobolev_norm(sol2.u, s)
     fit = certificate = None
+    note = ""
     if data_gap <= 0 or actual == 0:
         note = NOTHING_TO_CERTIFY
     else:
@@ -209,12 +211,14 @@ def end_to_end(sc: Scenario) -> EndToEndReport:
         elif nonpositive:
             note = f"fitted {' and '.join(nonpositive)}: not positive"
         else:
-            note = ""
             mu_hat, c, _ = smallness
-            certificate = certify_bound(
-                E=E, alpha=s, beta=boundary.beta_hat, c_low=boundary.c_hat,
-                c_stab=c / e_tilde, mu=mu_hat, e_tilde=e_tilde,
-                epsilon=min(data_gap, 0.499), r0=boundary.r0)
+            try:
+                certificate = certify_bound(
+                    E=E, alpha=s, beta=boundary.beta_hat,
+                    c_low=boundary.c_hat, c_stab=c / e_tilde, mu=mu_hat,
+                    e_tilde=e_tilde, epsilon=data_gap, r0=boundary.r0)
+            except DomainError as exc:
+                note = f"outside the certificate's domain: {exc}"
     return EndToEndReport(data_gap=data_gap, actual_sup_gap=actual,
                           curve=curve, fit=fit, certificate=certificate,
                           note=note)

@@ -163,21 +163,13 @@ def add_noise(geom: Geometry, lam: GridFunction, epsilons, seed: int):
             geom, lam.values + (eps * a / b) * pert, "w")
 
 
-def export_measurement_csv(geom: Geometry, lam: GridFunction, path,
-                           epsilon: float, seed: int | None,
-                           header_comment: str) -> None:
-    """CSV with one row per window node: node_x, lambda_value.
-
-    Two comment lines come first: header_comment, then s and the noise
-    level epsilon and seed that produced lam; the seed is left empty when
-    it is None (no noise drawn).
-    """
-    x = geom.spec.nodes()[geom.w_nodes]
-    vals = lam.values[geom.w_nodes]
-    seed = "" if seed is None else str(seed)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header_comment}\n")
-        fh.write(f"# s={geom.s:.17g} epsilon={epsilon:.17g} seed={seed}\n")
-        fh.write("node_x,lambda_value\n")
-        for xx, vv in zip(x, vals):
-            fh.write(f"{xx:.17g},{vv:.17g}\n")
+def export_measurement_csv(geom: Geometry, lam: GridFunction,
+                           epsilon: float, seed: int | None) -> list:
+    """The lines of measurement.csv, returned for the caller to write: a
+    comment with s and the noise level epsilon and seed that produced lam
+    (the seed left empty when None: no noise drawn), then node_x,
+    lambda_value with one row per window node."""
+    w, seed = geom.w_nodes, "" if seed is None else seed
+    return [f"# s={geom.s:.17g} epsilon={epsilon:.17g} seed={seed}",
+            "node_x,lambda_value"] + [f"{x:.17g},{v:.17g}" for x, v in
+                                      zip(geom.spec.nodes()[w], lam.values[w])]

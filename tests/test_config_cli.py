@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from fraclab.errors import ConfigError
 from fraclab.forward import _gap_certified, system_matrix
 from fraclab.certificate import CERT_INPUTS
 
+import cli_cases
 from conftest import CONFIGS, write_config
 
 
@@ -410,15 +412,36 @@ def test_cmd_certify_bad_epsilon_exit_2(tmp_path):
 
 
 def test_every_csv_carries_config_hash(tmp_path):
-    cfg_path = CONFIGS / "s1_ucp_scan.cfg"
-    rc = main(["ucp-scan", "--config", str(cfg_path), "--out", str(tmp_path)])
-    assert rc == 0
-    cfg = fl.load_config(cfg_path)
-    for name in ("doubling_bulk.csv", "doubling_boundary.csv",
-                 "lemma_checks.csv", "carleman.csv"):
-        first = (tmp_path / name).read_text().splitlines()[0]
-        assert cfg.content_hash in first
-        assert fl.__version__ in first
+    # every file of every command opens with the one header line, and a
+    # summary line, where there is one, is JSON with the keys that
+    # perfbench/check.py reads
+    doubling = {"mode", "beta_hat", "c_hat", "fit_residual", "r0"}
+    summaries = {"doubling_bulk.csv": doubling,
+                 "doubling_boundary.csv": doubling,
+                 "carleman.csv": {"gap_min", "gap_max"}}
+    for command, config in (("forward", "s1_forward.cfg"),
+                            ("ucp-scan", "s1_ucp_scan.cfg"),
+                            ("stability", "s1_stability.cfg"),
+                            ("certify", "certify_example.cfg")):
+        out = tmp_path / command
+        assert main([command, "--config", str(CONFIGS / config),
+                     "--out", str(out)]) == 0
+        cfg = fl.load_config(CONFIGS / config)
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(cli_cases.WRITES[command])
+        for name in cli_cases.WRITES[command]:
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == (f"# config_hash={cfg.content_hash} "
+                                f"version={fl.__version__}")
+            found = [ln for ln in lines if ln.startswith("# summary: ")]
+            if name in summaries:
+                assert found == [lines[-1]]
+                summary = json.loads(found[0][len("# summary: "):])
+                assert set(summary) == summaries[name]
+                if "mode" in summary:
+                    assert name == f"doubling_{summary['mode']}.csv"
+            else:
+                assert found == []
 
 
 def test_ucp_scan_deterministic(tmp_path):

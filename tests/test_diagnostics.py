@@ -38,6 +38,16 @@ def test_carleman_weight_domain():
         fl.carleman_weight(-2.0)
 
 
+def test_carleman_weight_array_matches_scalar_loop():
+    # ucp-scan's rows: one call on the radii, one on four times them
+    rs = np.geomspace(1e-8, 1.0, 240)
+    for r in (rs, 4 * rs):
+        loop = np.array([fl.carleman_weight(float(x)) for x in r])
+        assert fl.carleman_weight(r).tobytes() == loop.tobytes()
+    with pytest.raises(DomainError, match="got -2.0"):
+        fl.carleman_weight(np.array([1.0, -2.0, 0.5]))
+
+
 # ------------------------------------------------------------------ caccioppoli
 
 def test_caccioppoli_zero_field(s1, s1_field):

@@ -7,10 +7,11 @@ from fraclab.diagnostics import fit_loglog
 from fraclab.errors import AllExcludedError, DomainError, ZeroDataError
 from fraclab.experiments import NOTHING_TO_CERTIFY
 from fraclab.fracop import symmetric_toeplitz
-from fraclab import reconstruction
+from fraclab import experiments, reconstruction
+from fraclab.cli import main
 from fraclab.reconstruction import _continuation, hs_gram_row
 
-from conftest import scenario, write_config
+from conftest import CONFIGS, scenario, write_config
 
 
 def _holder(op, sol):
@@ -511,3 +512,21 @@ def test_end_to_end_identical_potentials(tmp_path):
     assert "zero" in rep.note
     assert rep.fit is None
     assert rep.note == NOTHING_TO_CERTIFY
+
+
+def test_end_to_end_gap_outside_the_certificate_domain(monkeypatch,
+                                                      tmp_path):
+    # e_tilde below twice the measured gap puts eps / e_tilde past 1/2:
+    # no certificate, the DomainError in the note, and the CLI exits 0
+    sc = scenario("s1_stability.cfg")
+    gap = fl.end_to_end(sc).data_gap
+    monkeypatch.setattr(experiments, "sobolev_norm", lambda gf, s: 0.4 * gap)
+    rep = fl.end_to_end(sc)
+    assert rep.certificate is None
+    assert rep.note.startswith("outside the certificate's domain: "
+                               "epsilon / e_tilde must lie below 1/2")
+    assert rep.note.endswith("= 1.25")
+    assert main(["stability", "--config", str(CONFIGS / "s1_stability.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "certificate.txt").read_text().splitlines()
+    assert lines[1:] == [f"note={rep.note}"]

@@ -102,6 +102,9 @@ CASES = (
     # certify is scalar arithmetic on the standard library
     Case("certify-no-numpy", "certify", "certify_example.cfg",
          blocked=("scipy", "numpy"), same_as="certify"),
+    # the domain is eps / e_tilde < 1/2, whatever the units of the two
+    Case("certify-eps-over-half", "certify", "certify_example.cfg",
+         ("cert.epsilon = 0.6", "cert.e_tilde = 10")),
     # the continuation's range sketch draws from a fixed stream of its own
     Case("stability-r4-a", "stability", "sweep_benchmark.cfg",
          flags=("--resolution", "4")),
